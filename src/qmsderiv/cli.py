@@ -390,7 +390,7 @@ def main(argv=None):
     p_sweep.add_argument("--tol", type=float, default=None,
                          help="override the feasibility tolerance")
     p_sweep.add_argument("--threads", type=int, default=1,
-                         help="worker threads for the sweep")
+                         help="accepted and ignored; samples run serially")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify",

@@ -10,29 +10,34 @@ with psi the fixed vectorization of the matrix-unit basis. Requiring the form
 to make both actions adjointable and to take prescribed values f(A, B) on
 derivation pairs produces three families of equations, each linear in X:
 
-    family "left"   adjointability of the left action   (m^5 equations)
-    family "right"  adjointability of the right action  (m^5 equations)
-    family "target" <delta(A), delta(B)> = f(A, B)      (m^2 equations)
+    family "left"   X L_a = L_{a*}^H X   for each matrix unit a   (m^5 scalars)
+    family "right"  X R_a = R_{a*}^H X   for each matrix unit a   (m^5 scalars)
+    family "target" <delta(A), delta(B)> = f(A, B)                (m^2 scalars)
 
-with m = n^2 the algebra dimension. X is searched over Hermitian matrices,
-so each complex equation splits into two real rows over the isometric
-Hermitian coordinate vector. Rows whose matrix-unit products all vanish are
-pruned during assembly, and duplicate rows are removed by hashing canonical
-(unit-norm, sign-fixed) forms; this cuts the raw row count by roughly an
-order of magnitude and dominates assembly performance.
+with m = n^2 the algebra dimension and L_a, R_a the n^4 x n^4 matrices of
+left_act and right_act, which are the only definition of the actions. Each
+intertwining equation is the sparse operator kron(I, L_a^T) - kron(L_{a*}^H, I)
+on the row-major vec(X). X is searched over Hermitian matrices: one sparse
+map from the Hermitian coordinates to vec(X) turns every complex equation
+into a real and an imaginary row. Action rows that vanish are dropped, the
+rest are scaled to unit norm with a positive first entry, and repeats are
+removed by one 64-bit key per row plus an exact comparison of rows that
+share a key; at n = 3 this leaves 22464 of 149670 nonzero rows.
 
 The coefficient matrix of the system depends only on n, not on the state or
 the generator; those enter only through the right-hand side values of the
-target family. Assembly therefore caches a per-n template and attaches fresh
-target values to it, which makes repeated solves at the same size cheap.
+target family. Assembly therefore caches a per-n template holding both
+blocks as CSR and attaches fresh target values to it, which makes repeated
+solves at the same size cheap.
 """
-
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DimensionMismatch, IndexOutOfRange, SizeCapExceeded
-from .linalg import SparseRealMatrix, as_cmatrix
+from .linalg import SparseRealMatrix, as_cmatrix, hermitian_vec_map
 from .qms import lindblad_apply
 
 DEFAULT_SIZE_CAP = 4
@@ -208,78 +213,98 @@ def _check_perm(perm, m):
 
 
 # ---------------------------------------------------------------------------
-# Realification over the Hermitian coordinate layout
-# ---------------------------------------------------------------------------
-
-def _pair_offsets(M):
-    # start of row p's strict upper triangle within the triu enumeration
-    off = np.zeros(M, dtype=np.int64)
-    for p in range(1, M):
-        off[p] = off[p - 1] + (M - p)
-    return off
-
-
-class _Realifier:
-    """Split complex equations in X into real rows over Hermitian coordinates."""
-
-    def __init__(self, M):
-        self.M = M
-        self.T = M * (M - 1) // 2
-        self.off = _pair_offsets(M)
-
-    def rows(self, coeff):
-        """coeff: {(p, q): complex} for the functional sum c_pq X_pq.
-
-        Returns (re_row, im_row) as {col: float} dicts; either may be empty.
-        """
-        M, T, off = self.M, self.T, self.off
-        re_row, im_row = {}, {}
-
-        def put(row, col, val):
-            if val != 0.0:
-                row[col] = row.get(col, 0.0) + val
-
-        pairs = {}
-        for (p, q), c in coeff.items():
-            if p == q:
-                put(re_row, p, c.real)
-                put(im_row, p, c.imag)
-            elif p < q:
-                acc = pairs.setdefault((p, q), [0j, 0j])
-                acc[0] += c
-            else:
-                acc = pairs.setdefault((q, p), [0j, 0j])
-                acc[1] += c
-        for (p, q), (c1, c2) in pairs.items():
-            col_re = M + off[p] + (q - p - 1)
-            col_im = col_re + T
-            plus, minus = c1 + c2, c1 - c2
-            put(re_row, col_re, plus.real / _SQRT2)
-            put(re_row, col_im, -minus.imag / _SQRT2)
-            put(im_row, col_re, plus.imag / _SQRT2)
-            put(im_row, col_im, minus.real / _SQRT2)
-        re_row = {c: v for c, v in re_row.items() if v != 0.0}
-        im_row = {c: v for c, v in im_row.items() if v != 0.0}
-        return re_row, im_row
-
-
-def _canonical_key(row):
-    """Unit-norm, sign-fixed, rounded form of a row for duplicate hashing."""
-    items = sorted(row.items())
-    norm = np.sqrt(sum(v * v for _, v in items))
-    sign = 1.0 if items[0][1] > 0 else -1.0
-    return tuple((c, round(sign * v / norm, 12)) for c, v in items), sign / norm
-
-
-# ---------------------------------------------------------------------------
 # Per-size template: everything in the system that does not depend on f
 # ---------------------------------------------------------------------------
+
+def _action_matrix(n, act):
+    """n^4 x n^4 matrix of a linear map on M_n (x) M_n in the psi vectorization."""
+    rows, cols, vals = [], [], []
+    for q in itertools.product(range(n), repeat=4):
+        for p, c in act(TensorElem.unit(n, *q)).terms:
+            rows.append(_tidx(n, *p))
+            cols.append(_tidx(n, *q))
+            vals.append(c)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n ** 4, n ** 4),
+                         dtype=complex)
+
+
+def _real_rows(E, herm, M):
+    """Real and imaginary parts, interleaved, of complex equations over vec(X).
+
+    E has integer coefficients on the row-major vec(X); the result is real
+    CSR over the Hermitian coordinates, rows (2r, 2r + 1) from equation r,
+    without explicit zeros and with sorted indices.
+    """
+    G = (E @ herm).tocoo()
+    # the off-diagonal coordinates carry the sqrt(2) that herm leaves out
+    r = np.where(G.col < M, 1.0, _SQRT2)
+    R = sp.csr_matrix(
+        (np.concatenate([G.data.real / r, G.data.imag / r]),
+         (np.concatenate([2 * G.row, 2 * G.row + 1]), np.tile(G.col, 2))),
+        shape=(2 * E.shape[0], herm.shape[1]))
+    R.eliminate_zeros()
+    R.sort_indices()
+    return R
+
+
+def _unit_rows(R):
+    """Scale each nonempty row to unit norm with a positive first entry."""
+    norm = np.sqrt(np.add.reduceat(R.data ** 2, R.indptr[:-1]))
+    rescale = np.where(R.data[R.indptr[:-1]] > 0, 1.0, -1.0) / norm
+    return sp.csr_matrix((R.data * np.repeat(rescale, np.diff(R.indptr)),
+                          R.indices, R.indptr), shape=R.shape)
+
+
+def _row_keys(R):
+    """One 64-bit hash per row of its (column, value bits) entries."""
+    z = R.indices.astype(np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z ^= R.data.view(np.uint64)
+    # splitmix64 finaliser
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return np.add.reduceat(z, R.indptr[:-1])
+
+
+def _rows_equal(R, a, b):
+    """Elementwise: row a[k] of R equals row b[k] exactly."""
+    ptr = R.indptr
+    length = ptr[a + 1] - ptr[a]
+    equal = length == ptr[b + 1] - ptr[b]
+    for k in range(length.max(initial=0)):
+        live = np.flatnonzero(equal & (length > k))
+        ea, eb = ptr[a[live]] + k, ptr[b[live]] + k
+        equal[live] = (R.indices[ea] == R.indices[eb]) & (R.data[ea] == R.data[eb])
+    return equal
+
+
+def _first_occurrences(R):
+    """Ascending indices of the first copy of each distinct nonempty row."""
+    keys = _row_keys(R)
+    order = np.argsort(keys, kind="stable")
+    shared = keys[order[1:]] == keys[order[:-1]]
+    later, earlier = order[1:][shared], order[:-1][shared]
+    equal = _rows_equal(R, later, earlier)
+    drop = [later[equal]]
+    # a row that shares its key with a different row: compare it with every
+    # earlier row of that key
+    for r in later[~equal]:
+        before = np.flatnonzero(keys[:r] == keys[r])
+        if _rows_equal(R, np.full(before.size, r), before).any():
+            drop.append([r])
+    keep = np.ones(R.shape[0], dtype=bool)
+    keep[np.concatenate(drop)] = False
+    return np.flatnonzero(keep)
+
 
 @dataclass(frozen=True)
 class SystemTemplate:
     n: int
-    hom_rows: tuple          # deduped, unit-norm rows from both action families
-    target_rows: tuple       # 2 m^2 rows in (a, b, re/im) order
+    hom: sp.csr_matrix = field(repr=False)     # deduped unit-norm action rows
+    target: sp.csr_matrix = field(repr=False)  # 2 m^2 rows in (a, b, re/im) order
     counts: dict
 
 
@@ -287,103 +312,53 @@ _TEMPLATE_CACHE = {}
 
 
 def _build_template(n):
-    m = n * n
-    real = _Realifier(m * m)
-    ri = [a // n for a in range(m)]
-    ci = [a % n for a in range(m)]
+    m, M = n * n, n ** 4
+    units = []
+    for a in range(m):
+        Q = np.zeros((n, n), dtype=complex)
+        Q[divmod(a, n)] = 1.0
+        units.append(Q)
+    star = [(a % n) * n + a // n for a in range(m)]   # index of Q_a*
+    herm = hermitian_vec_map(M)
+    eye = sp.identity(M, dtype=complex, format="csr")
 
-    hom_rows = []
-    seen = set()
+    # scalar equation (a, t, u) is entry (u, t) of X P_a - P_{a*}^H X, with
+    # t = Q_c (x) Q_d and u = Q_g* (x) Q_h*, listed by (a, c, d, g, h)
+    psi = np.array([[_tidx(n, *divmod(c, n), *divmod(d, n)) for d in range(m)]
+                    for c in range(m)])
+    order = (psi.reshape(-1, 1) + M * psi[np.ix_(star, star)].reshape(1, -1))
+    order = order.reshape(-1)
+
     counts = {
         "raw_complex_left": m ** 5,
         "raw_complex_right": m ** 5,
         "raw_complex_target": m * m,
-        "nonzero_real_left": 0,
-        "nonzero_real_right": 0,
     }
+    families = (("left", lambda A: lambda t: left_act(A, t)),
+                ("right", lambda A: lambda t: right_act(t, A)))
+    blocks = []
+    for family, action in families:
+        P = [_action_matrix(n, action(A)) for A in units]
+        E = sp.vstack([(sp.kron(eye, P[a].T) - sp.kron(P[star[a]].conj().T, eye))
+                       .tocsr()[order] for a in range(m)], format="csr")
+        R = _real_rows(E, herm, M)
+        R = R[np.diff(R.indptr) > 0]
+        counts[f"nonzero_real_{family}"] = R.shape[0]
+        blocks.append(_unit_rows(R))
+    hom = sp.vstack(blocks, format="csr")
+    hom = hom[_first_occurrences(hom)]
 
-    def emit(family, coeff):
-        if not coeff:
-            return
-        for row in real.rows(coeff):
-            if not row:
-                continue
-            counts[f"nonzero_real_{family}"] += 1
-            key, rescale = _canonical_key(row)
-            if key in seen:
-                continue
-            seen.add(key)
-            hom_rows.append(tuple((c, v * rescale) for c, v in sorted(row.items())))
+    # target family: psi(Q_b* (x) 1)* X psi(Q_a (x) 1) = f(Q_a, Q_b*), rows
+    # (a, b); kron(D^T, D^T) lists the same rows by (b*, a)
+    D = sp.csr_matrix(np.column_stack(
+        [TensorElem.derivation_of(A).vector() for A in units]))
+    pairs = (np.array(star).reshape(1, -1) * m + np.arange(m).reshape(-1, 1))
+    T = sp.kron(D.T, D.T, format="csr")[pairs.reshape(-1)]
+    target = _real_rows(T, herm, M)
 
-    rng = range(m)
-    tidx = _tidx
-    for a1 in rng:
-        a, b = ri[a1], ci[a1]
-        for a2 in rng:
-            c, d = ri[a2], ci[a2]
-            for a3 in rng:
-                e, f = ri[a3], ci[a3]
-                z = tidx(n, c, d, e, f)
-                for a4 in rng:
-                    g, h = ri[a4], ci[a4]
-                    for a5 in rng:
-                        p, q = ri[a5], ci[a5]
-                        u = tidx(n, h, g, q, p)
-                        coeff = {}
-                        if b == c:
-                            k = (u, tidx(n, a, d, e, f))
-                            coeff[k] = coeff.get(k, 0) + 1
-                        if d == e:
-                            k = (u, tidx(n, a, b, c, f))
-                            coeff[k] = coeff.get(k, 0) - 1
-                        if a == h:
-                            k = (tidx(n, b, g, q, p), z)
-                            coeff[k] = coeff.get(k, 0) - 1
-                        if g == q:
-                            k = (tidx(n, b, a, h, p), z)
-                            coeff[k] = coeff.get(k, 0) + 1
-                        emit("left", {k: v for k, v in coeff.items() if v})
-
-    for a1 in rng:
-        a, b = ri[a1], ci[a1]
-        for a2 in rng:
-            c, d = ri[a2], ci[a2]
-            for a3 in rng:
-                e, f = ri[a3], ci[a3]
-                z = tidx(n, c, d, e, f)
-                for a4 in rng:
-                    g, h = ri[a4], ci[a4]
-                    for a5 in rng:
-                        p, q = ri[a5], ci[a5]
-                        u = tidx(n, h, g, q, p)
-                        coeff = {}
-                        if f == a:
-                            k = (u, tidx(n, c, d, e, b))
-                            coeff[k] = coeff.get(k, 0) + 1
-                        if p == b:
-                            k = (tidx(n, h, g, q, a), z)
-                            coeff[k] = coeff.get(k, 0) - 1
-                        emit("right", {k: v for k, v in coeff.items() if v})
-
-    # target family: psi(Q_b* (x) 1)* X psi(Q_a (x) 1) = f(Q_a, Q_b*)
-    target_rows = []
-    for a1 in rng:
-        i, j = ri[a1], ci[a1]
-        for a2 in rng:
-            k, l = ri[a2], ci[a2]
-            coeff = {}
-            for t in range(n):
-                row_idx = tidx(n, l, k, t, t)
-                for tp in range(n):
-                    key = (row_idx, tidx(n, i, j, tp, tp))
-                    coeff[key] = coeff.get(key, 0) + 1
-            re_row, im_row = real.rows(coeff)
-            target_rows.append((a1, a2, "re", tuple(sorted(re_row.items()))))
-            target_rows.append((a1, a2, "im", tuple(sorted(im_row.items()))))
-
-    counts["hom_rows_after_dedup"] = len(hom_rows)
-    counts["target_rows_real"] = len(target_rows)
-    return SystemTemplate(n, tuple(hom_rows), tuple(target_rows), counts)
+    counts["hom_rows_after_dedup"] = hom.shape[0]
+    counts["target_rows_real"] = target.shape[0]
+    return SystemTemplate(n, hom, target, counts)
 
 
 def system_template(n):
@@ -402,28 +377,46 @@ def clear_template_cache():
 # Assembled system
 # ---------------------------------------------------------------------------
 
+def _target_rhs(form):
+    # target rows are in (a, b, re/im) order
+    return np.stack([form.F.real, form.F.imag], axis=-1).reshape(-1)
+
+
 @dataclass
 class ConstraintSystem:
-    """Sparse real-linear system A x = b over Hermitian coordinates of X."""
+    """Sparse real-linear system A x = b over Hermitian coordinates of X.
+
+    A stacks the homogeneous block, shared by every system of size n, over
+    the target block; only the target part of b is nonzero.
+    """
 
     n: int
     m: int
     s: float
-    A: SparseRealMatrix
-    b: np.ndarray
-    hom_row_count: int
-    target_meta: list        # (basis index a, basis index b, "re"|"im") per target row
+    hom: sp.csr_matrix = field(repr=False)
+    target: sp.csr_matrix = field(repr=False)
+    b: np.ndarray = field(repr=False)
     counts: dict
+    A: SparseRealMatrix = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.A is None:
+            self.A = SparseRealMatrix.from_csr(
+                sp.vstack([self.hom, self.target], format="csr"))
 
     @property
     def unknowns(self):
         return self.m ** 4
 
+    @property
+    def hom_row_count(self):
+        return self.hom.shape[0]
+
     def hom_block(self):
-        return self.A.tocsr()[:self.hom_row_count]
+        return self.hom
 
     def target_block(self):
-        return self.A.tocsr()[self.hom_row_count:]
+        return self.target
 
     def target_rhs(self):
         return self.b[self.hom_row_count:]
@@ -437,60 +430,34 @@ class ConstraintSystem:
     def with_target_form(self, form):
         """Same coefficient matrix, fresh target values; cheap per-sample path."""
         b = self.b.copy()
-        for offset, (a1, a2, part) in enumerate(self.target_meta):
-            val = form.F[a1, a2]
-            b[self.hom_row_count + offset] = val.real if part == "re" else val.imag
-        return ConstraintSystem(self.n, self.m, float(form.s), self.A, b,
-                                self.hom_row_count, self.target_meta,
-                                self.counts)
+        b[self.hom_row_count:] = _target_rhs(form)
+        return replace(self, s=float(form.s), b=b)
 
 
 def assemble(spec, s, size_cap=DEFAULT_SIZE_CAP, basis_perm=None):
     """Build the full feasibility system for a validated generator spec.
 
-    Rows appear in family order (left, right, target), each family in
-    lexicographic index order, duplicates removed within the action
-    families. The target rows carry the only nonzero right-hand sides.
+    Rows appear in family order (left, right, target), duplicates removed
+    within the action families. The target rows, one real and one
+    imaginary row per pair of basis elements in the order of basis_perm,
+    carry the only nonzero right-hand sides.
     """
     n = spec.n
     if n > size_cap:
         raise SizeCapExceeded(f"algebra size {n} exceeds cap {size_cap}")
     tpl = system_template(n)
     m = n * n
-    perm = _check_perm(basis_perm, m)
-    inv = np.empty(m, dtype=int)
-    inv[perm] = np.arange(m)
-
     form = target_form(spec, s, basis_perm=basis_perm)
-    nrows = len(tpl.hom_rows) + len(tpl.target_rows)
-    A = SparseRealMatrix(nrows, m ** 4)
-    b = np.zeros(nrows)
-    r = 0
-    for row in tpl.hom_rows:
-        for col, val in row:
-            A.add(r, col, val)
-        r += 1
-    target_meta = []
-    # template target rows are laid out for the identity basis order; under a
-    # permuted basis the row for permuted pair (a, b) is the identity-layout
-    # row at (perm[a], perm[b])
-    order = sorted(range(len(tpl.target_rows)),
-                   key=lambda idx: (inv[tpl.target_rows[idx][0]],
-                                    inv[tpl.target_rows[idx][1]],
-                                    tpl.target_rows[idx][2] == "im"))
-    for idx in order:
-        a1, a2, part, row = tpl.target_rows[idx]
-        for col, val in row:
-            A.add(r, col, val)
-        val = form.F[inv[a1], inv[a2]]
-        b[r] = val.real if part == "re" else val.imag
-        target_meta.append((int(inv[a1]), int(inv[a2]), part))
-        r += 1
-    A.finalize()
+    target = tpl.target
+    if basis_perm is not None:
+        # the row for permuted pair (a, b) is the template row (perm[a], perm[b])
+        perm = np.asarray(basis_perm, dtype=int)
+        pair = (perm.reshape(-1, 1) * m + perm.reshape(1, -1)).reshape(-1)
+        target = target[np.stack([2 * pair, 2 * pair + 1], axis=1).reshape(-1)]
+    b = np.concatenate([np.zeros(tpl.hom.shape[0]), _target_rhs(form)])
     counts = dict(tpl.counts)
-    counts["rows_total"] = nrows
-    return ConstraintSystem(n, m, float(s), A, b, len(tpl.hom_rows),
-                            target_meta, counts)
+    counts["rows_total"] = b.size
+    return ConstraintSystem(n, m, float(s), tpl.hom, target, b, counts)
 
 
 def dump_system(system, path):

@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import assemble, clear_template_cache, DEFAULT_SIZE_CAP
+from .constraints import (assemble, clear_template_cache, system_template,
+                          DEFAULT_SIZE_CAP)
 from .errors import DimensionMismatch
 from .linalg import (DEFAULT_FEAS_TOL, DEFAULT_RANK_TOL, HermitianParam,
                      herm_eig, hermitian_decode, hermitian_encode, nullspace)
@@ -106,10 +107,8 @@ def _hom_kernel(system, rank_tol):
 
 
 def _target_svd(system, N, rank_tol):
-    # valid whenever the target rows follow the canonical lexicographic
-    # layout; permuted systems recompute
-    canonical = all(system.target_meta[i] <= system.target_meta[i + 1]
-                    for i in range(len(system.target_meta) - 1))
+    # cached for the template's own target block; permuted systems recompute
+    canonical = system.target_block() is system_template(system.n).target
     key = (system.n, float(rank_tol))
     if canonical and key in _TARGET_SVD_CACHE:
         return _TARGET_SVD_CACHE[key]
@@ -393,8 +392,9 @@ def psd_search(sol, tol=DEFAULT_FEAS_TOL, psd_tol=DEFAULT_PSD_TOL,
             if restart == 0:
                 x = x0.copy()
             else:
-                x = x0 + B.T @ (rng.standard_normal(sol.dim)
-                                * 0.3 * restart * scale0 / np.sqrt(sol.dim))
+                # B^T B g depends only on the span of B, not on its basis
+                g = rng.standard_normal(B.shape[1])
+                x = x0 + (0.3 * restart * scale0 / np.sqrt(sol.dim)) * (B.T @ (B @ g))
             gaps = []
             x_prev = None
             for it in range(max_iter):

@@ -6,8 +6,9 @@ Conventions used throughout the package:
   * Hermitian eigendecompositions return eigenvalues in ascending order
     with eigenvectors as columns,
   * sparse real systems are built as triplets and finalized to CSR with
-    duplicate entries summed in a fixed order, so repeated runs produce
-    bit-identical factorizations,
+    duplicate entries summed in a fixed order, or wrapped from a CSR that
+    is already canonical, so repeated runs produce bit-identical
+    factorizations,
   * rank and nullspace tolerances are relative to the largest singular
     value; all problem data is O(1) by construction, which keeps the
     numerical rank decisions far away from the floating-point floor.
@@ -88,6 +89,14 @@ class SparseRealMatrix:
         self._c = []
         self._v = []
         self._csr = None
+
+    @classmethod
+    def from_csr(cls, csr):
+        """Wrap a CSR matrix that already has sorted indices and no duplicates."""
+        out = cls(*csr.shape)
+        out._r = out._c = out._v = None
+        out._csr = csr
+        return out
 
     def add(self, row, col, value):
         if self._csr is not None:
@@ -255,34 +264,6 @@ def nullspace(A, tol=DEFAULT_RANK_TOL):
     return np.array(parts)
 
 
-def rank_diagnostics(A, tol=DEFAULT_RANK_TOL):
-    """Numerical rank plus the spectral gap around the rank decision.
-
-    Returns a dict with the rank, the smallest kept and largest dropped
-    singular values, and their ratio (the conditioning margin of the rank
-    decision; large is safe, near 1 means the cut is ambiguous).
-    """
-    csr = _ascsr(A)
-    ncols = csr.shape[1]
-    if ncols == 0 or csr.nnz == 0:
-        return {"rank": 0, "smallest_kept": 0.0, "largest_dropped": 0.0,
-                "gap_ratio": float("inf")}
-    if ncols <= DENSE_CUTOFF:
-        s = np.linalg.svd(csr.toarray(), compute_uv=False)
-    else:
-        eigs = _block_eig(csr, _column_blocks(csr))
-        s = np.sqrt(np.clip(np.concatenate([w for _, w, _ in eigs]), 0.0, None))
-        s = np.sort(s)[::-1]
-    smax = s[0] if s.size else 0.0
-    keep = s > tol * smax if smax > 0 else np.zeros_like(s, dtype=bool)
-    rank = int(np.sum(keep))
-    smallest_kept = float(s[rank - 1]) if rank > 0 else 0.0
-    largest_dropped = float(s[rank]) if rank < s.size else 0.0
-    gap = smallest_kept / largest_dropped if largest_dropped > 0 else float("inf")
-    return {"rank": rank, "smallest_kept": smallest_kept,
-            "largest_dropped": largest_dropped, "gap_ratio": gap}
-
-
 def _triu_cache(M):
     iu, ju = np.triu_indices(M, k=1)
     return iu, ju
@@ -337,6 +318,25 @@ class HermitianParam:
         X[iu, ju] = upper
         X[ju, iu] = upper.conj()
         return X
+
+
+def hermitian_vec_map(M):
+    """Sparse complex map from Hermitian coordinates to the row-major vec(X).
+
+    Returns H of shape (M^2, M^2) with entries 1 and +-1j such that
+    vec(X) = H @ (coords / r), where r is 1 on the M diagonal coordinates and
+    sqrt(2) on the others. Leaving the sqrt(2) out of H keeps products with
+    integer equations exact.
+    """
+    iu, ju = _triu_cache(M)
+    d = np.arange(M)
+    t = M + np.arange(iu.size)
+    upper, lower = iu * M + ju, ju * M + iu
+    rows = np.concatenate([d * M + d, upper, lower, upper, lower])
+    cols = np.concatenate([d, t, t, t + iu.size, t + iu.size])
+    vals = np.concatenate([np.ones(M + 2 * iu.size), np.full(iu.size, 1j),
+                           np.full(iu.size, -1j)])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(M * M, M * M))
 
 
 def hermitian_encode(X, tol=1e-10):

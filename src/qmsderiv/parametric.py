@@ -22,7 +22,6 @@ The sweep swaps only the right-hand side of the cached constraint system
 between samples, so hundreds of samples cost little more than one.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -232,48 +231,30 @@ def sweep(count, seed, project=False, pin=None, s=0.0,
     Returns SweepRecords ordered by sample index. Per-sample failures are
     caught into the record's error field and the sweep continues. The
     constraint matrix is assembled once; samples only swap the target
-    right-hand side.
+    right-hand side. Samples run serially: threads is accepted for
+    compatibility and ignored, because worker threads made sweeps slower.
     """
-    inputs = sample_inputs(count, seed, project=project, pin=pin)
-    records = [None] * count
-    base = {}
-
-    def run_one(item):
-        k, p, Y = item
+    records = []
+    base = None
+    for k, p, Y in sample_inputs(count, seed, project=project, pin=pin):
         rec = SweepRecord(k, p, Y)
         try:
             rec.predicate_lhs = predicate_lhs(p, Y)
             rec.predicate = solvable_predicate(p, Y, tol=predicate_tol)
             spec = build_LY(p, Y)
-            if "system" not in base:
-                base["system"] = assemble(spec, s)
-                system = base["system"]
+            if base is None:
+                base = system = assemble(spec, s)
             else:
-                system = base["system"].with_target_form(target_form(spec, s))
+                system = base.with_target_form(target_form(spec, s))
             sol = solve_affine(system, tol=tol, rank_tol=rank_tol)
             rec.consistent = sol.consistent
             rec.residual = sol.residual
             rec.agree = rec.predicate == rec.consistent
         except ToolError as exc:
             rec.error = f"{type(exc).__name__}: {exc}"
-        return rec
-
-    if threads > 1 and count:
-        # warm the shared caches before going parallel
-        records[0] = run_one(inputs[0])
+        records.append(rec)
         if on_record:
-            on_record(records[0])
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for rec in pool.map(run_one, inputs[1:]):
-                records[rec.sample_id] = rec
-                if on_record:
-                    on_record(rec)
-    else:
-        for item in inputs:
-            rec = run_one(item)
-            records[item[0]] = rec
-            if on_record:
-                on_record(rec)
+            on_record(rec)
     return records
 
 

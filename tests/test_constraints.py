@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from qmsderiv import constraints
 from qmsderiv.constraints import (TensorElem, assemble, dump_system, left_act,
                                   psi_index, right_act, system_template,
                                   target_form)
 from qmsderiv.errors import IndexOutOfRange, SizeCapExceeded
-from qmsderiv.linalg import hermitian_decode
+from qmsderiv.feasibility import solve_affine
+from qmsderiv.linalg import hermitian_decode, nullspace
 from qmsderiv.qms import DensityState, lindblad_apply, make_spec, s_inner
 
 PI = math.pi
@@ -30,6 +32,11 @@ def gns_2x2(preset_problems):
 @pytest.fixture(scope="module")
 def kms_3x3(preset_problems):
     return preset_problems["3x3-kms"].spec
+
+
+@pytest.fixture(scope="module")
+def hom_kernels():
+    return {n: nullspace(system_template(n).hom) for n in (2, 3)}
 
 
 def test_psi_index_matches_reference_formulas():
@@ -180,6 +187,55 @@ def test_assemble_zero_spec_is_homogeneous():
     assert system.residual_of(np.zeros(system.unknowns)) == 0.0
 
 
+SYSTEM_COUNTS = {
+    2: {"raw_complex_left": 1024, "raw_complex_right": 1024,
+        "raw_complex_target": 16, "nonzero_real_left": 1676,
+        "nonzero_real_right": 1264, "hom_rows_after_dedup": 568,
+        "target_rows_real": 32, "rows_total": 600},
+    3: {"raw_complex_left": 59049, "raw_complex_right": 59049,
+        "raw_complex_target": 81, "nonzero_real_left": 88596,
+        "nonzero_real_right": 61074, "hom_rows_after_dedup": 22464,
+        "target_rows_real": 162, "rows_total": 22626},
+}
+
+
+@pytest.mark.parametrize("pid", ["2x2-gns", "3x3-kms"])
+def test_system_counts_pinned(preset_problems, pid):
+    problem = preset_problems[pid]
+    system = assemble(problem.spec, problem.s)
+    assert system.counts == SYSTEM_COUNTS[problem.spec.n]
+    assert system.hom_block().shape == (system.counts["hom_rows_after_dedup"],
+                                        system.unknowns)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_hom_rows_unit_norm_and_distinct_up_to_sign(n):
+    # unit norm and no repeats make scale() independent of the row order
+    hom = system_template(n).hom
+    np.testing.assert_allclose(np.sqrt(hom.multiply(hom).sum(axis=1)), 1.0,
+                               atol=1e-15)
+    seen = set()
+    for r in range(hom.shape[0]):
+        lo, hi = hom.indptr[r], hom.indptr[r + 1]
+        data = hom.data[lo:hi] * np.sign(hom.data[lo])
+        seen.add((hom.indices[lo:hi].tobytes(), data.tobytes()))
+    assert len(seen) == hom.shape[0]
+
+
+def test_hom_kernel_dimension(hom_kernels):
+    for n, kernel in hom_kernels.items():
+        assert kernel.shape == (n ** 4 - n ** 2 + 1, n ** 8)
+
+
+def test_dedup_survives_key_collisions(monkeypatch):
+    expect = system_template(2).hom
+    monkeypatch.setattr(constraints, "_row_keys",
+                        lambda R: np.zeros(R.shape[0], dtype=np.uint64))
+    got = constraints._build_template(2).hom
+    assert got.shape == expect.shape
+    assert (got != expect).nnz == 0
+
+
 def test_assemble_size_cap():
     spec = make_spec(DensityState.tracial(5), [])
     with pytest.raises(SizeCapExceeded):
@@ -193,39 +249,39 @@ def test_system_shape(gns_2x2):
     assert system.b.shape == (600,)
 
 
-def test_adjointability_roundtrip(gns_2x2):
-    # a Hermitian solution X makes <u,v> = v* X u a form with adjointable
-    # actions: <A t, u> = <t, A* u> and <t A, u> = <t, u A*>
-    from qmsderiv.feasibility import solve_affine
-
-    system = assemble(gns_2x2, 0.0)
-    sol = solve_affine(system)
-    assert sol.consistent
-    X = hermitian_decode(sol.x0_coords, system.m ** 2)
+def test_adjointability_roundtrip(preset_problems, hom_kernels):
+    # every Hermitian X in the kernel of the action rows makes
+    # <u,v> = v* X u a form with adjointable actions:
+    # <A t, u> = <t, A* u> and <t A, u> = <t, u A*>
     rng = np.random.default_rng(11)
-    n = gns_2x2.n
-    scale = max(1.0, np.linalg.norm(X))
-
-    def form(t, u):
-        return np.vdot(u.vector(), X @ t.vector())
-
-    for _ in range(8):
-        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        t = TensorElem(n, {tuple(rng.integers(0, n, size=4)): complex(c)
-                           for c in rng.standard_normal(3)})
-        u = TensorElem(n, {tuple(rng.integers(0, n, size=4)): complex(c)
-                           for c in rng.standard_normal(3)})
-        As = A.conj().T
-        assert abs(form(left_act(A, t), u)
-                   - form(t, left_act(As, u))) <= 1e-8 * scale
-        assert abs(form(right_act(t, A), u)
-                   - form(t, right_act(u, As))) <= 1e-8 * scale
+    for pid in ("2x2-gns", "3x3-kms"):
+        problem = preset_problems[pid]
+        n = problem.spec.n
+        system = assemble(problem.spec, problem.s)
+        sol = solve_affine(system)
+        assert sol.consistent
+        side = system.m ** 2
+        Xs = [hermitian_decode(x, side)
+              for x in (sol.x0_coords, *hom_kernels[n])]
+        for _ in range(8):
+            A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            t = TensorElem(n, {tuple(rng.integers(0, n, size=4)): complex(c)
+                               for c in rng.standard_normal(3)})
+            u = TensorElem(n, {tuple(rng.integers(0, n, size=4)): complex(c)
+                               for c in rng.standard_normal(3)})
+            As = A.conj().T
+            moved = [(left_act(A, t), left_act(As, u)),
+                     (right_act(t, A), right_act(u, As))]
+            for X in Xs:
+                scale = max(1.0, np.linalg.norm(X))
+                for at, asu in moved:
+                    lhs = np.vdot(u.vector(), X @ at.vector())
+                    rhs = np.vdot(asu.vector(), X @ t.vector())
+                    assert abs(lhs - rhs) <= 1e-8 * scale
 
 
 def test_permuted_basis_same_consistency(gns_2x2, preset_problems):
     rng = np.random.default_rng(12)
-    from qmsderiv.feasibility import solve_affine
-
     for pid in ("2x2-gns", "2x2-kms"):
         spec = preset_problems[pid].spec
         s = preset_problems[pid].s

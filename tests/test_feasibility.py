@@ -146,6 +146,17 @@ def test_nullspace_dims_frozen(solutions):
     assert solutions["3x3-kms"].dim == 20
 
 
+def test_psd_search_independent_of_basis_choice(solutions):
+    # restarts may depend on the solution space, not on the basis chosen for it
+    sol = solutions["3x3-kms"]
+    Q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((sol.dim,) * 2))
+    rotated = AffineSolutionSet(sol.system, sol.x0_coords, Q @ sol.basis_array,
+                                sol.residual, sol.consistent, sol.diagnostics)
+    base, turned = psd_search(sol), psd_search(rotated)
+    assert turned.kind == base.kind
+    assert turned.diagnostics["iterations"] == base.diagnostics["iterations"]
+
+
 def test_witness_hunt_deterministic(solutions):
     sol = solutions["3x3-kms"]
     first = witness_hunt(sol)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qmsderiv.errors import NotHermitian
 from qmsderiv.linalg import (HermitianParam, SparseRealMatrix, herm_eig,
                              hermitian_decode, hermitian_encode,
-                             lstsq_min_norm, nullspace)
+                             hermitian_vec_map, lstsq_min_norm, nullspace)
 
 PI = math.pi
 
@@ -159,3 +159,12 @@ def test_hermitian_param_roundtrip_and_isometry(m2, seed):
 def test_hermitian_param_from_matrix_checks_hermiticity():
     with pytest.raises(Exception):
         HermitianParam.from_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("m2", [1, 2, 5])
+def test_hermitian_vec_map_matches_decode(m2):
+    X = random_hermitian(np.random.default_rng(m2), m2)
+    coords = hermitian_encode(X)
+    r = np.where(np.arange(m2 * m2) < m2, 1.0, math.sqrt(2.0))
+    np.testing.assert_allclose(hermitian_vec_map(m2) @ (coords / r),
+                               X.reshape(-1), atol=1e-14)
