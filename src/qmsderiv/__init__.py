@@ -15,8 +15,7 @@ from .feasibility import (AffineSolutionSet, EXIT_CODES, FEASIBLE,
                           FeasibilityVerdict, INDETERMINATE, NOT_CONSISTENT,
                           NOT_PSD, decide, psd_search, solve_affine,
                           verdict_for, witness_check, witness_hunt)
-from .linalg import (HermitianParam, hermitian_decode, hermitian_encode,
-                     lstsq_min_norm, nullspace)
+from .linalg import HermitianParam, hermitian_decode, hermitian_encode, nullspace
 from .parametric import (LambdaPoint, SweepRecord, YMatrix, agreement_rate,
                          build_LY, diag_jump_identity, predicate_coefficients,
                          predicate_lhs, project_to_hyperplane,
@@ -68,7 +67,6 @@ __all__ = [
     "left_act",
     "lindblad_apply",
     "load_problem",
-    "lstsq_min_norm",
     "make_spec",
     "modular_conjugate",
     "nullspace",

@@ -37,7 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatch, IndexOutOfRange, SizeCapExceeded
-from .linalg import SparseRealMatrix, as_cmatrix, hermitian_vec_map
+from .linalg import as_cmatrix, hermitian_vec_map
 from .qms import lindblad_apply
 
 DEFAULT_SIZE_CAP = 4
@@ -397,12 +397,11 @@ class ConstraintSystem:
     target: sp.csr_matrix = field(repr=False)
     b: np.ndarray = field(repr=False)
     counts: dict
-    A: SparseRealMatrix = field(default=None, repr=False)
+    A: sp.csr_matrix = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.A is None:
-            self.A = SparseRealMatrix.from_csr(
-                sp.vstack([self.hom, self.target], format="csr"))
+            self.A = sp.vstack([self.hom, self.target], format="csr")
 
     @property
     def unknowns(self):
@@ -422,10 +421,11 @@ class ConstraintSystem:
         return self.b[self.hom_row_count:]
 
     def residual_of(self, coords):
-        return float(np.linalg.norm(self.A.matvec(coords) - self.b))
+        return float(np.linalg.norm(self.A @ np.asarray(coords, dtype=float) - self.b))
 
     def scale(self):
-        return max(1.0, self.A.frobenius_norm(), float(np.linalg.norm(self.b)))
+        frobenius = float(np.sqrt((self.A.data ** 2).sum()))
+        return max(1.0, frobenius, float(np.linalg.norm(self.b)))
 
     def with_target_form(self, form):
         """Same coefficient matrix, fresh target values; cheap per-sample path."""
@@ -465,11 +465,11 @@ def dump_system(system, path):
 
     The right-hand side goes to ``<path>.rhs`` as (row value) lines.
     """
-    csr = system.A.tocsr().tocoo()
-    order = np.lexsort((csr.col, csr.row))
+    coo = system.A.tocoo()
+    order = np.lexsort((coo.col, coo.row))
     with open(path, "w") as fh:
         for idx in order:
-            fh.write(f"{csr.row[idx]} {csr.col[idx]} {csr.data[idx]:.17g}\n")
+            fh.write(f"{coo.row[idx]} {coo.col[idx]} {coo.data[idx]:.17g}\n")
     with open(str(path) + ".rhs", "w") as fh:
         for idx in np.nonzero(system.b)[0]:
             fh.write(f"{idx} {system.b[idx]:.17g}\n")

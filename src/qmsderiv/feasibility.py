@@ -4,11 +4,13 @@ The pipeline is split into a linear stage and a conic stage:
 
   1. solve_affine intersects the nullspace of the homogeneous rows with the
      target rows. The homogeneous block depends only on the algebra size, so
-     its nullspace is computed once per size and cached; each concrete
-     problem then reduces to a small dense least-squares solve. The result
-     is a min-norm particular solution and an orthonormal basis of the
-     solution space, or a NOT_CONSISTENT flag when the least-squares
-     residual exceeds tolerance.
+     its nullspace (linalg.nullspace) is computed once per size and cached;
+     each concrete problem then reduces to one SVD of the target rows
+     restricted to that nullspace, also cached per size. Both cut their
+     rank with the same rule: singular values above rank_tol times the
+     largest one count. The result is a min-norm particular solution and an
+     orthonormal basis of the solution space, or a NOT_CONSISTENT flag when
+     the least-squares residual exceeds tol * max(1, ||b||).
 
   2. psd_search looks for a positive-semidefinite element of the affine
      solution set by alternating projections between the set and the PSD
@@ -22,7 +24,9 @@ The pipeline is split into a linear stage and a conic stage:
      certificate nor a witness is found the verdict is INDETERMINATE, with
      convergence diagnostics attached.
 
-All tolerances are relative to problem scale and recorded in the verdict.
+All tolerances are relative to problem scale and recorded in the verdict:
+the certificate check and the PSD-search stop compare residuals with
+tol * max(1, ||A||_F, ||b||).
 """
 
 from dataclasses import dataclass, field
@@ -32,8 +36,8 @@ import numpy as np
 from .constraints import (assemble, clear_template_cache, system_template,
                           DEFAULT_SIZE_CAP)
 from .errors import DimensionMismatch
-from .linalg import (DEFAULT_FEAS_TOL, DEFAULT_RANK_TOL, HermitianParam,
-                     herm_eig, hermitian_decode, hermitian_encode, nullspace)
+from .linalg import (DEFAULT_FEAS_TOL, DEFAULT_RANK_TOL, _rank, herm_eig,
+                     hermitian_decode, hermitian_encode, nullspace)
 
 FEASIBLE = "FEASIBLE"
 NOT_CONSISTENT = "NOT_CONSISTENT"
@@ -67,7 +71,7 @@ class AffineSolutionSet:
     Coordinates live in the Hermitian parametrization; x0 is the min-norm
     particular solution restricted to the homogeneous nullspace and the
     basis rows are orthonormal. residual is the full-system residual of x0;
-    consistent means it is below tol * scale.
+    consistent means it is at most tol * max(1, ||b||).
     """
 
     def __init__(self, system, x0, basis_array, residual, consistent,
@@ -86,14 +90,6 @@ class AffineSolutionSet:
     @property
     def dim(self):
         return self.basis_array.shape[0]
-
-    @property
-    def X0(self):
-        return HermitianParam(self.side, self.x0_coords)
-
-    @property
-    def basis(self):
-        return [HermitianParam(self.side, row) for row in self.basis_array]
 
 
 def _hom_kernel(system, rank_tol):
@@ -124,14 +120,15 @@ def solve_affine(system, tol=DEFAULT_FEAS_TOL, rank_tol=DEFAULT_RANK_TOL):
     """Intersect the homogeneous nullspace with the target equations.
 
     Returns an AffineSolutionSet; .consistent is False when the
-    least-squares residual exceeds tol * system scale (the Rouche-Capelli
-    test in floating point).
+    least-squares residual exceeds tol * max(1, ||b||) (the Rouche-Capelli
+    test in floating point). The bound leaves out ||A||_F, which only counts
+    the unit-norm rows and would admit residuals of inconsistent systems.
     """
     N = _hom_kernel(system, rank_tol)
     U, sv, Vt = _target_svd(system, N, rank_tol)
     b_t = system.target_rhs()
     smax = sv[0] if sv.size else 0.0
-    rank = int(np.sum(sv > rank_tol * smax)) if smax > 0 else 0
+    rank = int(_rank(sv, smax, rank_tol))
     if rank:
         y0 = Vt[:rank].T @ ((U[:, :rank].T @ b_t) / sv[:rank])
     else:
@@ -141,20 +138,20 @@ def solve_affine(system, tol=DEFAULT_FEAS_TOL, rank_tol=DEFAULT_RANK_TOL):
     basis = (N @ Vt[rank:].T).T if N.shape[1] else np.zeros((0, system.unknowns))
     residual = system.residual_of(x0)
     hom_res = float(np.linalg.norm(system.hom_block() @ x0))
-    scale = system.scale()
-    consistent = residual <= tol * scale
+    bound = tol * max(1.0, float(np.linalg.norm(system.b)))
     diagnostics = {
         "hom_kernel_dim": int(N.shape[1]),
         "target_rank": rank,
         "solution_dim": int(basis.shape[0]),
         "residual": residual,
         "hom_residual": hom_res,
-        "scale": scale,
+        "scale": system.scale(),
+        "consistency_bound": bound,
         "target_sv_max": float(smax),
         "target_sv_min_kept": float(sv[rank - 1]) if rank else 0.0,
         "target_sv_max_dropped": float(sv[rank]) if rank < sv.size else 0.0,
     }
-    return AffineSolutionSet(system, x0, basis, residual, consistent,
+    return AffineSolutionSet(system, x0, basis, residual, residual <= bound,
                              diagnostics)
 
 

@@ -5,13 +5,16 @@ Conventions used throughout the package:
   * complex matrices are numpy arrays of dtype complex128,
   * Hermitian eigendecompositions return eigenvalues in ascending order
     with eigenvectors as columns,
-  * sparse real systems are built as triplets and finalized to CSR with
-    duplicate entries summed in a fixed order, or wrapped from a CSR that
-    is already canonical, so repeated runs produce bit-identical
-    factorizations,
-  * rank and nullspace tolerances are relative to the largest singular
-    value; all problem data is O(1) by construction, which keeps the
-    numerical rank decisions far away from the floating-point floor.
+  * sparse real systems are scipy CSR matrices,
+  * there is one rank rule: a singular value counts toward the rank when
+    it exceeds tol times the largest singular value of the matrix. The
+    nullspace takes a dense SVD of each connected column block of the
+    sparse matrix and keeps the right singular vectors at or below that
+    cut, so ||A v|| <= tol * ||A||_2 for every basis vector v; the solver's
+    SVD of the target rows cuts with the same rule. All problem data is
+    O(1) by construction, and the homogeneous blocks have a wide gap
+    between kept and dropped singular values, so the cut sits far from
+    the floating-point floor.
 
 The Hermitian parametrization maps an M x M Hermitian matrix to a real
 vector of length M^2 ordered as
@@ -32,9 +35,6 @@ from .errors import DimensionMismatch, NoConvergence, NotHermitian
 
 DEFAULT_RANK_TOL = 1e-9
 DEFAULT_FEAS_TOL = 1e-8
-
-# Systems at or below this many unknowns are factorized densely.
-DENSE_CUTOFF = 400
 
 
 def as_cmatrix(entries, size=None):
@@ -71,197 +71,96 @@ def herm_eig(M, tol=1e-10):
     return w, V
 
 
-class SparseRealMatrix:
-    """Real sparse matrix assembled from (row, col, value) triplets.
-
-    Duplicate triplets are summed on finalize. Triplets are stored in
-    insertion order and converted through a canonical CSR form, so the
-    summation order, and therefore the floating-point result, is
-    reproducible run to run.
-    """
-
-    def __init__(self, rows, cols):
-        if rows < 0 or cols < 0:
-            raise DimensionMismatch("matrix dimensions must be nonnegative")
-        self.rows = int(rows)
-        self.cols = int(cols)
-        self._r = []
-        self._c = []
-        self._v = []
-        self._csr = None
-
-    @classmethod
-    def from_csr(cls, csr):
-        """Wrap a CSR matrix that already has sorted indices and no duplicates."""
-        out = cls(*csr.shape)
-        out._r = out._c = out._v = None
-        out._csr = csr
-        return out
-
-    def add(self, row, col, value):
-        if self._csr is not None:
-            raise DimensionMismatch("matrix already finalized")
-        if not (0 <= row < self.rows and 0 <= col < self.cols):
-            raise DimensionMismatch(
-                f"triplet ({row},{col}) outside {self.rows}x{self.cols}")
-        self._r.append(int(row))
-        self._c.append(int(col))
-        self._v.append(float(value))
-
-    def add_row(self, row, cols, values):
-        for c, v in zip(cols, values):
-            self.add(row, c, v)
-
-    def finalize(self):
-        if self._csr is None:
-            coo = sp.coo_matrix(
-                (np.array(self._v, dtype=float),
-                 (np.array(self._r, dtype=np.int64),
-                  np.array(self._c, dtype=np.int64))),
-                shape=(self.rows, self.cols))
-            csr = coo.tocsr()
-            csr.sum_duplicates()
-            csr.sort_indices()
-            self._csr = csr
-            self._r = self._c = self._v = None
-        return self
-
-    @property
-    def finalized(self):
-        return self._csr is not None
-
-    def tocsr(self):
-        if self._csr is None:
-            raise DimensionMismatch("finalize() the matrix first")
-        return self._csr
-
-    def toarray(self):
-        return self.tocsr().toarray()
-
-    @property
-    def nnz(self):
-        return self.tocsr().nnz
-
-    def matvec(self, x):
-        return self.tocsr() @ np.asarray(x, dtype=float)
-
-    def rmatvec(self, y):
-        return self.tocsr().T @ np.asarray(y, dtype=float)
-
-    def frobenius_norm(self):
-        return float(np.sqrt((self.tocsr().data ** 2).sum()))
+def _rank(s, smax, tol):
+    """The rank cut: how many of the singular values s (last axis) exceed tol * smax."""
+    return np.count_nonzero(s > tol * smax, axis=-1)
 
 
 def _column_blocks(csr):
-    """Partition columns into connected components of the co-occurrence graph.
+    """Label columns by connected component of the co-occurrence graph.
 
     Two columns belong to the same block when some row carries nonzeros in
-    both. Returns a list of index arrays, ordered by smallest member.
+    both. Returns (number of blocks, label of each column), with blocks
+    numbered in the order of their smallest column.
     """
-    n = csr.shape[1]
     pattern = csr.copy()
     pattern.data = np.ones_like(pattern.data)
     # column adjacency through shared rows; pattern^T pattern is symmetric
-    adj = (pattern.T @ pattern).tocsr()
-    ncomp, labels = connected_components(adj, directed=False)
-    blocks = [[] for _ in range(ncomp)]
-    for col, lab in enumerate(labels):
-        blocks[lab].append(col)
-    blocks = [np.asarray(b, dtype=np.int64) for b in blocks]
-    blocks.sort(key=lambda b: int(b[0]))
-    return blocks
+    ncomp, labels = connected_components(pattern.T @ pattern, directed=False)
+    _, first = np.unique(labels, return_index=True)
+    relabel = np.empty(ncomp, dtype=np.int64)
+    relabel[np.argsort(first, kind="stable")] = np.arange(ncomp)
+    return ncomp, relabel[labels]
 
 
-def _block_eig(csr, blocks):
-    """Eigendecomposition of A^T A restricted to each column block."""
-    gram = (csr.T @ csr).tocsc()
-    out = []
-    for cols in blocks:
-        sub = gram[:, cols][cols, :].toarray()
-        sub = 0.5 * (sub + sub.T)
-        try:
-            w, V = np.linalg.eigh(sub)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise NoConvergence(str(exc)) from exc
-        out.append((cols, w, V))
-    return out
-
-
-def _ascsr(A):
-    """Accept SparseRealMatrix or any scipy sparse matrix; return CSR."""
-    if isinstance(A, SparseRealMatrix):
-        return A.tocsr()
-    if sp.issparse(A):
-        return sp.csr_matrix(A)
-    raise DimensionMismatch(f"expected a sparse matrix, got {type(A).__name__}")
-
-
-def lstsq_min_norm(A, b):
-    """Minimum-norm least-squares solution of a finalized sparse system.
-
-    Returns (x, residual) where x minimizes ||Ax - b||_2 and, among all
-    minimizers, has the smallest Euclidean norm; residual is ||Ax - b||_2.
-    """
-    csr = _ascsr(A)
-    nrows, ncols = csr.shape
-    b = np.asarray(b, dtype=float)
-    if b.shape != (nrows,):
-        raise DimensionMismatch(f"rhs length {b.shape} does not match {nrows} rows")
-    if ncols == 0:
-        return np.zeros(0), float(np.linalg.norm(b))
-    if ncols <= DENSE_CUTOFF:
-        dense = csr.toarray()
-        x, _, _, _ = np.linalg.lstsq(dense, b, rcond=DEFAULT_RANK_TOL)
-    else:
-        x = np.zeros(ncols)
-        atb = csr.T @ b
-        eigs = _block_eig(csr, _column_blocks(csr))
-        lam_max = max((w[-1] for _, w, _ in eigs if w.size), default=0.0)
-        thresh = max(DEFAULT_RANK_TOL ** 2 * lam_max, 1e-14 * lam_max)
-        for cols, w, V in eigs:
-            keep = w > thresh
-            if not np.any(keep):
-                continue
-            coeff = V[:, keep].T @ atb[cols]
-            x[cols] = V[:, keep] @ (coeff / w[keep])
-    residual = float(np.linalg.norm(csr @ x - b))
-    return x, residual
+def _positions(labels, count):
+    """Index of each item among the items with its label, and each label's size."""
+    sizes = np.bincount(labels, minlength=count)
+    starts = np.cumsum(sizes) - sizes
+    pos = np.empty(labels.size, dtype=np.int64)
+    pos[np.argsort(labels, kind="stable")] = np.arange(labels.size) - np.repeat(starts, sizes)
+    return pos, sizes
 
 
 def nullspace(A, tol=DEFAULT_RANK_TOL):
-    """Orthonormal basis of the numerical nullspace of a finalized sparse matrix.
+    """Orthonormal basis of the numerical nullspace of a sparse real matrix.
 
-    Basis vectors are returned as rows of an array of shape (k, cols) and
-    satisfy ||A v|| <= tol * ||A||. Dimension equals cols minus the
-    numerical rank at relative tolerance tol.
+    The columns are split into the connected blocks of their co-occurrence
+    graph, which permutes A into block-diagonal form, and every block gets a
+    dense SVD; blocks of equal shape share one batched call, and blocks with
+    fewer rows than columns are padded with zero rows. A right singular
+    vector is kept when its singular value is at most tol * sigma_max(A),
+    where sigma_max(A) = ||A||_2 is the largest singular value of any block,
+    so every basis vector v satisfies ||A v|| <= tol * ||A||_2. Basis vectors
+    are the rows of a (k, cols) array, ordered by block (smallest column
+    first), then by singular index.
     """
-    csr = _ascsr(A)
+    if not sp.issparse(A):
+        raise DimensionMismatch(f"expected a sparse matrix, got {type(A).__name__}")
+    csr = sp.csr_matrix(A, dtype=float, copy=True)
+    csr.sum_duplicates()
     nrows, ncols = csr.shape
     if ncols == 0:
         return np.zeros((0, 0))
-    if ncols <= DENSE_CUTOFF:
-        dense = csr.toarray()
-        if nrows == 0:
-            return np.eye(ncols)
-        _, s, Vt = np.linalg.svd(dense, full_matrices=True)
-        smax = s[0] if s.size else 0.0
-        rank = int(np.sum(s > tol * smax)) if smax > 0 else 0
-        return Vt[rank:].copy()
-    parts = []
-    eigs = _block_eig(csr, _column_blocks(csr))
-    lam_max = max((w[-1] for _, w, _ in eigs if w.size), default=0.0)
-    # eigenvalues of A^T A are singular values squared; floor the threshold
-    # at the eigensolver's resolution so rounding noise is never kept as rank
-    thresh = max(tol ** 2 * lam_max, 1e-14 * lam_max)
-    for cols, w, V in eigs:
-        keep = w <= thresh if lam_max > 0 else np.ones_like(w, dtype=bool)
-        for j in np.nonzero(keep)[0]:
-            v = np.zeros(ncols)
-            v[cols] = V[:, j]
-            parts.append(v)
-    if not parts:
-        return np.zeros((0, ncols))
-    return np.array(parts)
+    nblocks, col_block = _column_blocks(csr)
+    coo = csr.tocoo()
+    block = col_block[coo.col]
+    # every row with an entry lies in one block; empty rows get a spare label
+    row_block = np.full(nrows, nblocks)
+    row_block[coo.row] = block
+    row_pos, block_rows = _positions(row_block, nblocks + 1)
+    col_pos, block_cols = _positions(col_block, nblocks)
+    shapes = np.stack([np.maximum(block_rows[:nblocks], block_cols), block_cols], axis=1)
+    groups = []
+    for shape in np.unique(shapes, axis=0):
+        members = np.nonzero((shapes == shape).all(axis=1))[0]
+        slot = np.full(nblocks, -1)
+        slot[members] = np.arange(members.size)
+        sel = slot[block] >= 0
+        dense = np.zeros((members.size, *shape))
+        dense[slot[block[sel]], row_pos[coo.row[sel]], col_pos[coo.col[sel]]] = coo.data[sel]
+        try:
+            _, s, Vt = np.linalg.svd(dense, full_matrices=False)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+            raise NoConvergence(str(exc)) from exc
+        groups.append((members, s, Vt))
+    smax = max(float(s[:, 0].max()) for _, s, _ in groups)
+    rank = np.zeros(nblocks, dtype=np.int64)
+    for members, s, _ in groups:
+        rank[members] = _rank(s, smax, tol)
+    kernel = block_cols - rank
+    # the vector for singular index j of block b goes to row row0[b] + j
+    row0 = np.cumsum(kernel) - kernel - rank
+    block_start = np.cumsum(block_cols) - block_cols
+    col_order = np.argsort(col_block, kind="stable")
+    out = np.zeros((int(kernel.sum()), ncols))
+    for members, s, Vt in groups:
+        width = s.shape[1]
+        b, j = np.nonzero(np.arange(width) >= rank[members, None])
+        owner = members[b]
+        cols = col_order[block_start[owner, None] + np.arange(width)]
+        out[(row0[owner] + j)[:, None], cols] = Vt[b, j]
+    return out
 
 
 def _triu_cache(M):

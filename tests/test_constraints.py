@@ -245,7 +245,7 @@ def test_assemble_size_cap():
 def test_system_shape(gns_2x2):
     system = assemble(gns_2x2, 0.0)
     assert system.unknowns == 4 ** 4 == 256
-    assert (system.A.rows, system.A.cols) == (600, 256)
+    assert system.A.shape == (600, 256)
     assert system.b.shape == (600,)
 
 

@@ -1,29 +1,22 @@
-"""Hermitian eigensolve, sparse least squares, nullspaces, Hermitian coords."""
+"""Hermitian eigensolve, nullspaces, Hermitian coords."""
 
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmsderiv.errors import NotHermitian
-from qmsderiv.linalg import (HermitianParam, SparseRealMatrix, herm_eig,
-                             hermitian_decode, hermitian_encode,
-                             hermitian_vec_map, lstsq_min_norm, nullspace)
+from qmsderiv.linalg import (HermitianParam, herm_eig, hermitian_decode,
+                             hermitian_encode, hermitian_vec_map, nullspace)
 
 PI = math.pi
 
 
 def sparse_from_dense(M):
-    M = np.asarray(M, dtype=float)
-    A = SparseRealMatrix(*M.shape)
-    for r in range(M.shape[0]):
-        for c in range(M.shape[1]):
-            if M[r, c] != 0.0:
-                A.add(r, c, M[r, c])
-    A.finalize()
-    return A
+    return sp.csr_matrix(np.asarray(M, dtype=float))
 
 
 def random_hermitian(rng, m):
@@ -66,44 +59,6 @@ def test_herm_eig_reconstruction(m):
     assert np.linalg.norm(M @ V - V * w) <= 1e-10 * scale * m
 
 
-def test_lstsq_identity():
-    b = np.array([3.0, -1.0, 0.5])
-    x, res = lstsq_min_norm(sparse_from_dense(np.eye(3)), b)
-    np.testing.assert_allclose(x, b, atol=1e-12)
-    assert res <= 1e-12
-
-
-def test_lstsq_inconsistent_rows():
-    A = sparse_from_dense([[1.0, 0.0], [1.0, 0.0]])
-    x, res = lstsq_min_norm(A, np.array([1.0, -1.0]))
-    np.testing.assert_allclose(x, [0.0, 0.0], atol=1e-12)
-    assert abs(res - math.sqrt(2)) <= 1e-12
-
-
-def test_lstsq_min_norm_pick():
-    A = sparse_from_dense([[1.0, 1.0]])
-    x, res = lstsq_min_norm(A, np.array([2.0]))
-    np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-12)
-    assert res <= 1e-12
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_lstsq_matches_dense_reference(seed):
-    rng = np.random.default_rng(seed)
-    rows, cols = rng.integers(3, 25), rng.integers(2, 15)
-    M = rng.standard_normal((rows, cols))
-    M[rng.random((rows, cols)) < 0.4] = 0.0
-    if seed % 2:  # force rank deficiency so min-norm matters
-        M[:, -1] = M[:, 0]
-    b = rng.standard_normal(rows)
-    x, res = lstsq_min_norm(sparse_from_dense(M), b)
-    x_ref, *_ = np.linalg.lstsq(M, b, rcond=None)
-    ref_res = np.linalg.norm(M @ x_ref - b)
-    assert abs(res - ref_res) <= 1e-9 * max(1.0, ref_res)
-    # min-norm solution is unique, so the two must agree
-    np.testing.assert_allclose(x, x_ref, atol=1e-8)
-
-
 def test_nullspace_identity_empty():
     assert nullspace(sparse_from_dense(np.eye(4))).shape == (0, 4)
 
@@ -117,12 +72,18 @@ def test_nullspace_single_row():
 
 
 def test_nullspace_zero_matrix():
-    A = SparseRealMatrix(1, 3)
-    A.finalize()
-    basis = nullspace(A)
+    basis = nullspace(sp.csr_matrix((1, 3)))
     G = np.array(basis)
     assert G.shape == (3, 3)
     np.testing.assert_allclose(G @ G.T, np.eye(3), atol=1e-12)
+
+
+@pytest.mark.parametrize("cols", [40, 401])
+def test_nullspace_cut_is_relative_to_the_largest_singular_value(cols):
+    # a column scaled by 1e-8 has sigma = 1e-8 > 1e-9 * sigma_max at any size
+    A = sp.diags(np.r_[np.ones(cols - 1), 1e-8]).tocsr()
+    assert nullspace(A, tol=1e-9).shape == (0, cols)
+    assert nullspace(A, tol=1e-7).shape == (1, cols)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -140,6 +101,38 @@ def test_nullspace_properties(seed):
     if len(basis):
         np.testing.assert_allclose(basis @ basis.T, np.eye(len(basis)),
                                    atol=1e-10)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_nullspace_of_permuted_blocks(seed):
+    # blocks of repeated and of short (rows < cols) shapes, an empty row and
+    # an empty column, hidden by a random row and column permutation
+    rng = np.random.default_rng(200 + seed)
+    shapes = [(3, 2), (3, 2), (1, 4), (5, 3), (2, 5), (0, 1)]
+    rows, cols = sum(r for r, _ in shapes) + 1, sum(c for _, c in shapes)
+    M = np.zeros((rows, cols))
+    block_of = np.repeat(np.arange(len(shapes)), [c for _, c in shapes])
+    r0 = c0 = 0
+    for r, c in shapes:
+        B = rng.standard_normal((r, c))
+        if c > 1:
+            B[:, -1] = B[:, 0]  # rank deficient inside the block
+        M[r0:r0 + r, c0:c0 + c] = B
+        r0, c0 = r0 + r, c0 + c
+    col_perm = rng.permutation(cols)
+    M, block_of = M[rng.permutation(rows)][:, col_perm], block_of[col_perm]
+    basis = nullspace(sparse_from_dense(M))
+    assert len(basis) == cols - np.linalg.matrix_rank(M, tol=1e-9 * np.linalg.norm(M, 2))
+    assert np.linalg.norm(M @ basis.T) <= 1e-12 * np.linalg.norm(M, 2)
+    np.testing.assert_allclose(basis @ basis.T, np.eye(len(basis)), atol=1e-12)
+    # each vector lives in one block; blocks come in order of smallest column
+    first_col = [int(np.nonzero(block_of == b)[0][0]) for b in range(len(shapes))]
+    keys = []
+    for v in basis:
+        owners = set(block_of[np.abs(v) > 1e-12])
+        assert len(owners) == 1
+        keys.append(first_col[owners.pop()])
+    assert keys == sorted(keys)
 
 
 @settings(deadline=None, max_examples=40)

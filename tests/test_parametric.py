@@ -199,6 +199,16 @@ def test_sweep_pinned_lambdas_constant():
     assert agreement_rate(records) == 1.0
 
 
+def test_sweep_near_exceptional_set_is_inconsistent():
+    # predicate value -2.6e-5 leaves a residual of 1.4e-6: far above
+    # tol * ||b||, but below tol * ||A||_F with ||A||_F ~ 150
+    rec = sweep(200, seed=8)[65]
+    assert (round(rec.p.lambda2, 4), round(rec.p.lambda3, 4)) == (2.3195, 1.0512)
+    assert rec.error is None
+    assert rec.consistent is False
+    assert rec.agree is True
+
+
 def test_sweep_threads_match_serial():
     serial = sweep(6, seed=8)
     parallel = sweep(6, seed=8, threads=3)
