@@ -15,7 +15,7 @@ from .feasibility import (AffineSolutionSet, EXIT_CODES, FEASIBLE,
                           FeasibilityVerdict, INDETERMINATE, NOT_CONSISTENT,
                           NOT_PSD, decide, psd_search, solve_affine,
                           verdict_for, witness_check, witness_hunt)
-from .linalg import HermitianParam, hermitian_decode, hermitian_encode, nullspace
+from .linalg import hermitian_decode, hermitian_encode, nullspace
 from .parametric import (LambdaPoint, SweepRecord, YMatrix, agreement_rate,
                          build_LY, diag_jump_identity, predicate_coefficients,
                          predicate_lhs, project_to_hyperplane,
@@ -35,7 +35,6 @@ __all__ = [
     "EXIT_CODES",
     "FEASIBLE",
     "FeasibilityVerdict",
-    "HermitianParam",
     "INDETERMINATE",
     "IndexOutOfRange",
     "Jump",

@@ -73,7 +73,6 @@ def build_report(problem, validation, system, sol, verdict, timings,
             "unknowns": system.unknowns,
             "rows": system.counts["rows_total"],
             "counts": dict(system.counts),
-            "scale": system.scale(),
         },
         "solution_set": None if sol is None else {
             "consistent": sol.consistent,
@@ -256,10 +255,6 @@ def cmd_sweep(args):
     return 0 if rate >= threshold else 1
 
 
-def _json_to_cmatrix(value, n, path):
-    return parse_matrix(value, n, path)
-
-
 def _json_to_cvector(value, m, path):
     if not isinstance(value, list) or len(value) != m:
         raise SchemaError(path, f"expected {m} entries")
@@ -300,7 +295,6 @@ def cmd_verify(args):
     s = report.get("command", {}).get("s", problem.s)
 
     system = assemble(problem.spec, s)
-    scale = system.scale()
     side = system.m ** 2
 
     def fail(msg):
@@ -310,13 +304,14 @@ def cmd_verify(args):
     if kind == FEASIBLE:
         if "certificate" not in verdict:
             return fail("FEASIBLE verdict carries no certificate")
-        X = _json_to_cmatrix(verdict["certificate"], side, "certificate")
+        X = parse_matrix(verdict["certificate"], side, "certificate")
         if np.linalg.norm(X - X.conj().T) > 1e-10 * max(1.0, np.linalg.norm(X)):
             return fail("certificate is not Hermitian")
         residual = system.residual_of(hermitian_encode(X))
-        if residual > tol * scale:
+        bound = system.residual_bound(tol)
+        if residual > bound:
             return fail(f"certificate residual {residual:.3e} exceeds "
-                        f"{tol * scale:.3e}")
+                        f"{bound:.3e}")
         w, _ = herm_eig(X)
         scale_x = max(1.0, float(np.linalg.norm(X)))
         if w[0] < -psd_tol * scale_x:

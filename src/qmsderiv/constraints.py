@@ -27,11 +27,14 @@ share a key; at n = 3 this leaves 22464 of 149670 nonzero rows.
 The coefficient matrix of the system depends only on n, not on the state or
 the generator; those enter only through the right-hand side values of the
 target family. Assembly therefore caches a per-n template holding both
-blocks as CSR and attaches fresh target values to it, which makes repeated
-solves at the same size cheap.
+blocks as CSR, and a ConstraintSystem is that template plus a right-hand
+side: assembling costs one target form, and the stacked matrix A is built
+only when something reads it (dump_system). Residuals are computed block by
+block and compared with one threshold, ConstraintSystem.residual_bound.
 """
+import functools
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,11 +57,11 @@ def psi_index(n, i, j, k, l):
     for name, v in (("i", i), ("j", j), ("k", k), ("l", l)):
         if not 1 <= v <= n:
             raise IndexOutOfRange(f"{name}={v} outside 1..{n}")
-    return n ** 3 * (i - 1) + n ** 2 * (k - 1) + n * (j - 1) + l
+    return _tidx(n, i - 1, j - 1, k - 1, l - 1) + 1
 
 
 def _tidx(n, i, j, k, l):
-    # 0-based twin of psi_index
+    # 0-based position of E_ij (x) E_kl
     return n ** 3 * i + n ** 2 * k + n * j + l
 
 
@@ -377,17 +380,15 @@ def clear_template_cache():
 # Assembled system
 # ---------------------------------------------------------------------------
 
-def _target_rhs(form):
-    # target rows are in (a, b, re/im) order
-    return np.stack([form.F.real, form.F.imag], axis=-1).reshape(-1)
-
-
 @dataclass
 class ConstraintSystem:
     """Sparse real-linear system A x = b over Hermitian coordinates of X.
 
-    A stacks the homogeneous block, shared by every system of size n, over
-    the target block; only the target part of b is nonzero.
+    A stacks the homogeneous block hom, shared by every system of size n,
+    over the target block; only the target part of b is nonzero. The blocks
+    are the cached template's own matrices (target rows reordered under a
+    basis permutation), so a system adds only its right-hand side, and the
+    stacked A is built only when it is read.
     """
 
     n: int
@@ -397,11 +398,10 @@ class ConstraintSystem:
     target: sp.csr_matrix = field(repr=False)
     b: np.ndarray = field(repr=False)
     counts: dict
-    A: sp.csr_matrix = field(default=None, repr=False)
 
-    def __post_init__(self):
-        if self.A is None:
-            self.A = sp.vstack([self.hom, self.target], format="csr")
+    @functools.cached_property
+    def A(self):
+        return sp.vstack([self.hom, self.target], format="csr")
 
     @property
     def unknowns(self):
@@ -411,30 +411,23 @@ class ConstraintSystem:
     def hom_row_count(self):
         return self.hom.shape[0]
 
-    def hom_block(self):
-        return self.hom
-
-    def target_block(self):
-        return self.target
-
     def target_rhs(self):
         return self.b[self.hom_row_count:]
 
+    def residual_vector(self, coords):
+        """A x - b, the homogeneous rows first, computed block by block."""
+        x = np.asarray(coords, dtype=float)
+        return np.concatenate([self.hom @ x, self.target @ x - self.target_rhs()])
+
     def residual_of(self, coords):
-        return float(np.linalg.norm(self.A @ np.asarray(coords, dtype=float) - self.b))
+        return float(np.linalg.norm(self.residual_vector(coords)))
 
-    def scale(self):
-        frobenius = float(np.sqrt((self.A.data ** 2).sum()))
-        return max(1.0, frobenius, float(np.linalg.norm(self.b)))
-
-    def with_target_form(self, form):
-        """Same coefficient matrix, fresh target values; cheap per-sample path."""
-        b = self.b.copy()
-        b[self.hom_row_count:] = _target_rhs(form)
-        return replace(self, s=float(form.s), b=b)
+    def residual_bound(self, tol):
+        """tol * max(1, ||b||): the one threshold on ||A x - b||."""
+        return tol * max(1.0, float(np.linalg.norm(self.b)))
 
 
-def assemble(spec, s, size_cap=DEFAULT_SIZE_CAP, basis_perm=None):
+def assemble(spec, s, basis_perm=None):
     """Build the full feasibility system for a validated generator spec.
 
     Rows appear in family order (left, right, target), duplicates removed
@@ -443,8 +436,8 @@ def assemble(spec, s, size_cap=DEFAULT_SIZE_CAP, basis_perm=None):
     carry the only nonzero right-hand sides.
     """
     n = spec.n
-    if n > size_cap:
-        raise SizeCapExceeded(f"algebra size {n} exceeds cap {size_cap}")
+    if n > DEFAULT_SIZE_CAP:
+        raise SizeCapExceeded(f"algebra size {n} exceeds cap {DEFAULT_SIZE_CAP}")
     tpl = system_template(n)
     m = n * n
     form = target_form(spec, s, basis_perm=basis_perm)
@@ -454,7 +447,9 @@ def assemble(spec, s, size_cap=DEFAULT_SIZE_CAP, basis_perm=None):
         perm = np.asarray(basis_perm, dtype=int)
         pair = (perm.reshape(-1, 1) * m + perm.reshape(1, -1)).reshape(-1)
         target = target[np.stack([2 * pair, 2 * pair + 1], axis=1).reshape(-1)]
-    b = np.concatenate([np.zeros(tpl.hom.shape[0]), _target_rhs(form)])
+    # target rows are in (a, b, re/im) order
+    b_t = np.stack([form.F.real, form.F.imag], axis=-1).reshape(-1)
+    b = np.concatenate([np.zeros(tpl.hom.shape[0]), b_t])
     counts = dict(tpl.counts)
     counts["rows_total"] = b.size
     return ConstraintSystem(n, m, float(s), tpl.hom, target, b, counts)

@@ -24,17 +24,17 @@ The pipeline is split into a linear stage and a conic stage:
      certificate nor a witness is found the verdict is INDETERMINATE, with
      convergence diagnostics attached.
 
-All tolerances are relative to problem scale and recorded in the verdict:
-the certificate check and the PSD-search stop compare residuals with
-tol * max(1, ||A||_F, ||b||).
+All tolerances are relative to problem scale and recorded in the verdict.
+There is one threshold on the residual ||A x - b||, the system's
+residual_bound(tol) = tol * max(1, ||b||): the consistency test, the
+certificate check, the PSD-search stop and the CLI's verify all use it.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import (assemble, clear_template_cache, system_template,
-                          DEFAULT_SIZE_CAP)
+from .constraints import assemble, clear_template_cache, system_template
 from .errors import DimensionMismatch
 from .linalg import (DEFAULT_FEAS_TOL, DEFAULT_RANK_TOL, _rank, herm_eig,
                      hermitian_decode, hermitian_encode, nullspace)
@@ -54,6 +54,8 @@ DEFAULT_PSD_TOL = 1e-9
 # every solution-space direction stay at rounding level
 DEFAULT_WITNESS_VALUE_TOL = 1e-6
 DEFAULT_WITNESS_COUPLING_TOL = 1e-8
+# candidates the witness hunt examines before giving up
+WITNESS_HUNT_BUDGET = 50000
 
 _KERNEL_CACHE = {}
 _TARGET_SVD_CACHE = {}
@@ -71,7 +73,7 @@ class AffineSolutionSet:
     Coordinates live in the Hermitian parametrization; x0 is the min-norm
     particular solution restricted to the homogeneous nullspace and the
     basis rows are orthonormal. residual is the full-system residual of x0;
-    consistent means it is at most tol * max(1, ||b||).
+    consistent means it is at most the system's residual_bound(tol).
     """
 
     def __init__(self, system, x0, basis_array, residual, consistent,
@@ -96,7 +98,7 @@ def _hom_kernel(system, rank_tol):
     key = (system.n, float(rank_tol))
     N = _KERNEL_CACHE.get(key)
     if N is None:
-        rows = nullspace(system.hom_block(), tol=rank_tol)
+        rows = nullspace(system.hom, tol=rank_tol)
         N = np.ascontiguousarray(rows.T)
         _KERNEL_CACHE[key] = N
     return N
@@ -104,11 +106,11 @@ def _hom_kernel(system, rank_tol):
 
 def _target_svd(system, N, rank_tol):
     # cached for the template's own target block; permuted systems recompute
-    canonical = system.target_block() is system_template(system.n).target
+    canonical = system.target is system_template(system.n).target
     key = (system.n, float(rank_tol))
     if canonical and key in _TARGET_SVD_CACHE:
         return _TARGET_SVD_CACHE[key]
-    W = system.target_block() @ N if N.shape[1] else np.zeros((2 * system.m ** 2, 0))
+    W = system.target @ N if N.shape[1] else np.zeros((2 * system.m ** 2, 0))
     U, sv, Vt = np.linalg.svd(W, full_matrices=False)
     out = (U, sv, Vt)
     if canonical:
@@ -120,9 +122,10 @@ def solve_affine(system, tol=DEFAULT_FEAS_TOL, rank_tol=DEFAULT_RANK_TOL):
     """Intersect the homogeneous nullspace with the target equations.
 
     Returns an AffineSolutionSet; .consistent is False when the
-    least-squares residual exceeds tol * max(1, ||b||) (the Rouche-Capelli
-    test in floating point). The bound leaves out ||A||_F, which only counts
-    the unit-norm rows and would admit residuals of inconsistent systems.
+    least-squares residual exceeds system.residual_bound(tol) =
+    tol * max(1, ||b||) (the Rouche-Capelli test in floating point). The
+    bound leaves out ||A||_F, which only counts the unit-norm rows and would
+    admit residuals of inconsistent systems.
     """
     N = _hom_kernel(system, rank_tol)
     U, sv, Vt = _target_svd(system, N, rank_tol)
@@ -136,16 +139,16 @@ def solve_affine(system, tol=DEFAULT_FEAS_TOL, rank_tol=DEFAULT_RANK_TOL):
     x0 = N @ y0 if N.shape[1] else np.zeros(system.unknowns)
     # orthonormal: N has orthonormal columns and Vt rows are orthonormal
     basis = (N @ Vt[rank:].T).T if N.shape[1] else np.zeros((0, system.unknowns))
-    residual = system.residual_of(x0)
-    hom_res = float(np.linalg.norm(system.hom_block() @ x0))
-    bound = tol * max(1.0, float(np.linalg.norm(system.b)))
+    r = system.residual_vector(x0)
+    residual = float(np.linalg.norm(r))
+    hom_res = float(np.linalg.norm(r[:system.hom_row_count]))
+    bound = system.residual_bound(tol)
     diagnostics = {
         "hom_kernel_dim": int(N.shape[1]),
         "target_rank": rank,
         "solution_dim": int(basis.shape[0]),
         "residual": residual,
         "hom_residual": hom_res,
-        "scale": system.scale(),
         "consistency_bound": bound,
         "target_sv_max": float(smax),
         "target_sv_min_kept": float(sv[rank - 1]) if rank else 0.0,
@@ -184,14 +187,15 @@ def _pair_cols(side, p, q):
     return side + t, side + side * (side - 1) // 2 + t
 
 
-def witness_hunt(sol, budget=50000,
-                 value_tol=DEFAULT_WITNESS_VALUE_TOL,
-                 coupling_tol=DEFAULT_WITNESS_COUPLING_TOL):
+def witness_hunt(sol):
     """Search for an infeasibility witness in a fixed deterministic order.
 
     Candidates: eigenvectors of the negative part of X0, then single basis
     vectors e_p, then two-term combinations e_p + sigma e_q with sigma in
-    {1, -1, i, -i}. Returns (v, value, coupling) or None. The two-term scan
+    {1, -1, i, -i}, at most WITNESS_HUNT_BUDGET of them. A candidate is
+    accepted when its value is below -DEFAULT_WITNESS_VALUE_TOL and its
+    coupling at most DEFAULT_WITNESS_COUPLING_TOL. Returns
+    (v, value, coupling) or None. The two-term scan
     uses the sparse structure of v v* directly, so the whole hunt is cheap
     even when the solution space is large.
     """
@@ -201,13 +205,14 @@ def witness_hunt(sol, budget=50000,
     examined = 0
 
     def accept(value, coupling):
-        return value < -value_tol and coupling <= coupling_tol
+        return (value < -DEFAULT_WITNESS_VALUE_TOL
+                and coupling <= DEFAULT_WITNESS_COUPLING_TOL)
 
     X0 = hermitian_decode(x0, side)
     scale_x = max(1.0, float(np.linalg.norm(X0)))
     w, V = herm_eig(X0)
     for idx in np.nonzero(w < -DEFAULT_PSD_TOL * scale_x)[0]:
-        if examined >= budget:
+        if examined >= WITNESS_HUNT_BUDGET:
             return None
         examined += 1
         v = V[:, idx]
@@ -226,7 +231,7 @@ def witness_hunt(sol, budget=50000,
     sqrt2 = np.sqrt(2.0)
     diag0 = x0[:side]
     for p in range(side):
-        if examined >= budget:
+        if examined >= WITNESS_HUNT_BUDGET:
             return None
         examined += 1
         value = diag0[p]
@@ -246,12 +251,12 @@ def witness_hunt(sol, budget=50000,
                 col = B[:, p] + B[:, q]
                 col_r, col_i = sqrt2 * B[:, cr], sqrt2 * B[:, ci]
             for sigma in patterns:
-                if examined >= budget:
+                if examined >= WITNESS_HUNT_BUDGET:
                     return None
                 examined += 1
                 # v = e_p + sigma e_q; (v v*)[p,q] = conj(sigma)
                 value = base + sigma.real * cross_r + sigma.imag * cross_i
-                if value >= -value_tol:
+                if value >= -DEFAULT_WITNESS_VALUE_TOL:
                     continue
                 if sol.dim:
                     kv = col + sigma.real * col_r + sigma.imag * col_i
@@ -347,7 +352,7 @@ def _certify(sol, x_coords, tol, psd_tol, info):
     Xp = 0.5 * (Xp + Xp.conj().T)
     coords = hermitian_encode(Xp)
     residual = system.residual_of(coords)
-    if residual > tol * system.scale():
+    if residual > system.residual_bound(tol):
         return None
     wf, _ = herm_eig(Xp)
     return FeasibilityVerdict(
@@ -359,8 +364,7 @@ def _certify(sol, x_coords, tol, psd_tol, info):
 
 
 def psd_search(sol, tol=DEFAULT_FEAS_TOL, psd_tol=DEFAULT_PSD_TOL,
-               max_iter=400, restarts=2, seed=0, hunt_budget=50000,
-               rank_tol=DEFAULT_RANK_TOL):
+               max_iter=400, restarts=2, seed=0, rank_tol=DEFAULT_RANK_TOL):
     """Search the affine solution set for a PSD element.
 
     Alternating projections between the solution set and the PSD cone,
@@ -371,7 +375,7 @@ def psd_search(sol, tol=DEFAULT_FEAS_TOL, psd_tol=DEFAULT_PSD_TOL,
     """
     if not sol.consistent:
         raise DimensionMismatch("psd_search requires a consistent solution set")
-    system = sol.system
+    gap_bound = sol.system.residual_bound(tol)
     x0, B = sol.x0_coords, sol.basis_array
     info = {"seed": seed, "tolerances": _tolerances(tol, rank_tol, psd_tol)}
 
@@ -410,7 +414,7 @@ def psd_search(sol, tol=DEFAULT_FEAS_TOL, psd_tol=DEFAULT_PSD_TOL,
                 gap_last = gap
                 gaps.append(gap)
                 scale_x = max(1.0, float(np.linalg.norm(X)))
-                if w[0] >= -psd_tol * scale_x or gap <= tol * system.scale():
+                if w[0] >= -psd_tol * scale_x or gap <= gap_bound:
                     verdict = _certify(sol, x_next, tol, psd_tol, info)
                     if verdict is not None:
                         verdict.diagnostics.update(
@@ -431,7 +435,7 @@ def psd_search(sol, tol=DEFAULT_FEAS_TOL, psd_tol=DEFAULT_PSD_TOL,
                                          restarts_used=restart)
                 return final
 
-    hunt = witness_hunt(sol, budget=hunt_budget)
+    hunt = witness_hunt(sol)
     if hunt is not None:
         v, value, coupling = hunt
         return FeasibilityVerdict(
@@ -469,10 +473,9 @@ def verdict_for(sol, tol=DEFAULT_FEAS_TOL, rank_tol=DEFAULT_RANK_TOL,
 
 def decide(spec, s, tol=DEFAULT_FEAS_TOL, rank_tol=DEFAULT_RANK_TOL,
            psd_tol=DEFAULT_PSD_TOL, max_iter=400, restarts=2, seed=0,
-           size_cap=DEFAULT_SIZE_CAP, basis_perm=None, system=None):
+           basis_perm=None):
     """Assemble, solve the linear stage, and run the PSD search."""
-    if system is None:
-        system = assemble(spec, s, size_cap=size_cap, basis_perm=basis_perm)
+    system = assemble(spec, s, basis_perm=basis_perm)
     sol = solve_affine(system, tol=tol, rank_tol=rank_tol)
     verdict = verdict_for(sol, tol=tol, rank_tol=rank_tol, psd_tol=psd_tol,
                           max_iter=max_iter, restarts=restarts, seed=seed)

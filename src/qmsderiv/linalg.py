@@ -25,8 +25,6 @@ which is an isometry between the Frobenius inner product on Hermitian
 matrices and the Euclidean inner product on coordinates.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
@@ -163,62 +161,6 @@ def nullspace(A, tol=DEFAULT_RANK_TOL):
     return out
 
 
-def _triu_cache(M):
-    iu, ju = np.triu_indices(M, k=1)
-    return iu, ju
-
-
-@dataclass(frozen=True)
-class HermitianParam:
-    """Real coordinates of an m2 x m2 Hermitian matrix.
-
-    Layout: m2 diagonal entries, then sqrt(2)-scaled real parts of the
-    strict upper triangle in row-major order, then the matching
-    sqrt(2)-scaled imaginary parts. encode/decode are mutually inverse and
-    dot(encode(P), encode(Q)) equals Re tr(P Q).
-    """
-
-    m2: int
-    coords: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=float)
-        if coords.shape != (self.m2 * self.m2,):
-            raise DimensionMismatch(
-                f"need {self.m2 ** 2} coordinates, got {coords.shape}")
-        coords = coords.copy()
-        coords.flags.writeable = False
-        object.__setattr__(self, "coords", coords)
-
-    @classmethod
-    def from_matrix(cls, X, tol=1e-10):
-        X = as_cmatrix(X)
-        if X.shape[0] != X.shape[1]:
-            raise DimensionMismatch("Hermitian encode needs a square matrix")
-        scale = max(np.linalg.norm(X), 1e-300)
-        if np.linalg.norm(X - X.conj().T) > tol * scale:
-            raise NotHermitian("matrix is not Hermitian within tolerance")
-        M = X.shape[0]
-        iu, ju = _triu_cache(M)
-        coords = np.concatenate([
-            X.diagonal().real,
-            np.sqrt(2.0) * X[iu, ju].real,
-            np.sqrt(2.0) * X[iu, ju].imag,
-        ])
-        return cls(M, coords)
-
-    def matrix(self):
-        M = self.m2
-        iu, ju = _triu_cache(M)
-        X = np.zeros((M, M), dtype=complex)
-        np.fill_diagonal(X, self.coords[:M])
-        T = iu.size
-        upper = (self.coords[M:M + T] + 1j * self.coords[M + T:]) / np.sqrt(2.0)
-        X[iu, ju] = upper
-        X[ju, iu] = upper.conj()
-        return X
-
-
 def hermitian_vec_map(M):
     """Sparse complex map from Hermitian coordinates to the row-major vec(X).
 
@@ -227,7 +169,7 @@ def hermitian_vec_map(M):
     sqrt(2) on the others. Leaving the sqrt(2) out of H keeps products with
     integer equations exact.
     """
-    iu, ju = _triu_cache(M)
+    iu, ju = np.triu_indices(M, k=1)
     d = np.arange(M)
     t = M + np.arange(iu.size)
     upper, lower = iu * M + ju, ju * M + iu
@@ -239,8 +181,35 @@ def hermitian_vec_map(M):
 
 
 def hermitian_encode(X, tol=1e-10):
-    return HermitianParam.from_matrix(X, tol=tol).coords
+    """Real coordinates of a Hermitian M x M matrix, in the layout above.
+
+    Raises NotHermitian when ||X - X*||_F exceeds tol * ||X||_F.
+    dot(encode(P), encode(Q)) equals Re tr(P Q).
+    """
+    X = as_cmatrix(X)
+    if X.shape[0] != X.shape[1]:
+        raise DimensionMismatch("Hermitian encode needs a square matrix")
+    scale = max(np.linalg.norm(X), 1e-300)
+    if np.linalg.norm(X - X.conj().T) > tol * scale:
+        raise NotHermitian("matrix is not Hermitian within tolerance")
+    iu, ju = np.triu_indices(X.shape[0], k=1)
+    return np.concatenate([
+        X.diagonal().real,
+        np.sqrt(2.0) * X[iu, ju].real,
+        np.sqrt(2.0) * X[iu, ju].imag,
+    ])
 
 
 def hermitian_decode(coords, m2):
-    return HermitianParam(m2, np.asarray(coords, dtype=float)).matrix()
+    """The m2 x m2 Hermitian matrix with the given coordinates; inverse of encode."""
+    coords = np.asarray(coords, dtype=float)
+    if coords.shape != (m2 * m2,):
+        raise DimensionMismatch(f"need {m2 ** 2} coordinates, got {coords.shape}")
+    iu, ju = np.triu_indices(m2, k=1)
+    X = np.zeros((m2, m2), dtype=complex)
+    np.fill_diagonal(X, coords[:m2])
+    T = iu.size
+    upper = (coords[m2:m2 + T] + 1j * coords[m2 + T:]) / np.sqrt(2.0)
+    X[iu, ju] = upper
+    X[ju, iu] = upper.conj()
+    return X

@@ -18,15 +18,16 @@ evaluates that functional, projects Y matrices onto its zero hyperplane,
 and runs randomized sweeps comparing the closed form against the assembled
 system's actual consistency, record by record.
 
-The sweep swaps only the right-hand side of the cached constraint system
-between samples, so hundreds of samples cost little more than one.
+Every sample is assembled against the cached per-size template, so a sample
+adds only its target form and right-hand side, and hundreds of samples cost
+little more than one.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import assemble, target_form
+from .constraints import assemble
 from .errors import DimensionMismatch, ToolError
 from .linalg import DEFAULT_FEAS_TOL, DEFAULT_RANK_TOL
 from .qms import DensityState, lindblad_apply, make_spec
@@ -229,24 +230,20 @@ def sweep(count, seed, project=False, pin=None, s=0.0,
     """Compare the closed-form predicate against linear consistency.
 
     Returns SweepRecords ordered by sample index. Per-sample failures are
-    caught into the record's error field and the sweep continues. The
-    constraint matrix is assembled once; samples only swap the target
-    right-hand side. Samples run serially: threads is accepted for
-    compatibility and ignored, because worker threads made sweeps slower.
+    caught into the record's error field and the sweep continues. Each
+    sample is assembled like any other problem; the constraint blocks come
+    from the per-size template cache, so only the right-hand side is new.
+    Samples run serially: threads is accepted for compatibility and ignored,
+    because worker threads made sweeps slower.
     """
     records = []
-    base = None
     for k, p, Y in sample_inputs(count, seed, project=project, pin=pin):
         rec = SweepRecord(k, p, Y)
         try:
             rec.predicate_lhs = predicate_lhs(p, Y)
             rec.predicate = solvable_predicate(p, Y, tol=predicate_tol)
-            spec = build_LY(p, Y)
-            if base is None:
-                base = system = assemble(spec, s)
-            else:
-                system = base.with_target_form(target_form(spec, s))
-            sol = solve_affine(system, tol=tol, rank_tol=rank_tol)
+            sol = solve_affine(assemble(build_LY(p, Y), s), tol=tol,
+                               rank_tol=rank_tol)
             rec.consistent = sol.consistent
             rec.residual = sol.residual
             rec.agree = rec.predicate == rec.consistent

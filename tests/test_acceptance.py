@@ -26,7 +26,7 @@ from qmsderiv.qms import (DensityState, gns_symmetry_check, lindblad_apply,
 PI = math.pi
 E = math.e
 
-RESIDUAL_TOL = 1e-8       # consistency threshold, relative to system scale
+RESIDUAL_TOL = 1e-8       # residual threshold, relative to max(1, ||b||)
 PSD_TOL = 1e-9            # min-eigenvalue threshold, relative to ||X||
 WITNESS_VALUE_TOL = 1e-6
 WITNESS_COUPLING_TOL = 1e-8
@@ -74,7 +74,7 @@ def test_criterion_1_verdict_reproduction(headline_runs, preset_problems):
         p = preset_problems[pid]
         system = assemble(p.spec, p.s)
         X = np.asarray(headline_runs[pid][0].certificate)
-        assert system.residual_of(hermitian_encode(X)) <= RESIDUAL_TOL * system.scale()
+        assert system.residual_of(hermitian_encode(X)) <= system.residual_bound(RESIDUAL_TOL)
         eigmin = np.linalg.eigvalsh(X)[0]
         assert eigmin >= -PSD_TOL * max(1.0, np.linalg.norm(X))
     # and the two negative verdicts carry the right evidence
@@ -190,7 +190,7 @@ def test_criterion_6_structural_suite(preset_problems):
     for abc in ((1.0, 2.0, 3.0), (0.25, -1.5, 0.75), (-3.0, 0.0, 3.0)):
         assert diag_jump_identity(*abc) <= 1e-12
 
-    # HermitianParam isometry
+    # Hermitian coordinates are an isometry
     for m2 in (4, 9, 16):
         Z = rng.standard_normal((m2, m2)) + 1j * rng.standard_normal((m2, m2))
         P = (Z + Z.conj().T) / 2

@@ -8,6 +8,9 @@ import pytest
 
 import qmsderiv.cli as cli
 from qmsderiv.cli import canonical_json, fingerprint_of, main
+from qmsderiv.constraints import assemble
+from qmsderiv.feasibility import _certify, solve_affine
+from qmsderiv.linalg import hermitian_decode, hermitian_encode
 
 
 TRACIAL_2X2 = {
@@ -194,6 +197,31 @@ def test_verify_detects_forged_certificate(problem_file, tmp_path, capsys):
     out.write_text(json.dumps(report))
     assert main(["verify", str(out)]) == 1
     assert "residual" in capsys.readouterr().out
+
+
+def test_certificate_checks_use_the_consistency_bound(preset_problems, tmp_path,
+                                                     capsys):
+    # a PSD point with residual 10 * residual_bound: a bound that also
+    # counted ||A||_F would take it
+    problem = preset_problems["2x2-gns"]
+    system = assemble(problem.spec, problem.s)
+    sol = solve_affine(system)
+    h = hermitian_encode(np.diag(np.eye(16)[0]))
+    bound = system.residual_bound(1e-8)
+    x = sol.x0_coords + (10 * bound / np.linalg.norm(system.A @ h)) * h
+    assert system.residual_of(x) == pytest.approx(10 * bound, rel=1e-6)
+    assert _certify(sol, x, 1e-8, 1e-9, {"tolerances": {}}) is None
+
+    out = tmp_path / "rep.json"
+    assert main(["repro", "2x2-gns", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    report["verdict"]["certificate"] = [
+        [[float(z.real), float(z.imag)] for z in row]
+        for row in hermitian_decode(x, 16)]
+    report["fingerprint"] = fingerprint_of(report)
+    out.write_text(json.dumps(report))
+    assert main(["verify", str(out)]) == 1
+    assert "certificate residual" in capsys.readouterr().out
 
 
 def test_verify_rejects_non_report(tmp_path, capsys):

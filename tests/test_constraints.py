@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from qmsderiv import constraints
-from qmsderiv.constraints import (TensorElem, assemble, dump_system, left_act,
-                                  psi_index, right_act, system_template,
-                                  target_form)
+from qmsderiv.constraints import (ConstraintSystem, TensorElem, assemble,
+                                  dump_system, left_act, psi_index, right_act,
+                                  system_template, target_form)
 from qmsderiv.errors import IndexOutOfRange, SizeCapExceeded
-from qmsderiv.feasibility import solve_affine
+from qmsderiv.feasibility import decide, solve_affine
 from qmsderiv.linalg import hermitian_decode, nullspace
 from qmsderiv.qms import DensityState, lindblad_apply, make_spec, s_inner
 
@@ -204,13 +204,12 @@ def test_system_counts_pinned(preset_problems, pid):
     problem = preset_problems[pid]
     system = assemble(problem.spec, problem.s)
     assert system.counts == SYSTEM_COUNTS[problem.spec.n]
-    assert system.hom_block().shape == (system.counts["hom_rows_after_dedup"],
-                                        system.unknowns)
+    assert system.hom.shape == (system.counts["hom_rows_after_dedup"],
+                                system.unknowns)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_hom_rows_unit_norm_and_distinct_up_to_sign(n):
-    # unit norm and no repeats make scale() independent of the row order
     hom = system_template(n).hom
     np.testing.assert_allclose(np.sqrt(hom.multiply(hom).sum(axis=1)), 1.0,
                                atol=1e-15)
@@ -312,10 +311,23 @@ def test_dump_system_format(tmp_path, gns_2x2):
         assert abs(system.b[int(idx)] - float(val)) <= 1e-16
 
 
-def test_with_target_form_swaps_rhs_only(gns_2x2):
+def test_systems_share_the_template_and_differ_only_in_b(gns_2x2, monkeypatch):
     system = assemble(gns_2x2, 0.0)
-    swapped = system.with_target_form(target_form(gns_2x2, 0.5))
-    assert swapped.A is system.A
-    assert not np.allclose(swapped.b, system.b)
-    again = swapped.with_target_form(target_form(gns_2x2, 0.0))
-    np.testing.assert_allclose(again.b, system.b, atol=0)
+    other = assemble(gns_2x2, 0.5)
+    assert other.hom is system.hom is system_template(2).hom
+    assert other.target is system.target is system_template(2).target
+    assert not np.allclose(other.b, system.b)
+    np.testing.assert_array_equal(other.b[:other.hom_row_count], 0.0)
+    # deciding never stacks the full matrix
+    monkeypatch.setattr(ConstraintSystem, "A", property(
+        lambda self: pytest.fail("ConstraintSystem.A was built")))
+    assert decide(gns_2x2, 0.0).kind == "FEASIBLE"
+
+
+def test_residual_of_equals_the_stacked_residual(preset_problems):
+    rng = np.random.default_rng(13)
+    for problem in preset_problems.values():
+        system = assemble(problem.spec, problem.s)
+        for x in (solve_affine(system).x0_coords,
+                  rng.standard_normal(system.unknowns)):
+            assert system.residual_of(x) == np.linalg.norm(system.A @ x - system.b)
