@@ -7,6 +7,11 @@ constraint system for the module's defining Hermitian form and searching
 its solution set for a positive semidefinite point.
 """
 
+import os
+
+# a second BLAS thread only waits at these sizes (81 x 81 at n = 3)
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .constraints import (ConstraintSystem, TensorElem, assemble, dump_system,
                           left_act, psi_index, right_act, target_form)
 from .errors import (DimensionMismatch, IndexOutOfRange, NoConvergence,

@@ -10,7 +10,7 @@ Exit codes: 0 FEASIBLE (or: repro matched / sweep above threshold / report
 verified), 10 NOT_CONSISTENT, 11 NOT_PSD, 12 INDETERMINATE, 1 repro
 mismatch / sweep below threshold / verification failure, 2 input errors.
 
-Reports are reproducible: the same input and seed give byte-identical
+Reports are reproducible: the same input gives byte-identical
 reports apart from the timestamp and wall-clock timings, and a fingerprint
 over everything else is embedded so verify can detect edits.
 """
@@ -35,7 +35,8 @@ from .feasibility import (DEFAULT_PSD_TOL, DEFAULT_WITNESS_COUPLING_TOL,
                           witness_check)
 from .linalg import DEFAULT_FEAS_TOL, DEFAULT_RANK_TOL, herm_eig, hermitian_encode
 from .parametric import CSV_COLUMNS, agreement_rate, sweep
-from .problems import load_problem, parse_matrix, parse_problem, presets
+from .problems import (load_problem, parse_matrix, parse_problem,
+                       parse_vector, presets)
 from .qms import validate_spec
 
 VOLATILE_KEYS = ("timestamp", "timings", "fingerprint")
@@ -106,9 +107,6 @@ def run_pipeline(problem, args):
     tol = opts.get("tol", DEFAULT_FEAS_TOL) if args.tol is None else args.tol
     rank_tol = opts.get("rank_tol", DEFAULT_RANK_TOL)
     psd_tol = opts.get("psd_tol", DEFAULT_PSD_TOL)
-    seed = opts.get("seed", 0) if getattr(args, "seed", None) is None else args.seed
-    max_iter = opts.get("max_iter", 400)
-    restarts = opts.get("restarts", 2)
 
     timings = {}
     t = time.perf_counter()
@@ -128,8 +126,7 @@ def run_pipeline(problem, args):
     timings["solve"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    verdict = verdict_for(sol, tol=tol, rank_tol=rank_tol, psd_tol=psd_tol,
-                          max_iter=max_iter, restarts=restarts, seed=seed)
+    verdict = verdict_for(sol, tol=tol, rank_tol=rank_tol, psd_tol=psd_tol)
     timings["psd_search"] = time.perf_counter() - t
     verdict.diagnostics["system_counts"] = dict(system.counts)
 
@@ -139,7 +136,6 @@ def run_pipeline(problem, args):
         "tol": tol,
         "rank_tol": rank_tol,
         "psd_tol": psd_tol,
-        "seed": seed,
     }
     report = build_report(problem, validation, system, sol, verdict,
                           timings, command)
@@ -255,17 +251,6 @@ def cmd_sweep(args):
     return 0 if rate >= threshold else 1
 
 
-def _json_to_cvector(value, m, path):
-    if not isinstance(value, list) or len(value) != m:
-        raise SchemaError(path, f"expected {m} entries")
-    v = np.zeros(m, dtype=complex)
-    for k, entry in enumerate(value):
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise SchemaError(f"{path}[{k}]", "expected [re, im]")
-        v[k] = complex(float(entry[0]), float(entry[1]))
-    return v
-
-
 def cmd_verify(args):
     try:
         with open(args.report) as fh:
@@ -296,6 +281,17 @@ def cmd_verify(args):
 
     system = assemble(problem.spec, s)
     side = system.m ** 2
+    witness = verdict.get("witness")
+    try:
+        if kind == FEASIBLE and "certificate" in verdict:
+            X = parse_matrix(verdict["certificate"], side, "certificate")
+        if kind == NOT_PSD and witness:
+            if not isinstance(witness, dict):
+                raise SchemaError("witness", "expected an object")
+            v = parse_vector(witness.get("vector"), side, "witness.vector")
+    except (SchemaError, ToolError) as exc:
+        print(f"input error: malformed evidence: {exc}", file=sys.stderr)
+        return 2
 
     def fail(msg):
         print(f"verification FAILED: {msg}")
@@ -304,7 +300,6 @@ def cmd_verify(args):
     if kind == FEASIBLE:
         if "certificate" not in verdict:
             return fail("FEASIBLE verdict carries no certificate")
-        X = parse_matrix(verdict["certificate"], side, "certificate")
         if np.linalg.norm(X - X.conj().T) > 1e-10 * max(1.0, np.linalg.norm(X)):
             return fail("certificate is not Hermitian")
         residual = system.residual_of(hermitian_encode(X))
@@ -332,10 +327,8 @@ def cmd_verify(args):
     if kind == NOT_PSD:
         if not sol.consistent:
             return fail("system is not even consistent")
-        witness = verdict.get("witness")
         if not witness:
             return fail("NOT_PSD verdict carries no witness")
-        v = _json_to_cvector(witness["vector"], side, "witness.vector")
         value, coupling = witness_check(sol, v)
         if coupling > tols.get("witness_coupling", DEFAULT_WITNESS_COUPLING_TOL):
             return fail(f"witness couples to the solution set ({coupling:.3e})")
@@ -364,8 +357,6 @@ def main(argv=None):
                          help="override the inner-product parameter")
     p_check.add_argument("--tol", type=float, default=None,
                          help="override the feasibility tolerance")
-    p_check.add_argument("--seed", type=int, default=None,
-                         help="override the search seed")
     p_check.add_argument("--dump-system", metavar="PATH",
                          help="dump the assembled system as sorted triplets")
     p_check.set_defaults(func=cmd_check)
@@ -374,7 +365,7 @@ def main(argv=None):
     p_repro.add_argument("id", help="preset id (see error message for the list)")
     p_repro.add_argument("--out", help="write the report here (default stdout)")
     p_repro.add_argument("--dump-system", metavar="PATH")
-    p_repro.set_defaults(func=cmd_repro, s=None, tol=None, seed=None)
+    p_repro.set_defaults(func=cmd_repro, s=None, tol=None)
 
     p_sweep = sub.add_parser("sweep", help="parametric predicate-vs-system sweep")
     p_sweep.add_argument("config", help="sweep config JSON path")

@@ -12,22 +12,27 @@ The pipeline is split into a linear stage and a conic stage:
      orthonormal basis of the solution space, or a NOT_CONSISTENT flag when
      the least-squares residual exceeds tol * max(1, ||b||).
 
-  2. psd_search looks for a positive-semidefinite element of the affine
-     solution set by alternating projections between the set and the PSD
-     cone, with periodic extrapolation inside the affine set and seeded
-     restarts. Any candidate is re-verified against the raw system before
-     being reported, so a FEASIBLE verdict never depends on solver
-     internals. Alternating projections cannot prove infeasibility; the
-     negative channel is a witness vector v whose quadratic form is constant
-     over the whole solution set (couplings to every basis direction are
-     zero) and negative at the particular solution. When neither a
-     certificate nor a witness is found the verdict is INDETERMINATE, with
-     convergence diagnostics attached.
+  2. psd_search asks whether the affine set {X0 + sum_k t_k N_k} holds a
+     PSD point. It certifies X0 itself when it can; otherwise it maximises
+     lambda_min(X0 + sum_k t_k N_k) over t, the one optimisation whose
+     theorem of alternatives answers both sides of the question (Boyd and
+     Vandenberghe, Convex Optimization, 5.9; Overton 1992). A point with no
+     negative eigenvalue is a certificate; at a negative maximum some
+     trace-one PSD P on the least eigenspace is orthogonal to every N_k and
+     pairs with X0 to that negative value. The reported negative
+     evidence is rank one: an eigenvector v of the point reached whose
+     quadratic form is constant over the whole solution set (couplings to
+     every basis direction at rounding level) and negative; a point whose
+     least eigenvector is one is a maximiser, and the search stops there.
+     Any candidate certificate is re-verified against the raw system before
+     being reported, so a FEASIBLE verdict never depends on solver internals.
+     When neither a certificate nor a witness is found the verdict is
+     INDETERMINATE, with the maximised lambda_min as its cone gap.
 
 All tolerances are relative to problem scale and recorded in the verdict.
 There is one threshold on the residual ||A x - b||, the system's
 residual_bound(tol) = tol * max(1, ||b||): the consistency test, the
-certificate check, the PSD-search stop and the CLI's verify all use it.
+certificate check and the CLI's verify all use it.
 """
 
 from dataclasses import dataclass, field
@@ -54,8 +59,17 @@ DEFAULT_PSD_TOL = 1e-9
 # every solution-space direction stay at rounding level
 DEFAULT_WITNESS_VALUE_TOL = 1e-6
 DEFAULT_WITNESS_COUPLING_TOL = 1e-8
-# candidates the witness hunt examines before giving up
-WITNESS_HUNT_BUDGET = 50000
+# smoothing widths of the lambda_min maximisation, relative to
+# max(1, ||X0||), one L-BFGS run each
+MU_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4)
+# an L-BFGS run stops after LBFGS_MAX_ITER steps, once the gradient's largest
+# entry is at most LBFGS_GRAD_TOL, or when LINE_SEARCH_HALVINGS halvings of
+# the step find no sufficient decrease; the gradient entries are couplings
+# <P, N_k> of a trace-one P to unit-norm N_k, so the tolerance is absolute
+LBFGS_MAX_ITER = 200
+LBFGS_MEMORY = 10
+LBFGS_GRAD_TOL = 1e-12
+LINE_SEARCH_HALVINGS = 20
 
 _KERNEL_CACHE = {}
 _TARGET_SVD_CACHE = {}
@@ -105,14 +119,18 @@ def _hom_kernel(system, rank_tol):
 
 
 def _target_svd(system, N, rank_tol):
-    # cached for the template's own target block; permuted systems recompute
+    # (U, sv, Vt, rank, solution-space basis), cached for the template's own
+    # target block so that sweep samples share them; permuted systems recompute
     canonical = system.target is system_template(system.n).target
     key = (system.n, float(rank_tol))
     if canonical and key in _TARGET_SVD_CACHE:
         return _TARGET_SVD_CACHE[key]
     W = system.target @ N if N.shape[1] else np.zeros((2 * system.m ** 2, 0))
     U, sv, Vt = np.linalg.svd(W, full_matrices=False)
-    out = (U, sv, Vt)
+    rank = int(_rank(sv, sv[0] if sv.size else 0.0, rank_tol))
+    # orthonormal: N has orthonormal columns and Vt rows are orthonormal
+    basis = (N @ Vt[rank:].T).T if N.shape[1] else np.zeros((0, system.unknowns))
+    out = (U, sv, Vt, rank, basis)
     if canonical:
         _TARGET_SVD_CACHE[key] = out
     return out
@@ -128,17 +146,14 @@ def solve_affine(system, tol=DEFAULT_FEAS_TOL, rank_tol=DEFAULT_RANK_TOL):
     admit residuals of inconsistent systems.
     """
     N = _hom_kernel(system, rank_tol)
-    U, sv, Vt = _target_svd(system, N, rank_tol)
+    U, sv, Vt, rank, basis = _target_svd(system, N, rank_tol)
     b_t = system.target_rhs()
     smax = sv[0] if sv.size else 0.0
-    rank = int(_rank(sv, smax, rank_tol))
     if rank:
         y0 = Vt[:rank].T @ ((U[:, :rank].T @ b_t) / sv[:rank])
     else:
         y0 = np.zeros(N.shape[1])
     x0 = N @ y0 if N.shape[1] else np.zeros(system.unknowns)
-    # orthonormal: N has orthonormal columns and Vt rows are orthonormal
-    basis = (N @ Vt[rank:].T).T if N.shape[1] else np.zeros((0, system.unknowns))
     r = system.residual_vector(x0)
     residual = float(np.linalg.norm(r))
     hom_res = float(np.linalg.norm(r[:system.hom_row_count]))
@@ -181,93 +196,37 @@ def witness_check(sol, v, tol=DEFAULT_FEAS_TOL):
     return float(val.real), coupling
 
 
-def _pair_cols(side, p, q):
-    # column indices of the sqrt(2)-scaled re/im coordinates of entry (p, q)
-    t = p * (2 * side - p - 1) // 2 + (q - p - 1)
-    return side + t, side + side * (side - 1) // 2 + t
+def witness_hunt(sol, x_coords):
+    """Look for an infeasibility witness among the eigenvectors of X(x).
 
-
-def witness_hunt(sol):
-    """Search for an infeasibility witness in a fixed deterministic order.
-
-    Candidates: eigenvectors of the negative part of X0, then single basis
-    vectors e_p, then two-term combinations e_p + sigma e_q with sigma in
-    {1, -1, i, -i}, at most WITNESS_HUNT_BUDGET of them. A candidate is
-    accepted when its value is below -DEFAULT_WITNESS_VALUE_TOL and its
-    coupling at most DEFAULT_WITNESS_COUPLING_TOL. Returns
-    (v, value, coupling) or None. The two-term scan
-    uses the sparse structure of v v* directly, so the whole hunt is cheap
-    even when the solution space is large.
+    x is a point of the solution set, normally the end of the lambda_min
+    maximisation. Each eigenvector of X(x) with a negative eigenvalue is
+    tried in ascending order, first with its rounding-noise entries
+    dropped, then as it is. A candidate is accepted when its value is below
+    -DEFAULT_WITNESS_VALUE_TOL and its coupling at most
+    DEFAULT_WITNESS_COUPLING_TOL. Returns (v, value, coupling) or None.
     """
-    side = sol.side
-    x0 = sol.x0_coords
-    B = sol.basis_array
-    examined = 0
-
-    def accept(value, coupling):
-        return (value < -DEFAULT_WITNESS_VALUE_TOL
-                and coupling <= DEFAULT_WITNESS_COUPLING_TOL)
-
-    X0 = hermitian_decode(x0, side)
-    scale_x = max(1.0, float(np.linalg.norm(X0)))
-    w, V = herm_eig(X0)
+    X = hermitian_decode(x_coords, sol.side)
+    scale_x = max(1.0, float(np.linalg.norm(X)))
+    w, V = herm_eig(X)
     for idx in np.nonzero(w < -DEFAULT_PSD_TOL * scale_x)[0]:
-        if examined >= WITNESS_HUNT_BUDGET:
-            return None
-        examined += 1
-        v = V[:, idx]
+        v = V[:, idx].copy()    # a view would keep all of V alive
+        candidates = [v]
         # drop rounding-noise entries when the cleaned vector still works
         mask = np.abs(v) > 1e-10
         if mask.any() and not mask.all():
             cleaned = np.where(mask, v, 0.0)
-            cleaned = cleaned / np.linalg.norm(cleaned)
-            value, coupling = witness_check(sol, cleaned)
-            if accept(value, coupling):
-                return cleaned, value, coupling
-        value, coupling = witness_check(sol, v)
-        if accept(value, coupling):
-            return v, value, coupling
-
-    sqrt2 = np.sqrt(2.0)
-    diag0 = x0[:side]
-    for p in range(side):
-        if examined >= WITNESS_HUNT_BUDGET:
-            return None
-        examined += 1
-        value = diag0[p]
-        coupling = float(np.max(np.abs(B[:, p]))) if sol.dim else 0.0
-        if accept(value, coupling):
-            v = np.zeros(side, dtype=complex)
-            v[p] = 1.0
-            return v, float(value), coupling
-
-    patterns = (1.0, -1.0, 1.0j, -1.0j)
-    for p in range(side):
-        for q in range(p + 1, side):
-            cr, ci = _pair_cols(side, p, q)
-            base = diag0[p] + diag0[q]
-            cross_r, cross_i = sqrt2 * x0[cr], sqrt2 * x0[ci]
-            if sol.dim:
-                col = B[:, p] + B[:, q]
-                col_r, col_i = sqrt2 * B[:, cr], sqrt2 * B[:, ci]
-            for sigma in patterns:
-                if examined >= WITNESS_HUNT_BUDGET:
-                    return None
-                examined += 1
-                # v = e_p + sigma e_q; (v v*)[p,q] = conj(sigma)
-                value = base + sigma.real * cross_r + sigma.imag * cross_i
-                if value >= -DEFAULT_WITNESS_VALUE_TOL:
-                    continue
-                if sol.dim:
-                    kv = col + sigma.real * col_r + sigma.imag * col_i
-                    coupling = float(np.max(np.abs(kv)))
-                else:
-                    coupling = 0.0
-                if accept(value, coupling):
-                    v = np.zeros(side, dtype=complex)
-                    v[p], v[q] = 1.0, sigma
-                    return v, float(value), coupling
+            candidates.insert(0, cleaned / np.linalg.norm(cleaned))
+        for u in candidates:
+            value, coupling = witness_check(sol, u)
+            if _is_witness(value, coupling):
+                return u, value, coupling
     return None
+
+
+def _is_witness(value, coupling):
+    return (value < -DEFAULT_WITNESS_VALUE_TOL
+            and coupling <= DEFAULT_WITNESS_COUPLING_TOL)
 
 
 @dataclass
@@ -277,14 +236,27 @@ class FeasibilityVerdict:
     kind: str
     residual: float
     nullspace_dim: int
-    certificate: np.ndarray = None
+    certificate_upper: np.ndarray = None
     spectrum: np.ndarray = None
     witness_vector: np.ndarray = None
     witness_value: float = None
     witness_coupling: float = None
-    seed: int = 0
     tolerances: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def certificate(self):
+        """Rebuilt exactly from the upper triangle kept, half the bytes."""
+        upper = self.certificate_upper
+        if upper is None:
+            return None
+        side = self.spectrum.size
+        iu, ju = np.triu_indices(side)
+        X = np.zeros((side, side), dtype=complex)
+        X.real[iu, ju] = X.real[ju, iu] = upper.real
+        X.imag[ju, iu] = 0.0 - upper.imag
+        X.imag[iu, ju] = upper.imag
+        return X
 
     @property
     def exit_code(self):
@@ -295,11 +267,10 @@ class FeasibilityVerdict:
             "kind": self.kind,
             "residual": self.residual,
             "nullspace_dim": self.nullspace_dim,
-            "seed": self.seed,
             "tolerances": dict(self.tolerances),
             "diagnostics": _jsonable(self.diagnostics),
         }
-        if self.certificate is not None:
+        if self.certificate_upper is not None:
             out["certificate"] = _cmat_to_json(self.certificate)
             out["spectrum"] = [float(x) for x in self.spectrum]
         if self.witness_vector is not None:
@@ -339,7 +310,7 @@ def _tolerances(tol, rank_tol, psd_tol):
             "witness_coupling": DEFAULT_WITNESS_COUPLING_TOL}
 
 
-def _certify(sol, x_coords, tol, psd_tol, info):
+def _certify(sol, x_coords, tol, psd_tol, tolerances):
     """Clip to the PSD cone and re-verify against the raw system."""
     system = sol.system
     X = hermitian_decode(x_coords, sol.side)
@@ -357,105 +328,134 @@ def _certify(sol, x_coords, tol, psd_tol, info):
     wf, _ = herm_eig(Xp)
     return FeasibilityVerdict(
         kind=FEASIBLE, residual=residual, nullspace_dim=sol.dim,
-        certificate=Xp, spectrum=wf, seed=info.get("seed", 0),
-        tolerances=info["tolerances"],
-        diagnostics={**sol.diagnostics, **info.get("extra", {}),
-                     "certificate_min_eig": float(wf[0])})
+        certificate_upper=Xp[np.triu_indices(sol.side)], spectrum=wf,
+        tolerances=tolerances,
+        diagnostics={**sol.diagnostics, "certificate_min_eig": float(wf[0])})
+
+
+def _lbfgs(fun, t, *args):
+    """Minimise fun(t, *args) -> (value, gradient) by L-BFGS from t.
+
+    Directions come from the two-loop recursion over the last LBFGS_MEMORY
+    steps (pairs with s.y <= 0 are skipped, so each direction descends);
+    the step is the first of 1, 1/2, 1/4, ... with Armijo decrease.
+    """
+    f, g = fun(t, *args)
+    pairs = []
+    for _ in range(LBFGS_MAX_ITER):
+        if np.max(np.abs(g)) <= LBFGS_GRAD_TOL:
+            break
+        d = -g
+        alphas = []
+        for s, y in reversed(pairs):
+            alphas.append((s @ d) / (s @ y))
+            d = d - alphas[-1] * y
+        if pairs:
+            s, y = pairs[-1]
+            d = d * ((s @ y) / (y @ y))
+        for (s, y), alpha in zip(pairs, reversed(alphas)):
+            d = d + (alpha - (y @ d) / (s @ y)) * s
+        slope = g @ d
+        step = 1.0
+        for _ in range(LINE_SEARCH_HALVINGS):
+            f_new, g_new = fun(t + step * d, *args)
+            if f_new <= f + 1e-4 * step * slope:
+                break
+            step *= 0.5
+        else:
+            break
+        s, y = step * d, g_new - g
+        if s @ y > 0:
+            pairs = (pairs + [(s, y)])[-LBFGS_MEMORY:]
+        t, f, g = t + s, f_new, g_new
+    return t
+
+
+class _Settled(Exception):
+    """Raised with the point reached when that point decides the question."""
+
+
+def _max_min_eig(sol, psd_tol):
+    """Maximise lambda_min(X0 + sum_k t_k N_k) over t.
+
+    Minimises the smoothed -lambda_min,
+    mu log sum_i exp(-(lambda_i - lambda_1) / mu) - lambda_1, whose gradient
+    in t is -B encode(P) for the softmax eigenprojector
+    P = sum_i p_i v_i v_i*, by L-BFGS from t = 0; mu runs through
+    MU_SCHEDULE times max(1, ||X0||), each run starting where the last one
+    ended. Stops at the first point, X0 included, whose least eigenvalue
+    passes the certificate's test or whose least eigenvector is a witness
+    (then it is a maximiser: the witness's form is the same all over the
+    set and bounds lambda_min). Returns (x, least eigenvalue of every
+    eigensolve); the first is X0's and the last is x's.
+    """
+    x0, B, side = sol.x0_coords, sol.basis_array, sol.side
+    least = []
+
+    def smoothed(t, mu):
+        x = x0 + B.T @ t
+        w, V = herm_eig(hermitian_decode(x, side))
+        least.append(float(w[0]))
+        if (w[0] >= -psd_tol * max(1.0, float(np.linalg.norm(x)))
+                or _is_witness(*witness_check(sol, V[:, 0]))):
+            raise _Settled(x)
+        e = np.exp((w[0] - w) / mu)
+        P = (V * (e / e.sum())) @ V.conj().T
+        return mu * np.log(e.sum()) - w[0], -(B @ hermitian_encode(P))
+
+    t = np.zeros(sol.dim)
+    if sol.dim:
+        scale = max(1.0, float(np.linalg.norm(x0)))
+        try:
+            for mu in MU_SCHEDULE:
+                t = _lbfgs(smoothed, t, mu * scale)
+        except _Settled as stop:
+            return stop.args[0], least
+    x = x0 + B.T @ t
+    least.append(float(herm_eig(hermitian_decode(x, side))[0][0]))
+    return x, least
 
 
 def psd_search(sol, tol=DEFAULT_FEAS_TOL, psd_tol=DEFAULT_PSD_TOL,
-               max_iter=400, restarts=2, seed=0, rank_tol=DEFAULT_RANK_TOL):
-    """Search the affine solution set for a PSD element.
+               rank_tol=DEFAULT_RANK_TOL):
+    """Decide whether the affine solution set holds a PSD element.
 
-    Alternating projections between the solution set and the PSD cone,
-    extrapolating inside the affine set every few steps and restarting from
-    seeded random points when progress stalls. Every candidate certificate
-    is re-verified against the raw system; failures fall through to the
-    witness hunt and finally to INDETERMINATE.
+    Certifies x0 itself when it passes; otherwise maximises the least
+    eigenvalue over the set (_max_min_eig), certifies the point reached,
+    and looks for a witness among its eigenvectors. Every candidate
+    certificate is re-verified against the raw system; with neither a
+    certificate nor a witness the verdict is INDETERMINATE. Diagnostics:
+    iterations (eigensolves of the maximisation), min_eig_first (at X0) and
+    cone_gap (the least eigenvalue at the point reached, signed).
     """
     if not sol.consistent:
         raise DimensionMismatch("psd_search requires a consistent solution set")
-    gap_bound = sol.system.residual_bound(tol)
-    x0, B = sol.x0_coords, sol.basis_array
-    info = {"seed": seed, "tolerances": _tolerances(tol, rank_tol, psd_tol)}
-
-    verdict = _certify(sol, x0, tol, psd_tol, info)
+    tolerances = _tolerances(tol, rank_tol, psd_tol)
+    verdict = _certify(sol, sol.x0_coords, tol, psd_tol, tolerances)
     if verdict is not None:
         return verdict
 
-    mineig_first = mineig_last = None
-    gap_last = None
-    iters_used = 0
-    if sol.dim:
-        rng = np.random.default_rng(seed)
-        scale0 = max(1.0, float(np.linalg.norm(x0)))
-        for restart in range(restarts + 1):
-            if restart == 0:
-                x = x0.copy()
-            else:
-                # B^T B g depends only on the span of B, not on its basis
-                g = rng.standard_normal(B.shape[1])
-                x = x0 + (0.3 * restart * scale0 / np.sqrt(sol.dim)) * (B.T @ (B @ g))
-            gaps = []
-            x_prev = None
-            for it in range(max_iter):
-                iters_used += 1
-                X = hermitian_decode(x, sol.side)
-                w, V = herm_eig(X)
-                if mineig_first is None:
-                    mineig_first = float(w[0])
-                mineig_last = float(w[0])
-                wc = np.clip(w, 0.0, None)
-                Xp = (V * wc) @ V.conj().T
-                xp = hermitian_encode(0.5 * (Xp + Xp.conj().T))
-                d = xp - x0
-                x_next = x0 + B.T @ (B @ d)
-                gap = float(np.linalg.norm(xp - x_next))
-                gap_last = gap
-                gaps.append(gap)
-                scale_x = max(1.0, float(np.linalg.norm(X)))
-                if w[0] >= -psd_tol * scale_x or gap <= gap_bound:
-                    verdict = _certify(sol, x_next, tol, psd_tol, info)
-                    if verdict is not None:
-                        verdict.diagnostics.update(
-                            iterations=iters_used, restarts_used=restart)
-                        return verdict
-                # extrapolate inside the affine set while the gap shrinks
-                if x_prev is not None and it % 8 == 7 and len(gaps) >= 9 \
-                        and gaps[-1] < gaps[-9]:
-                    x_next = x_next + 0.5 * (x_next - x_prev)
-                x_prev = x
-                x = x_next
-                if len(gaps) >= 30 and gaps[-30] > 0 \
-                        and (gaps[-30] - gaps[-1]) < 1e-4 * gaps[-30]:
-                    break  # stalled; try a restart or fall through
-            final = _certify(sol, x, tol, psd_tol, info)
-            if final is not None:
-                final.diagnostics.update(iterations=iters_used,
-                                         restarts_used=restart)
-                return final
-
-    hunt = witness_hunt(sol)
+    x, least = _max_min_eig(sol, psd_tol)
+    search = {"iterations": len(least), "min_eig_first": least[0],
+              "cone_gap": least[-1]}
+    verdict = _certify(sol, x, tol, psd_tol, tolerances)
+    if verdict is not None:
+        verdict.diagnostics.update(search)
+        return verdict
+    hunt = witness_hunt(sol, x)
     if hunt is not None:
         v, value, coupling = hunt
         return FeasibilityVerdict(
             kind=NOT_PSD, residual=sol.residual, nullspace_dim=sol.dim,
             witness_vector=v, witness_value=value, witness_coupling=coupling,
-            seed=seed, tolerances=info["tolerances"],
-            diagnostics={**sol.diagnostics, "iterations": iters_used,
-                         "min_eig_first": mineig_first,
-                         "min_eig_last": mineig_last})
+            tolerances=tolerances, diagnostics={**sol.diagnostics, **search})
     return FeasibilityVerdict(
         kind=INDETERMINATE, residual=sol.residual, nullspace_dim=sol.dim,
-        seed=seed, tolerances=info["tolerances"],
-        diagnostics={**sol.diagnostics, "iterations": iters_used,
-                     "min_eig_first": mineig_first,
-                     "min_eig_last": mineig_last,
-                     "cone_gap_estimate": gap_last})
+        tolerances=tolerances, diagnostics={**sol.diagnostics, **search})
 
 
 def verdict_for(sol, tol=DEFAULT_FEAS_TOL, rank_tol=DEFAULT_RANK_TOL,
-                psd_tol=DEFAULT_PSD_TOL, max_iter=400, restarts=2, seed=0):
+                psd_tol=DEFAULT_PSD_TOL):
     """Turn a solved affine stage into a verdict.
 
     Inconsistent systems short-circuit to NOT_CONSISTENT; everything else
@@ -464,20 +464,17 @@ def verdict_for(sol, tol=DEFAULT_FEAS_TOL, rank_tol=DEFAULT_RANK_TOL,
     if not sol.consistent:
         return FeasibilityVerdict(
             kind=NOT_CONSISTENT, residual=sol.residual,
-            nullspace_dim=sol.dim, seed=seed,
+            nullspace_dim=sol.dim,
             tolerances=_tolerances(tol, rank_tol, psd_tol),
             diagnostics=dict(sol.diagnostics))
-    return psd_search(sol, tol=tol, psd_tol=psd_tol, max_iter=max_iter,
-                      restarts=restarts, seed=seed, rank_tol=rank_tol)
+    return psd_search(sol, tol=tol, psd_tol=psd_tol, rank_tol=rank_tol)
 
 
 def decide(spec, s, tol=DEFAULT_FEAS_TOL, rank_tol=DEFAULT_RANK_TOL,
-           psd_tol=DEFAULT_PSD_TOL, max_iter=400, restarts=2, seed=0,
-           basis_perm=None):
+           psd_tol=DEFAULT_PSD_TOL, basis_perm=None):
     """Assemble, solve the linear stage, and run the PSD search."""
     system = assemble(spec, s, basis_perm=basis_perm)
     sol = solve_affine(system, tol=tol, rank_tol=rank_tol)
-    verdict = verdict_for(sol, tol=tol, rank_tol=rank_tol, psd_tol=psd_tol,
-                          max_iter=max_iter, restarts=restarts, seed=seed)
+    verdict = verdict_for(sol, tol=tol, rank_tol=rank_tol, psd_tol=psd_tol)
     verdict.diagnostics.setdefault("system_counts", system.counts)
     return verdict

@@ -27,7 +27,6 @@ matrices and the Euclidean inner product on coordinates.
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import DimensionMismatch, NoConvergence, NotHermitian
 
@@ -78,17 +77,28 @@ def _column_blocks(csr):
     """Label columns by connected component of the co-occurrence graph.
 
     Two columns belong to the same block when some row carries nonzeros in
-    both. Returns (number of blocks, label of each column), with blocks
-    numbered in the order of their smallest column.
+    both. Labels start as the column indices; each round gives every
+    column the smallest label among the rows it occurs in, then replaces
+    each label by the label of the column it names, until a round changes
+    nothing. Each column is then labelled with the smallest column of its
+    block. Returns (number of blocks, label of each column), with blocks
+    numbered in the order of their smallest column. (scipy's csgraph would
+    do the same, but importing it costs about 0.16 s and 11 MB.)
     """
-    pattern = csr.copy()
-    pattern.data = np.ones_like(pattern.data)
-    # column adjacency through shared rows; pattern^T pattern is symmetric
-    ncomp, labels = connected_components(pattern.T @ pattern, directed=False)
-    _, first = np.unique(labels, return_index=True)
-    relabel = np.empty(ncomp, dtype=np.int64)
-    relabel[np.argsort(first, kind="stable")] = np.arange(ncomp)
-    return ncomp, relabel[labels]
+    nrows, ncols = csr.shape
+    rows = np.repeat(np.arange(nrows), np.diff(csr.indptr))
+    labels = np.arange(ncols)
+    while True:
+        row_min = np.full(nrows, ncols)
+        np.minimum.at(row_min, rows, labels[csr.indices])
+        spread = labels.copy()
+        np.minimum.at(spread, csr.indices, row_min[rows])
+        spread = spread[spread]
+        if np.array_equal(spread, labels):
+            break
+        labels = spread
+    firsts, blocks = np.unique(labels, return_inverse=True)
+    return firsts.size, blocks
 
 
 def _positions(labels, count):

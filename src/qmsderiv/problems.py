@@ -7,8 +7,7 @@ A problem file is a single JSON object:
       "density": {"diag": [0.66, 0.34]}   or a full matrix,
       "jumps": [{"V": [[0, 1], [0, 0]], "omega": -0.65, "weight": 1.0}],
       "s": 0.0,
-      "tol": 1e-8, "rank_tol": 1e-9, "psd_tol": 1e-9,
-      "seed": 0, "max_iter": 400, "restarts": 2
+      "tol": 1e-8, "rank_tol": 1e-9, "psd_tol": 1e-9
     }
 
 Matrix entries are numbers (real) or [re, im] pairs; "density" may instead
@@ -31,14 +30,8 @@ import numpy as np
 from .errors import SchemaError
 from .qms import DensityState, make_spec
 
-OPTION_KEYS = {
-    "tol": (float, lambda v: v > 0, "must be positive"),
-    "rank_tol": (float, lambda v: v > 0, "must be positive"),
-    "psd_tol": (float, lambda v: v > 0, "must be positive"),
-    "seed": (int, lambda v: True, ""),
-    "max_iter": (int, lambda v: v >= 1, "must be at least 1"),
-    "restarts": (int, lambda v: v >= 0, "must be nonnegative"),
-}
+# optional tolerances; each must be a positive number
+OPTION_KEYS = ("tol", "rank_tol", "psd_tol")
 
 TOP_KEYS = {"n", "density", "jumps", "s"} | set(OPTION_KEYS)
 
@@ -71,17 +64,20 @@ def _as_entry(value, path):
     return complex(_as_number(value, path), 0.0)
 
 
+def parse_vector(value, n, path):
+    """Decode a length-n complex vector from a JSON list."""
+    _require(isinstance(value, list) and len(value) == n,
+             path, f"expected {n} entries")
+    return np.array([_as_entry(entry, f"{path}[{k}]")
+                     for k, entry in enumerate(value)], dtype=complex)
+
+
 def parse_matrix(value, n, path):
     """Decode an n x n complex matrix from nested JSON lists."""
     _require(isinstance(value, list) and len(value) == n,
              path, f"expected {n} rows")
-    M = np.zeros((n, n), dtype=complex)
-    for i, row in enumerate(value):
-        _require(isinstance(row, list) and len(row) == n,
-                 f"{path}[{i}]", f"expected {n} entries")
-        for j, entry in enumerate(row):
-            M[i, j] = _as_entry(entry, f"{path}[{i}][{j}]")
-    return M
+    return np.array([parse_vector(row, n, f"{path}[{i}]")
+                     for i, row in enumerate(value)], dtype=complex)
 
 
 def parse_density(value, n, path):
@@ -147,10 +143,10 @@ def parse_problem(doc):
     spec = make_spec(state, jumps)
 
     options = {}
-    for key, (typ, ok, msg) in OPTION_KEYS.items():
+    for key in OPTION_KEYS:
         if key in doc:
-            val = _as_int(doc[key], key) if typ is int else _as_number(doc[key], key)
-            _require(ok(val), key, msg)
+            val = _as_number(doc[key], key)
+            _require(val > 0, key, "must be positive")
             options[key] = val
     return ProblemFile(doc, n, spec, s, options)
 

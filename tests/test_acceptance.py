@@ -49,7 +49,7 @@ def headline_runs(preset_problems):
     runs = {}
     for pid, problem in preset_problems.items():
         start = time.perf_counter()
-        verdict = decide(problem.spec, problem.s, seed=0)
+        verdict = decide(problem.spec, problem.s)
         runs[pid] = (verdict, time.perf_counter() - start)
     return runs
 
@@ -136,7 +136,7 @@ def test_criterion_5_tracial_oracle():
         for _ in range(rng.integers(1, 3)):
             V = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             jumps += [(V, 0.0), (V.conj().T, 0.0)]
-        verdict = decide(make_spec(state, jumps), 0.0, seed=trial)
+        verdict = decide(make_spec(state, jumps), 0.0)
         assert verdict.kind == FEASIBLE, f"trial {trial}: {verdict.kind}"
         passed += 1
     assert passed == 20
@@ -203,7 +203,7 @@ def test_criterion_6_structural_suite(preset_problems):
     # target rows evaluated at a certificate reproduce the target form
     for pid in ("2x2-gns", "2x2-kms"):
         problem = preset_problems[pid]
-        verdict = decide(problem.spec, problem.s, seed=0)
+        verdict = decide(problem.spec, problem.s)
         X = np.asarray(verdict.certificate)
         F = target_form(problem.spec, problem.s).F
         n = problem.spec.n

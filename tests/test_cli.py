@@ -21,7 +21,6 @@ TRACIAL_2X2 = {
         {"V": [[0, 0], [1, 0]], "omega": 0.0},
     ],
     "s": 0.0,
-    "seed": 3,
 }
 
 
@@ -30,6 +29,22 @@ def problem_file(tmp_path):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(TRACIAL_2X2))
     return str(path)
+
+
+@pytest.mark.parametrize("key,value", [("seed", 3), ("max_iter", 400),
+                                       ("restarts", 2)])
+def test_check_rejects_removed_search_knobs(tmp_path, capsys, key, value):
+    path = tmp_path / "knob.json"
+    path.write_text(json.dumps(dict(TRACIAL_2X2, **{key: value})))
+    assert main(["check", str(path)]) == 2
+    assert f"unknown keys ['{key}']" in capsys.readouterr().err
+
+
+def test_check_seed_flag_is_a_usage_error(problem_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", problem_file, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_check_stdout_report(problem_file, capsys):
@@ -210,7 +225,7 @@ def test_certificate_checks_use_the_consistency_bound(preset_problems, tmp_path,
     bound = system.residual_bound(1e-8)
     x = sol.x0_coords + (10 * bound / np.linalg.norm(system.A @ h)) * h
     assert system.residual_of(x) == pytest.approx(10 * bound, rel=1e-6)
-    assert _certify(sol, x, 1e-8, 1e-9, {"tolerances": {}}) is None
+    assert _certify(sol, x, 1e-8, 1e-9, {}) is None
 
     out = tmp_path / "rep.json"
     assert main(["repro", "2x2-gns", "--out", str(out)]) == 0
@@ -250,3 +265,41 @@ def test_verify_infeasibility_reports(tmp_path, capsys):
     kms.write_text(json.dumps(report))
     assert main(["verify", str(kms)]) == 1
     assert "not negative" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def evidence_reports(tmp_path_factory):
+    root = tmp_path_factory.mktemp("evidence")
+    paths = {}
+    for pid in ("2x2-gns", "3x3-kms"):
+        paths[pid] = root / f"{pid}.json"
+        assert main(["repro", pid, "--out", str(paths[pid])]) == 0
+    return paths
+
+
+def _bad_certificate_entry(verdict):
+    verdict["certificate"][0][0] = ["x", 0]
+
+
+def _bad_witness_entry(verdict):
+    verdict["witness"]["vector"][0] = ["x", 0]
+
+
+def _witness_without_vector(verdict):
+    del verdict["witness"]["vector"]
+
+
+@pytest.mark.parametrize("pid,damage", [
+    ("2x2-gns", _bad_certificate_entry),
+    ("3x3-kms", _bad_witness_entry),
+    ("3x3-kms", _witness_without_vector),
+])
+def test_verify_malformed_evidence_is_an_input_error(evidence_reports, tmp_path,
+                                                     capsys, pid, damage):
+    report = json.loads(evidence_reports[pid].read_text())
+    damage(report["verdict"])
+    report["fingerprint"] = fingerprint_of(report)
+    path = tmp_path / "damaged.json"
+    path.write_text(json.dumps(report))
+    assert main(["verify", str(path)]) == 2
+    assert "input error" in capsys.readouterr().err

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmsderiv.errors import NotHermitian
-from qmsderiv.linalg import (herm_eig, hermitian_decode, hermitian_encode,
-                             hermitian_vec_map, nullspace)
+from qmsderiv.linalg import (_column_blocks, herm_eig, hermitian_decode,
+                             hermitian_encode, hermitian_vec_map, nullspace)
 
 PI = math.pi
 
@@ -101,6 +101,42 @@ def test_nullspace_properties(seed):
     if len(basis):
         np.testing.assert_allclose(basis @ basis.T, np.eye(len(basis)),
                                    atol=1e-10)
+
+
+def reference_column_blocks(M):
+    # union-find with the smaller root kept, so each root is its block's
+    # smallest column; blocks numbered in the order of those roots
+    parent = list(range(M.shape[1]))
+
+    def find(c):
+        while parent[c] != c:
+            c = parent[c]
+        return c
+
+    for row in M:
+        cols = np.nonzero(row)[0]
+        for c in cols[1:]:
+            a, b = find(cols[0]), find(c)
+            parent[max(a, b)] = min(a, b)
+    roots = [find(c) for c in range(M.shape[1])]
+    number = {r: k for k, r in enumerate(sorted(set(roots)))}
+    return len(number), [number[r] for r in roots]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_column_blocks_match_union_find(seed):
+    # sparse random rows plus a shuffled path through a third of the
+    # columns, whose long diameter needs many propagation rounds
+    rng = np.random.default_rng(300 + seed)
+    rows, cols = 40, 60
+    M = (rng.random((rows, cols)) < 0.03).astype(float)
+    path = rng.permutation(cols)[:cols // 3]
+    links = np.zeros((path.size - 1, cols))
+    links[np.arange(path.size - 1), path[:-1]] = 1.0
+    links[np.arange(path.size - 1), path[1:]] = 1.0
+    M = np.vstack([M, links])[rng.permutation(rows + path.size - 1)]
+    count, labels = _column_blocks(sparse_from_dense(M))
+    assert (count, list(labels)) == reference_column_blocks(M)
 
 
 @pytest.mark.parametrize("seed", range(3))
