@@ -35,8 +35,8 @@ from .feasibility import (DEFAULT_PSD_TOL, DEFAULT_WITNESS_COUPLING_TOL,
                           witness_check)
 from .linalg import DEFAULT_FEAS_TOL, DEFAULT_RANK_TOL, herm_eig, hermitian_encode
 from .parametric import CSV_COLUMNS, agreement_rate, sweep
-from .problems import (load_problem, parse_matrix, parse_problem,
-                       parse_vector, presets)
+from .problems import (load_problem, load_sweep_config, parse_matrix,
+                       parse_problem, parse_vector, presets)
 from .qms import validate_spec
 
 VOLATILE_KEYS = ("timestamp", "timings", "fingerprint")
@@ -178,31 +178,6 @@ def cmd_repro(args):
     return 0
 
 
-SWEEP_KEYS = {"count", "seed", "project", "lambda2", "lambda3", "s",
-              "agree_threshold", "predicate_tol", "tol"}
-
-
-def _load_sweep_config(path):
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise SchemaError("", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError("", f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError("", "sweep config must be a JSON object")
-    unknown = set(doc) - SWEEP_KEYS
-    if unknown:
-        raise SchemaError("", f"unknown keys {sorted(unknown)}")
-    if ("lambda2" in doc) != ("lambda3" in doc):
-        raise SchemaError("", "pin both lambda2 and lambda3 or neither")
-    count = doc.get("count", 200)
-    if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-        raise SchemaError("count", "must be a nonnegative integer")
-    return doc
-
-
 def _write_csv(path, records):
     rows = [",".join(CSV_COLUMNS)]
     rows += [",".join(r.csv_row()) for r in records if r is not None]
@@ -211,26 +186,21 @@ def _write_csv(path, records):
 
 def cmd_sweep(args):
     try:
-        cfg = _load_sweep_config(args.config)
+        cfg = load_sweep_config(args.config)
+        if args.seed is not None and args.seed < 0:
+            raise SchemaError("--seed", "must be nonnegative")
     except SchemaError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    count = cfg.get("count", 200)
-    seed = cfg.get("seed", 42) if args.seed is None else args.seed
-    pin = None
-    if "lambda2" in cfg:
-        pin = (float(cfg["lambda2"]), float(cfg["lambda3"]))
-    threshold = float(cfg.get("agree_threshold", 0.99))
+    count = cfg["count"]
+    seed = cfg["seed"] if args.seed is None else args.seed
+    threshold = cfg["agree_threshold"]
     collected = []
     try:
         records = sweep(
-            count, seed,
-            project=bool(cfg.get("project", False)),
-            pin=pin,
-            s=float(cfg.get("s", 0.0)),
-            tol=float(cfg.get("tol", DEFAULT_FEAS_TOL)) if args.tol is None else args.tol,
-            predicate_tol=float(cfg.get("predicate_tol", 1e-10)),
-            on_record=collected.append)
+            count, seed, project=cfg["project"], pin=cfg["pin"], s=cfg["s"],
+            tol=cfg["tol"] if args.tol is None else args.tol,
+            predicate_tol=cfg["predicate_tol"], on_record=collected.append)
     except KeyboardInterrupt:
         if args.out:
             _write_csv(args.out, sorted(collected, key=lambda r: r.sample_id))

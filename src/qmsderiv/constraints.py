@@ -27,10 +27,11 @@ share a key; at n = 3 this leaves 22464 of 149670 nonzero rows.
 The coefficient matrix of the system depends only on n, not on the state or
 the generator; those enter only through the right-hand side values of the
 target family. Assembly therefore caches a per-n template holding both
-blocks as CSR, and a ConstraintSystem is that template plus a right-hand
-side: assembling costs one target form, and the stacked matrix A is built
-only when something reads it (dump_system). Residuals are computed block by
-block and compared with one threshold, ConstraintSystem.residual_bound.
+blocks as CSR, and a ConstraintSystem is that template plus the target
+right-hand side: assembling costs one target form, read off the generator's
+m x m matrix, and the stacked A and zero-padded b are built only when
+something reads them (dump_system). Residuals are computed block by block
+and compared with one threshold, ConstraintSystem.residual_bound.
 """
 import functools
 import itertools
@@ -41,7 +42,7 @@ import scipy.sparse as sp
 
 from .errors import DimensionMismatch, IndexOutOfRange, SizeCapExceeded
 from .linalg import as_cmatrix, hermitian_vec_map
-from .qms import lindblad_apply
+from .qms import generator_matrix
 
 DEFAULT_SIZE_CAP = 4
 
@@ -187,23 +188,24 @@ class TargetForm:
 
 
 def target_form(spec, s, basis_perm=None):
-    """Gram data of the generator against the s-inner product on matrix units."""
+    """Gram data of the generator against the s-inner product on matrix units.
+
+    F[a, b] = tr(D^{1-s} Q_b D^s L(Q_a)) is entry (l, k) of
+    D^s L(Q_a) D^{1-s} for Q_b = E_kl, and column a of
+    (D^s kron (D^{1-s})^T) S, with S the generator matrix, is the row-major
+    vec of that product; so F is read off one m x m product.
+    """
     if not 0.0 <= s <= 1.0:
         raise DimensionMismatch(f"inner-product parameter s={s} outside [0, 1]")
     n = spec.n
     m = n * n
-    Ds = spec.state.power(s)
-    D1s = spec.state.power(1.0 - s)
     perm = _check_perm(basis_perm, m)
-    F = np.zeros((m, m), dtype=complex)
-    for a in range(m):
-        i, j = divmod(perm[a], n)
-        E = np.zeros((n, n), dtype=complex)
-        E[i, j] = 1.0
-        # tr(D^{1-s} E_kl D^s L(Q_a)) = (D^s L(Q_a) D^{1-s})[l, k]
-        T = Ds @ lindblad_apply(spec, E) @ D1s
-        F[a, :] = T.T.reshape(-1)[perm]
-    return TargetForm(s, F)
+    # D^s kron (D^{1-s})^T, as in qms.generator_matrix
+    K = np.einsum("ik,lj->ijkl", spec.state.power(s), spec.state.power(1.0 - s))
+    T = K.reshape(m, m) @ generator_matrix(spec)
+    # F[a, k, l] = T[(l, k), a]
+    F = T.reshape(n, n, m).transpose(2, 1, 0).reshape(m, m)
+    return TargetForm(s, F[np.ix_(perm, perm)])
 
 
 def _check_perm(perm, m):
@@ -387,8 +389,9 @@ class ConstraintSystem:
     A stacks the homogeneous block hom, shared by every system of size n,
     over the target block; only the target part of b is nonzero. The blocks
     are the cached template's own matrices (target rows reordered under a
-    basis permutation), so a system adds only its right-hand side, and the
-    stacked A is built only when it is read.
+    basis permutation), so a system owns only b_target, the 2 m^2 target
+    right-hand sides; the stacked A and the zero-padded b are built only
+    when they are read.
     """
 
     n: int
@@ -396,12 +399,16 @@ class ConstraintSystem:
     s: float
     hom: sp.csr_matrix = field(repr=False)
     target: sp.csr_matrix = field(repr=False)
-    b: np.ndarray = field(repr=False)
+    b_target: np.ndarray = field(repr=False)
     counts: dict
 
     @functools.cached_property
     def A(self):
         return sp.vstack([self.hom, self.target], format="csr")
+
+    @functools.cached_property
+    def b(self):
+        return np.concatenate([np.zeros(self.hom_row_count), self.b_target])
 
     @property
     def unknowns(self):
@@ -411,20 +418,17 @@ class ConstraintSystem:
     def hom_row_count(self):
         return self.hom.shape[0]
 
-    def target_rhs(self):
-        return self.b[self.hom_row_count:]
-
     def residual_vector(self, coords):
         """A x - b, the homogeneous rows first, computed block by block."""
         x = np.asarray(coords, dtype=float)
-        return np.concatenate([self.hom @ x, self.target @ x - self.target_rhs()])
+        return np.concatenate([self.hom @ x, self.target @ x - self.b_target])
 
     def residual_of(self, coords):
         return float(np.linalg.norm(self.residual_vector(coords)))
 
     def residual_bound(self, tol):
         """tol * max(1, ||b||): the one threshold on ||A x - b||."""
-        return tol * max(1.0, float(np.linalg.norm(self.b)))
+        return tol * max(1.0, float(np.linalg.norm(self.b_target)))
 
 
 def assemble(spec, s, basis_perm=None):
@@ -449,10 +453,9 @@ def assemble(spec, s, basis_perm=None):
         target = target[np.stack([2 * pair, 2 * pair + 1], axis=1).reshape(-1)]
     # target rows are in (a, b, re/im) order
     b_t = np.stack([form.F.real, form.F.imag], axis=-1).reshape(-1)
-    b = np.concatenate([np.zeros(tpl.hom.shape[0]), b_t])
     counts = dict(tpl.counts)
-    counts["rows_total"] = b.size
-    return ConstraintSystem(n, m, float(s), tpl.hom, target, b, counts)
+    counts["rows_total"] = tpl.hom.shape[0] + b_t.size
+    return ConstraintSystem(n, m, float(s), tpl.hom, target, b_t, counts)
 
 
 def dump_system(system, path):

@@ -136,6 +136,29 @@ def _target_svd(system, N, rank_tol):
     return out
 
 
+def _solve_stacked(systems, tol, rank_tol):
+    """Min-norm solutions of systems that share one template, one per row.
+
+    Row j of X0 solves the target rows of systems[j] over the homogeneous
+    kernel N through the cached target SVD, x0 = N Vt^T diag(1/sv) U^T b_t,
+    all rows in one product. residual[j] is the full-system residual
+    ||[hom x0, target x0 - b_t]|| and bound[j] is
+    systems[j].residual_bound(tol). Returns (X0, residual, hom_residual,
+    bound, svd) with svd = _target_svd's (U, sv, Vt, rank, basis).
+    """
+    system = systems[0]
+    N = _hom_kernel(system, rank_tol)
+    svd = U, sv, Vt, rank, _ = _target_svd(system, N, rank_tol)
+    B = np.array([s.b_target for s in systems])
+    X0 = (B @ U[:, :rank] / sv[:rank]) @ Vt[:rank] @ N.T
+    # row by row, so that only one hom x0 (22464 entries at n = 3) is alive
+    hom_res = np.array([np.linalg.norm(system.hom @ x) for x in X0])
+    target_res = np.array([np.linalg.norm(system.target @ x - b)
+                           for x, b in zip(X0, B)])
+    bound = np.array([s.residual_bound(tol) for s in systems])
+    return X0, np.hypot(hom_res, target_res), hom_res, bound, svd
+
+
 def solve_affine(system, tol=DEFAULT_FEAS_TOL, rank_tol=DEFAULT_RANK_TOL):
     """Intersect the homogeneous nullspace with the target equations.
 
@@ -145,32 +168,21 @@ def solve_affine(system, tol=DEFAULT_FEAS_TOL, rank_tol=DEFAULT_RANK_TOL):
     bound leaves out ||A||_F, which only counts the unit-norm rows and would
     admit residuals of inconsistent systems.
     """
-    N = _hom_kernel(system, rank_tol)
-    U, sv, Vt, rank, basis = _target_svd(system, N, rank_tol)
-    b_t = system.target_rhs()
-    smax = sv[0] if sv.size else 0.0
-    if rank:
-        y0 = Vt[:rank].T @ ((U[:, :rank].T @ b_t) / sv[:rank])
-    else:
-        y0 = np.zeros(N.shape[1])
-    x0 = N @ y0 if N.shape[1] else np.zeros(system.unknowns)
-    r = system.residual_vector(x0)
-    residual = float(np.linalg.norm(r))
-    hom_res = float(np.linalg.norm(r[:system.hom_row_count]))
-    bound = system.residual_bound(tol)
+    X0, residual, hom_res, bound, (U, sv, Vt, rank, basis) = _solve_stacked(
+        [system], tol, rank_tol)
     diagnostics = {
-        "hom_kernel_dim": int(N.shape[1]),
+        "hom_kernel_dim": int(Vt.shape[1]),    # one column per kernel vector
         "target_rank": rank,
         "solution_dim": int(basis.shape[0]),
-        "residual": residual,
-        "hom_residual": hom_res,
-        "consistency_bound": bound,
-        "target_sv_max": float(smax),
+        "residual": float(residual[0]),
+        "hom_residual": float(hom_res[0]),
+        "consistency_bound": float(bound[0]),
+        "target_sv_max": float(sv[0]) if sv.size else 0.0,
         "target_sv_min_kept": float(sv[rank - 1]) if rank else 0.0,
         "target_sv_max_dropped": float(sv[rank]) if rank < sv.size else 0.0,
     }
-    return AffineSolutionSet(system, x0, basis, residual, residual <= bound,
-                             diagnostics)
+    return AffineSolutionSet(system, X0[0], basis, residual[0],
+                             residual[0] <= bound[0], diagnostics)
 
 
 def witness_check(sol, v, tol=DEFAULT_FEAS_TOL):

@@ -39,7 +39,7 @@ def as_cmatrix(entries, size=None):
     M = np.asarray(entries, dtype=complex)
     if M.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D matrix, got ndim={M.ndim}")
-    if not np.all(np.isfinite(M.real)) or not np.all(np.isfinite(M.imag)):
+    if not np.isfinite(M).all():
         raise DimensionMismatch("matrix contains non-finite entries")
     if size is not None and M.shape != (size, size):
         raise DimensionMismatch(f"expected shape {(size, size)}, got {M.shape}")

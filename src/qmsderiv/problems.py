@@ -16,6 +16,9 @@ have the Bohr frequency derived from the state. Validation is strict:
 unknown keys anywhere are rejected, and every error carries the JSON path
 it refers to.
 
+A sweep config (parse_sweep_config) is checked the same way: every key is
+optional, and a value of the wrong type or out of range is a SchemaError.
+
 The presets reproduce the package's four reference problems on M_2 and
 M_3; their transcendental constants are evaluated once at import time in
 binary64, and the evaluated values are what gets echoed into reports.
@@ -28,6 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SchemaError
+from .linalg import DEFAULT_FEAS_TOL
+from .parametric import DEFAULT_PREDICATE_TOL
 from .qms import DensityState, make_spec
 
 # optional tolerances; each must be a positive number
@@ -151,15 +156,57 @@ def parse_problem(doc):
     return ProblemFile(doc, n, spec, s, options)
 
 
-def load_problem(path):
+def _read_json(path):
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise SchemaError("", f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError("", f"{path} is not valid JSON: {exc}") from exc
-    return parse_problem(doc)
+
+
+def load_problem(path):
+    return parse_problem(_read_json(path))
+
+
+SWEEP_KEYS = {"count", "seed", "project", "lambda2", "lambda3", "s",
+              "agree_threshold", "predicate_tol", "tol"}
+
+
+def parse_sweep_config(doc):
+    """Validate a sweep config document and fill in its defaults.
+
+    Every key is optional. Returns a dict with count, seed, project, pin
+    ((lambda2, lambda3) or None), s, tol, predicate_tol and agree_threshold.
+    """
+    _require(isinstance(doc, dict), "", "sweep config must be a JSON object")
+    unknown = set(doc) - SWEEP_KEYS
+    _require(not unknown, "", f"unknown keys {sorted(unknown)}")
+    _require(("lambda2" in doc) == ("lambda3" in doc), "",
+             "pin both lambda2 and lambda3 or neither")
+    cfg = {"project": doc.get("project", False), "pin": None}
+    _require(isinstance(cfg["project"], bool), "project", "expected true or false")
+    for key, default in (("count", 200), ("seed", 42)):
+        cfg[key] = _as_int(doc.get(key, default), key)
+        _require(cfg[key] >= 0, key, "must be nonnegative")
+    for key, default in (("s", 0.0), ("tol", DEFAULT_FEAS_TOL),
+                         ("predicate_tol", DEFAULT_PREDICATE_TOL),
+                         ("agree_threshold", 0.99)):
+        cfg[key] = _as_number(doc.get(key, default), key)
+    _require(0.0 <= cfg["s"] <= 1.0, "s", "must lie in [0, 1]")
+    for key in ("tol", "predicate_tol"):
+        _require(cfg[key] > 0, key, "must be positive")
+    if "lambda2" in doc:
+        cfg["pin"] = (_as_number(doc["lambda2"], "lambda2"),
+                      _as_number(doc["lambda3"], "lambda3"))
+        for key, value in zip(("lambda2", "lambda3"), cfg["pin"]):
+            _require(value > 0, key, "must be positive")
+    return cfg
+
+
+def load_sweep_config(path):
+    return parse_sweep_config(_read_json(path))
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,25 @@ def lindblad_apply(spec, A):
     return out
 
 
+def generator_matrix(spec):
+    """The m x m matrix S of L on row-major vec(M_n): vec(L(A)) = S vec(A).
+
+    With c_j = w_j e^{-omega_j/2} and G = sum_j c_j V_j* V_j the generator is
+    L(A) = G A + A G - 2 sum_j c_j V_j* A V_j, and row-major vectorization
+    turns X A Y into (X kron Y^T) vec(A), so
+    S = G kron I + I kron G^T - 2 sum_j c_j V_j* kron V_j^T.
+    """
+    n = spec.n
+    V = np.array([j.V for j in spec.jumps], dtype=complex).reshape(-1, n, n)
+    c = np.array([j.weight * np.exp(-0.5 * j.omega) for j in spec.jumps])
+    G = np.einsum("p,pri,prk->ik", c, V.conj(), V)
+    eye = np.eye(n)
+    # S[i, j, k, l] is the coefficient of A[k, l] in L(A)[i, j]
+    S = (np.einsum("ik,jl->ijkl", G, eye) + np.einsum("ik,lj->ijkl", eye, G)
+         - 2.0 * np.einsum("p,pki,plj->ijkl", c, V.conj(), V))
+    return S.reshape(n * n, n * n)
+
+
 @dataclass
 class ValidationReport:
     """Outcome of checking the generator hypotheses on a LindbladSpec."""

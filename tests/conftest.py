@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from qmsderiv.problems import parse_problem, presets
+from qmsderiv.qms import DensityState, make_spec
 
 # outcome per acceptance criterion, filled by the logreport hook
 _CRITERIA = {}
@@ -33,3 +35,21 @@ def preset_table():
 @pytest.fixture(scope="session")
 def preset_problems(preset_table):
     return {pid: parse_problem(p.problem) for pid, p in preset_table.items()}
+
+
+@pytest.fixture(scope="session")
+def random_spec():
+    """Builder of seeded specs with a non-diagonal density, arbitrary jumps
+    and signed weights (not validated: L need not be symmetric)."""
+    def build(seed, n, jumps=3):
+        rng = np.random.default_rng(seed)
+
+        def cmat():
+            return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+        W = cmat()
+        D = W @ W.conj().T + 0.1 * np.eye(n)
+        state = DensityState.from_matrix(D / np.trace(D).real)
+        return make_spec(state, [(cmat(), rng.standard_normal(),
+                                  rng.standard_normal()) for _ in range(jumps)])
+    return build

@@ -169,6 +169,30 @@ def test_sweep_rejects_half_pin(tmp_path, capsys):
     assert main(["sweep", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("bad", [
+    {"s": 2.0},
+    {"lambda2": -1.0, "lambda3": 1.0},
+    {"lambda2": 1.0, "lambda3": float("inf")},
+    {"tol": "x"},
+    {"predicate_tol": "x"},
+    {"agree_threshold": "x"},
+    {"project": "yes"},
+    {"seed": "x"},
+])
+def test_sweep_rejects_bad_config_values(tmp_path, capsys, bad):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"count": 2, **bad}))
+    assert main(["sweep", str(cfg)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_sweep_rejects_negative_seed_override(tmp_path, capsys):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"count": 2}))
+    assert main(["sweep", str(cfg), "--seed", "-1"]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
 def test_sweep_flushes_partial_on_interrupt(tmp_path, capsys, monkeypatch):
     from qmsderiv.parametric import sweep as real_sweep
 

@@ -147,9 +147,11 @@ def test_target_form_gns_oracle(gns_2x2):
     assert abs(expect - 0.94799) <= 5e-6
 
 
-@pytest.mark.parametrize("pid,s", [("2x2-gns", 0.0), ("3x3-kms", 0.5)])
-def test_target_form_is_s_inner_of_generator(preset_problems, pid, s):
-    spec = preset_problems[pid].spec
+@pytest.mark.parametrize("pid,s", [("2x2-gns", 0.0), ("3x3-kms", 0.5),
+                                   ("random-3x3", 0.3)])
+def test_target_form_is_s_inner_of_generator(preset_problems, random_spec,
+                                             pid, s):
+    spec = random_spec(7, 3) if pid == "random-3x3" else preset_problems[pid].spec
     n = spec.n
     F = target_form(spec, s).F
     for a in range(n * n):

@@ -1,11 +1,15 @@
 """Parametric generator family, solvability predicate, and sweeps."""
 
 import math
+import tracemalloc
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
 
+from qmsderiv.constraints import assemble
 from qmsderiv.errors import DimensionMismatch
+from qmsderiv.feasibility import solve_affine
 from qmsderiv.parametric import (CSV_COLUMNS, LambdaPoint, YMatrix,
                                  agreement_rate, build_LY,
                                  diag_jump_identity, predicate_coefficients,
@@ -218,6 +222,61 @@ def test_sweep_threads_match_serial():
         assert a.consistent == b.consistent
         assert a.agree == b.agree
         assert a.residual == b.residual
+
+
+@pytest.mark.parametrize("kw", [{"count": 200, "seed": 8},
+                                {"count": 40, "seed": 3, "project": True,
+                                 "pin": (PI, E ** PI)}])
+def test_sweep_matches_per_sample_solve(kw):
+    records = sweep(**kw)
+    assert len(records) == kw["count"]
+    for r in records:
+        assert r.error is None
+        system = assemble(build_LY(r.p, r.Y), 0.0)
+        sol = solve_affine(system)
+        assert r.predicate == solvable_predicate(r.p, r.Y)
+        assert r.consistent == sol.consistent
+        assert r.agree == (r.predicate == sol.consistent)
+        scale = max(1.0, float(np.linalg.norm(system.b)))
+        assert abs(r.residual - sol.residual) <= 1e-12 * scale
+
+
+def test_sweep_records_are_a_sequence():
+    raw = sweep(20, seed=4)
+    projected = sweep(20, seed=4, project=True)
+    assert isinstance(raw, Sequence) and len(raw) == 20
+    assert all(r.Y.allow_negative is False for r in raw)
+    assert all(r.Y.allow_negative is True for r in projected)
+    assert [r.sample_id for r in raw] == list(range(20))
+    assert raw[-1].sample_id == 19 and raw[-20].sample_id == 0
+    assert raw[-1].residual == raw[19].residual
+    with pytest.raises(IndexError):
+        raw[20]
+    with pytest.raises(IndexError):
+        raw[-21]
+    for (_, p, Y), r in zip(sample_inputs(20, 4), raw):
+        assert r.p == p
+        np.testing.assert_array_equal(r.Y.entries, Y.entries)
+    empty = sweep(0, seed=4)
+    assert len(empty) == 0 and list(empty) == []
+    assert agreement_rate(empty) == 1.0
+
+
+def test_sweep_memory_is_flat():
+    # the results are columns: a pinned sweep keeps about 82 bytes a sample,
+    # and solving a chunk at a time keeps the transient memory small
+    pin = (PI, E ** PI)
+    sweep(2, seed=0, pin=pin)
+    tracemalloc.start()
+    try:
+        records = sweep(2000, seed=1, pin=pin)
+        held, peak = tracemalloc.get_traced_memory()
+        del records
+        left, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (held - left) / 2000 <= 150
+    assert peak - held <= 1.5e6
 
 
 def test_csv_row_matches_columns():

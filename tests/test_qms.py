@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from qmsderiv.qms import (DensityState, derive_omega, gns_symmetry_check,
-                          lindblad_apply, make_spec, modular_conjugate,
-                          s_inner, validate_spec)
+from qmsderiv.qms import (DensityState, derive_omega, generator_matrix,
+                          gns_symmetry_check, lindblad_apply, make_spec,
+                          modular_conjugate, s_inner, validate_spec)
 
 PI = math.pi
 
@@ -198,3 +198,17 @@ def test_tracial_dirichlet_form_nonnegative():
         val = s_inner(state, 0.0, lindblad_apply(spec, A), A)
         assert val.real >= -1e-12 * max(1.0, abs(val))
         assert abs(val.imag) <= 1e-10 * max(1.0, abs(val))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_generator_matrix_matches_lindblad_apply(random_spec, n):
+    spec = random_spec(20 + n, n)
+    assert any(j.weight < 0 for j in spec.jumps)
+    assert np.abs(spec.state.D - np.diag(np.diag(spec.state.D))).max() > 0.01
+    S = generator_matrix(spec)
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        A = random_matrix(rng, n)
+        expect = lindblad_apply(spec, A)
+        got = (S @ A.reshape(-1)).reshape(n, n)
+        assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
