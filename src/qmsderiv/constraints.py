@@ -24,6 +24,15 @@ rest are scaled to unit norm with a positive first entry, and repeats are
 removed by one 64-bit key per row plus an exact comparison of rows that
 share a key; at n = 3 this leaves 22464 of 149670 nonzero rows.
 
+Every solution of the action rows is X = Y (x) I_n, with Y of size
+n^3 x n^3: the right action of a matrix unit E_a is R_a = I_{n^3} (x) E_a^T
+on psi, and R_{a*}^H = R_a, so the right family says that X commutes with
+every I_{n^3} (x) G, whose commutant is M_{n^3} (x) I_n. The template
+therefore also carries the lift E (linalg.kron_eye_map), the sparse
+isometry from the Hermitian coordinates y of Y to those of X, scaled so
+that x = E y has ||x|| = ||y||. The solver works in y; the system itself,
+its residuals and dump_system stay in X.
+
 The coefficient matrix of the system depends only on n, not on the state or
 the generator; those enter only through the right-hand side values of the
 target family. Assembly therefore caches a per-n template holding both
@@ -35,13 +44,15 @@ and compared with one threshold, ConstraintSystem.residual_bound.
 """
 import functools
 import itertools
+import types
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatch, IndexOutOfRange, SizeCapExceeded
-from .linalg import as_cmatrix, hermitian_vec_map
+from .linalg import as_cmatrix, hermitian_vec_map, kron_eye_map
 from .qms import generator_matrix
 
 DEFAULT_SIZE_CAP = 4
@@ -310,7 +321,8 @@ class SystemTemplate:
     n: int
     hom: sp.csr_matrix = field(repr=False)     # deduped unit-norm action rows
     target: sp.csr_matrix = field(repr=False)  # 2 m^2 rows in (a, b, re/im) order
-    counts: dict
+    lift: sp.csr_matrix = field(repr=False)    # y -> x, X = Y (x) I_n
+    counts: Mapping                            # read-only, shared by systems
 
 
 _TEMPLATE_CACHE = {}
@@ -363,7 +375,9 @@ def _build_template(n):
 
     counts["hom_rows_after_dedup"] = hom.shape[0]
     counts["target_rows_real"] = target.shape[0]
-    return SystemTemplate(n, hom, target, counts)
+    counts["rows_total"] = hom.shape[0] + target.shape[0]
+    return SystemTemplate(n, hom, target, kron_eye_map(n ** 3, n),
+                          types.MappingProxyType(counts))
 
 
 def system_template(n):
@@ -388,10 +402,11 @@ class ConstraintSystem:
 
     A stacks the homogeneous block hom, shared by every system of size n,
     over the target block; only the target part of b is nonzero. The blocks
-    are the cached template's own matrices (target rows reordered under a
-    basis permutation), so a system owns only b_target, the 2 m^2 target
-    right-hand sides; the stacked A and the zero-padded b are built only
-    when they are read.
+    and the lift y -> x (X = Y (x) I_n) are the cached template's own
+    matrices (target rows reordered under a basis permutation), and counts
+    is its read-only mapping, so a system owns only b_target, the 2 m^2
+    target right-hand sides; the stacked A and the zero-padded b are built
+    only when they are read.
     """
 
     n: int
@@ -399,8 +414,9 @@ class ConstraintSystem:
     s: float
     hom: sp.csr_matrix = field(repr=False)
     target: sp.csr_matrix = field(repr=False)
+    lift: sp.csr_matrix = field(repr=False)
     b_target: np.ndarray = field(repr=False)
-    counts: dict
+    counts: Mapping
 
     @functools.cached_property
     def A(self):
@@ -453,9 +469,8 @@ def assemble(spec, s, basis_perm=None):
         target = target[np.stack([2 * pair, 2 * pair + 1], axis=1).reshape(-1)]
     # target rows are in (a, b, re/im) order
     b_t = np.stack([form.F.real, form.F.imag], axis=-1).reshape(-1)
-    counts = dict(tpl.counts)
-    counts["rows_total"] = tpl.hom.shape[0] + b_t.size
-    return ConstraintSystem(n, m, float(s), tpl.hom, target, b_t, counts)
+    return ConstraintSystem(n, m, float(s), tpl.hom, target, tpl.lift, b_t,
+                            tpl.counts)
 
 
 def dump_system(system, path):

@@ -1,16 +1,24 @@
 """Decide whether the assembled linear system has a positive-semidefinite solution.
 
-The pipeline is split into a linear stage and a conic stage:
+Every solution of the homogeneous rows acts trivially on the last tensor
+factor of the row-major vec(X): X = Y (x) I_n with Y of size n^3 x n^3, and
+X is PSD exactly when Y is. So the whole pipeline runs in the reduced
+coordinates y of Y, n^6 of them instead of n^8, through the system's lift
+x = E y = hermitian_encode(decode(y) (x) I_n) / sqrt(n), a sparse
+isometry: norms, singular values and every tolerance read the same in y as
+in x, and Y = decode(y) / sqrt(n) has X's eigenvalues without their
+multiplicity n. The pipeline is split into a linear stage and a conic stage:
 
   1. solve_affine intersects the nullspace of the homogeneous rows with the
      target rows. The homogeneous block depends only on the algebra size, so
-     its nullspace (linalg.nullspace) is computed once per size and cached;
-     each concrete problem then reduces to one SVD of the target rows
-     restricted to that nullspace, also cached per size. Both cut their
-     rank with the same rule: singular values above rank_tol times the
-     largest one count. The result is a min-norm particular solution and an
-     orthonormal basis of the solution space, or a NOT_CONSISTENT flag when
-     the least-squares residual exceeds tol * max(1, ||b||).
+     the nullspace of hom E (linalg.nullspace) is computed once per size and
+     cached; each concrete problem then reduces to one SVD of the target
+     rows target E restricted to that nullspace, also cached per size. Both
+     cut their rank with the same rule: singular values above rank_tol
+     times the largest one count. The result is a min-norm particular
+     solution and an orthonormal basis of the solution space, or a
+     NOT_CONSISTENT flag when the least-squares residual of the lifted
+     point against the full system exceeds tol * max(1, ||b||).
 
   2. psd_search asks whether the affine set {X0 + sum_k t_k N_k} holds a
      PSD point. It certifies X0 itself when it can; otherwise it maximises
@@ -20,21 +28,29 @@ The pipeline is split into a linear stage and a conic stage:
      negative eigenvalue is a certificate; at a negative maximum some
      trace-one PSD P on the least eigenspace is orthogonal to every N_k and
      pairs with X0 to that negative value. The reported negative
-     evidence is rank one: an eigenvector v of the point reached whose
-     quadratic form is constant over the whole solution set (couplings to
-     every basis direction at rounding level) and negative; a point whose
-     least eigenvector is one is a maximiser, and the search stops there.
-     Any candidate certificate is re-verified against the raw system before
-     being reported, so a FEASIBLE verdict never depends on solver internals.
-     When neither a certificate nor a witness is found the verdict is
-     INDETERMINATE, with the maximised lambda_min as its cone gap.
+     evidence is rank one: an eigenvector u of the point's Y, reported as
+     v = u (x) e_1, whose quadratic form is constant over the whole
+     solution set (couplings to every basis direction at rounding level)
+     and negative; a point whose least eigenvector is one is a maximiser,
+     and the search stops there. Any candidate certificate is Y's PSD part
+     F F* (its eigenpairs above rounding level), lifted to F F* (x) I_n and
+     re-verified against the raw system before being reported, so a
+     FEASIBLE verdict never depends on solver internals. When neither a certificate nor a witness is found the
+     verdict is INDETERMINATE, with the maximised lambda_min as its cone
+     gap.
 
+The lift back to X happens only where the contract sees X: residuals, the
+certificate (kept as the factor F, rebuilt as F F* (x) I_n), the witness
+vector, and witness_check, which takes any vector of X's space.
 All tolerances are relative to problem scale and recorded in the verdict.
 There is one threshold on the residual ||A x - b||, the system's
 residual_bound(tol) = tol * max(1, ||b||): the consistency test, the
 certificate check and the CLI's verify all use it.
 """
 
+import functools
+import types
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +58,7 @@ import numpy as np
 from .constraints import assemble, clear_template_cache, system_template
 from .errors import DimensionMismatch
 from .linalg import (DEFAULT_FEAS_TOL, DEFAULT_RANK_TOL, _rank, herm_eig,
-                     hermitian_decode, hermitian_encode, nullspace)
+                     hermitian_decode, hermitian_encode, kron_eye, nullspace)
 
 FEASIBLE = "FEASIBLE"
 NOT_CONSISTENT = "NOT_CONSISTENT"
@@ -84,16 +100,18 @@ def clear_caches():
 class AffineSolutionSet:
     """Solution set {X0 + sum_k t_k N_k} of the assembled system.
 
-    Coordinates live in the Hermitian parametrization; x0 is the min-norm
-    particular solution restricted to the homogeneous nullspace and the
-    basis rows are orthonormal. residual is the full-system residual of x0;
-    consistent means it is at most the system's residual_bound(tol).
+    Coordinates are the reduced ones, y with X = Y (x) I_n for
+    x = system.lift @ y (module docstring): y0_coords is the min-norm
+    particular solution restricted to the homogeneous nullspace, and the
+    rows of basis_array, orthonormal, span the solution space. residual is
+    the full-system residual of the lifted x0; consistent means it is at
+    most the system's residual_bound(tol).
     """
 
-    def __init__(self, system, x0, basis_array, residual, consistent,
+    def __init__(self, system, y0, basis_array, residual, consistent,
                  diagnostics):
         self.system = system
-        self.x0_coords = np.asarray(x0, dtype=float)
+        self.y0_coords = np.asarray(y0, dtype=float)
         self.basis_array = np.asarray(basis_array, dtype=float)
         self.residual = float(residual)
         self.consistent = bool(consistent)
@@ -101,6 +119,7 @@ class AffineSolutionSet:
 
     @property
     def side(self):
+        """Side of X, n^4."""
         return self.system.m ** 2
 
     @property
@@ -108,29 +127,44 @@ class AffineSolutionSet:
         return self.basis_array.shape[0]
 
 
+def _block(y, n):
+    """The n^3 x n^3 matrix Y with X = Y (x) I_n, for reduced coordinates y.
+
+    The lift carries 1/sqrt(n), so Y = decode(y) / sqrt(n); Y has X's
+    eigenvalues, each once instead of n times, and ||X||_F = ||y||.
+    """
+    return hermitian_decode(y, n ** 3) / np.sqrt(n)
+
+
 def _hom_kernel(system, rank_tol):
     key = (system.n, float(rank_tol))
     N = _KERNEL_CACHE.get(key)
     if N is None:
-        rows = nullspace(system.hom, tol=rank_tol)
+        rows = nullspace(system.hom @ system.lift, tol=rank_tol)
         N = np.ascontiguousarray(rows.T)
         _KERNEL_CACHE[key] = N
     return N
 
 
 def _target_svd(system, N, rank_tol):
-    # (U, sv, Vt, rank, solution-space basis), cached for the template's own
-    # target block so that sweep samples share them; permuted systems recompute
+    # (U, sv, Vt, rank, solution-space basis, (largest, smallest kept and
+    # largest dropped singular value)), cached for the template's own target
+    # block so that sweep samples, and the verdicts that report the margins,
+    # share them; permuted systems recompute
     canonical = system.target is system_template(system.n).target
     key = (system.n, float(rank_tol))
     if canonical and key in _TARGET_SVD_CACHE:
         return _TARGET_SVD_CACHE[key]
-    W = system.target @ N if N.shape[1] else np.zeros((2 * system.m ** 2, 0))
+    W = ((system.target @ system.lift) @ N if N.shape[1]
+         else np.zeros((2 * system.m ** 2, 0)))
     U, sv, Vt = np.linalg.svd(W, full_matrices=False)
     rank = int(_rank(sv, sv[0] if sv.size else 0.0, rank_tol))
     # orthonormal: N has orthonormal columns and Vt rows are orthonormal
-    basis = (N @ Vt[rank:].T).T if N.shape[1] else np.zeros((0, system.unknowns))
-    out = (U, sv, Vt, rank, basis)
+    basis = (N @ Vt[rank:].T).T if N.shape[1] else np.zeros((0, N.shape[0]))
+    margins = (float(sv[0]) if sv.size else 0.0,
+               float(sv[rank - 1]) if rank else 0.0,
+               float(sv[rank]) if rank < sv.size else 0.0)
+    out = (U, sv, Vt, rank, basis, margins)
     if canonical:
         _TARGET_SVD_CACHE[key] = out
     return out
@@ -139,24 +173,26 @@ def _target_svd(system, N, rank_tol):
 def _solve_stacked(systems, tol, rank_tol):
     """Min-norm solutions of systems that share one template, one per row.
 
-    Row j of X0 solves the target rows of systems[j] over the homogeneous
-    kernel N through the cached target SVD, x0 = N Vt^T diag(1/sv) U^T b_t,
-    all rows in one product. residual[j] is the full-system residual
-    ||[hom x0, target x0 - b_t]|| and bound[j] is
-    systems[j].residual_bound(tol). Returns (X0, residual, hom_residual,
-    bound, svd) with svd = _target_svd's (U, sv, Vt, rank, basis).
+    Row j of Y0 solves the target rows of systems[j] over the reduced
+    homogeneous kernel N through the cached target SVD,
+    y0 = N Vt^T diag(1/sv) U^T b_t, all rows in one product. residual[j] is
+    the full-system residual ||[hom x0, target x0 - b_t]|| of the lifted
+    x0 = system.lift @ y0, and bound[j] is systems[j].residual_bound(tol).
+    Returns (Y0, residual, hom_residual, bound, svd) with svd =
+    _target_svd's (U, sv, Vt, rank, basis, margins).
     """
     system = systems[0]
     N = _hom_kernel(system, rank_tol)
-    svd = U, sv, Vt, rank, _ = _target_svd(system, N, rank_tol)
+    svd = U, sv, Vt, rank, _, _ = _target_svd(system, N, rank_tol)
     B = np.array([s.b_target for s in systems])
-    X0 = (B @ U[:, :rank] / sv[:rank]) @ Vt[:rank] @ N.T
+    Y0 = (B @ U[:, :rank] / sv[:rank]) @ Vt[:rank] @ N.T
+    X0 = (system.lift @ Y0.T).T
     # row by row, so that only one hom x0 (22464 entries at n = 3) is alive
     hom_res = np.array([np.linalg.norm(system.hom @ x) for x in X0])
     target_res = np.array([np.linalg.norm(system.target @ x - b)
                            for x, b in zip(X0, B)])
     bound = np.array([s.residual_bound(tol) for s in systems])
-    return X0, np.hypot(hom_res, target_res), hom_res, bound, svd
+    return Y0, np.hypot(hom_res, target_res), hom_res, bound, svd
 
 
 def solve_affine(system, tol=DEFAULT_FEAS_TOL, rank_tol=DEFAULT_RANK_TOL):
@@ -168,8 +204,8 @@ def solve_affine(system, tol=DEFAULT_FEAS_TOL, rank_tol=DEFAULT_RANK_TOL):
     bound leaves out ||A||_F, which only counts the unit-norm rows and would
     admit residuals of inconsistent systems.
     """
-    X0, residual, hom_res, bound, (U, sv, Vt, rank, basis) = _solve_stacked(
-        [system], tol, rank_tol)
+    Y0, residual, hom_res, bound, svd = _solve_stacked([system], tol, rank_tol)
+    _, _, Vt, rank, basis, (sv_max, sv_kept, sv_dropped) = svd
     diagnostics = {
         "hom_kernel_dim": int(Vt.shape[1]),    # one column per kernel vector
         "target_rank": rank,
@@ -177,62 +213,68 @@ def solve_affine(system, tol=DEFAULT_FEAS_TOL, rank_tol=DEFAULT_RANK_TOL):
         "residual": float(residual[0]),
         "hom_residual": float(hom_res[0]),
         "consistency_bound": float(bound[0]),
-        "target_sv_max": float(sv[0]) if sv.size else 0.0,
-        "target_sv_min_kept": float(sv[rank - 1]) if rank else 0.0,
-        "target_sv_max_dropped": float(sv[rank]) if rank < sv.size else 0.0,
+        "target_sv_max": sv_max,
+        "target_sv_min_kept": sv_kept,
+        "target_sv_max_dropped": sv_dropped,
     }
-    return AffineSolutionSet(system, X0[0], basis, residual[0],
+    return AffineSolutionSet(system, Y0[0], basis, diagnostics["residual"],
                              residual[0] <= bound[0], diagnostics)
 
 
-def witness_check(sol, v, tol=DEFAULT_FEAS_TOL):
+def witness_check(sol, v):
     """Quadratic form of v over the solution set.
 
-    Returns (value, max_coupling): value = v* X0 v, and max_coupling is the
-    largest |v* N_k v| over the solution-space basis. When max_coupling is
-    at rounding level the form is constant over the set, and a negative
-    value certifies that no PSD solution exists.
+    v is any vector of length n^4, on which X acts. Returns
+    (value, max_coupling): value = v* X0 v, and max_coupling is the largest
+    |v* N_k v| over the solution-space basis. When max_coupling is at
+    rounding level the form is constant over the set, and a negative value
+    certifies that no PSD solution exists.
     """
     v = np.asarray(v, dtype=complex).reshape(-1)
     if v.shape != (sol.side,):
         raise DimensionMismatch(f"witness length {v.size}, expected {sol.side}")
-    X0 = hermitian_decode(sol.x0_coords, sol.side)
-    val = complex(v.conj() @ (X0 @ v))
-    if abs(val.imag) > tol * max(1.0, abs(val)):
-        raise DimensionMismatch("quadratic form came out non-real")
-    if sol.dim:
-        h = hermitian_encode(np.outer(v, v.conj()))
-        coupling = float(np.max(np.abs(sol.basis_array @ h)))
-    else:
-        coupling = 0.0
-    return float(val.real), coupling
+    # v* (Y (x) I_n) v = tr(Y R) for the partial trace R = Tr_2(v v*)
+    V = v.reshape(-1, sol.system.n)
+    return _form(sol, V @ V.conj().T)
 
 
-def witness_hunt(sol, x_coords):
-    """Look for an infeasibility witness among the eigenvectors of X(x).
+def _form(sol, R):
+    """(tr(Y0 R), max_k |tr(Y_k R)|) for a Hermitian n^3 x n^3 matrix R.
 
-    x is a point of the solution set, normally the end of the lambda_min
-    maximisation. Each eigenvector of X(x) with a negative eigenvalue is
+    Y0 and Y_k are the blocks of X0 and of the basis directions N_k; the
+    pairing <y, encode(R)> / sqrt(n) is tr(Y R) (see _block).
+    """
+    h = hermitian_encode(R) / np.sqrt(sol.system.n)
+    coupling = float(np.max(np.abs(sol.basis_array @ h))) if sol.dim else 0.0
+    return float(sol.y0_coords @ h), coupling
+
+
+def witness_hunt(sol, y_coords):
+    """Look for an infeasibility witness among the eigenvectors of Y(y).
+
+    y is a point of the solution set, normally the end of the lambda_min
+    maximisation. Each eigenvector u of Y(y) with a negative eigenvalue is
     tried in ascending order, first with its rounding-noise entries
     dropped, then as it is. A candidate is accepted when its value is below
     -DEFAULT_WITNESS_VALUE_TOL and its coupling at most
-    DEFAULT_WITNESS_COUPLING_TOL. Returns (v, value, coupling) or None.
+    DEFAULT_WITNESS_COUPLING_TOL. Returns (u, value, coupling) or None; the
+    witness in X's space is u (x) e_1, with the same value and coupling.
     """
-    X = hermitian_decode(x_coords, sol.side)
-    scale_x = max(1.0, float(np.linalg.norm(X)))
-    w, V = herm_eig(X)
+    n = sol.system.n
+    w, V = herm_eig(_block(y_coords, n))
+    scale_x = max(1.0, float(np.linalg.norm(y_coords)))
     for idx in np.nonzero(w < -DEFAULT_PSD_TOL * scale_x)[0]:
-        v = V[:, idx].copy()    # a view would keep all of V alive
-        candidates = [v]
+        u = V[:, idx]
+        candidates = [u]
         # drop rounding-noise entries when the cleaned vector still works
-        mask = np.abs(v) > 1e-10
+        mask = np.abs(u) > 1e-10
         if mask.any() and not mask.all():
-            cleaned = np.where(mask, v, 0.0)
+            cleaned = np.where(mask, u, 0.0)
             candidates.insert(0, cleaned / np.linalg.norm(cleaned))
-        for u in candidates:
-            value, coupling = witness_check(sol, u)
+        for c in candidates:
+            value, coupling = _form(sol, np.outer(c, c.conj()))
             if _is_witness(value, coupling):
-                return u, value, coupling
+                return c.copy(), value, coupling    # a view keeps V alive
     return None
 
 
@@ -241,34 +283,52 @@ def _is_witness(value, coupling):
             and coupling <= DEFAULT_WITNESS_COUPLING_TOL)
 
 
-@dataclass
+@dataclass(slots=True)
 class FeasibilityVerdict:
-    """Outcome of the PSD feasibility decision with its evidence attached."""
+    """Outcome of the PSD feasibility decision with its evidence attached.
+
+    The evidence is kept in the reduced variable, X = Y (x) I_n:
+    certificate_factor is F with Y = F F* (one column per eigenvalue of Y
+    above rounding level) and reduced_witness the witness u of Y.
+    certificate, spectrum and witness_vector give the same evidence in X's
+    space. The tolerances are one read-only mapping shared by the verdicts
+    that use them.
+    """
 
     kind: str
     residual: float
     nullspace_dim: int
-    certificate_upper: np.ndarray = None
-    spectrum: np.ndarray = None
-    witness_vector: np.ndarray = None
+    certificate_factor: np.ndarray = None
+    reduced_witness: np.ndarray = None
     witness_value: float = None
     witness_coupling: float = None
-    tolerances: dict = field(default_factory=dict)
+    tolerances: Mapping = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
 
     @property
     def certificate(self):
-        """Rebuilt exactly from the upper triangle kept, half the bytes."""
-        upper = self.certificate_upper
-        if upper is None:
+        """X = F F* (x) I_n, bit for bit the matrix checked against the system."""
+        F = self.certificate_factor
+        return None if F is None else kron_eye(_gram(F), _n_of_side(len(F)))
+
+    @property
+    def spectrum(self):
+        """X's eigenvalues, ascending: each of Y's n times."""
+        F = self.certificate_factor
+        if F is None:
             return None
-        side = self.spectrum.size
-        iu, ju = np.triu_indices(side)
-        X = np.zeros((side, side), dtype=complex)
-        X.real[iu, ju] = X.real[ju, iu] = upper.real
-        X.imag[ju, iu] = 0.0 - upper.imag
-        X.imag[iu, ju] = upper.imag
-        return X
+        return np.repeat(herm_eig(_gram(F))[0], _n_of_side(len(F)))
+
+    @property
+    def witness_vector(self):
+        """The witness u (x) e_1 in X's space."""
+        u = self.reduced_witness
+        if u is None:
+            return None
+        n = _n_of_side(u.size)
+        v = np.zeros(u.size * n, dtype=complex)
+        v[::n] = u
+        return v
 
     @property
     def exit_code(self):
@@ -282,10 +342,10 @@ class FeasibilityVerdict:
             "tolerances": dict(self.tolerances),
             "diagnostics": _jsonable(self.diagnostics),
         }
-        if self.certificate_upper is not None:
+        if self.certificate_factor is not None:
             out["certificate"] = _cmat_to_json(self.certificate)
             out["spectrum"] = [float(x) for x in self.spectrum]
-        if self.witness_vector is not None:
+        if self.reduced_witness is not None:
             out["witness"] = {
                 "vector": _cvec_to_json(self.witness_vector),
                 "value": self.witness_value,
@@ -294,8 +354,19 @@ class FeasibilityVerdict:
         return out
 
 
+def _n_of_side(side):
+    """n for Y's side n^3."""
+    return round(side ** (1 / 3))
+
+
+def _gram(F):
+    """F F*, exactly Hermitian; numpy's own loops (no BLAS) give the same
+    bits on every call with the same F."""
+    return np.einsum("ir,jr->ij", F, F.conj())
+
+
 def _jsonable(obj):
-    if isinstance(obj, dict):
+    if isinstance(obj, Mapping):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
@@ -316,32 +387,36 @@ def _cvec_to_json(v):
     return [[float(z.real), float(z.imag)] for z in np.asarray(v)]
 
 
+@functools.lru_cache(maxsize=64)
 def _tolerances(tol, rank_tol, psd_tol):
-    return {"feasibility": tol, "rank": rank_tol, "psd": psd_tol,
-            "witness_value": DEFAULT_WITNESS_VALUE_TOL,
-            "witness_coupling": DEFAULT_WITNESS_COUPLING_TOL}
+    return types.MappingProxyType({
+        "feasibility": tol, "rank": rank_tol, "psd": psd_tol,
+        "witness_value": DEFAULT_WITNESS_VALUE_TOL,
+        "witness_coupling": DEFAULT_WITNESS_COUPLING_TOL})
 
 
-def _certify(sol, x_coords, tol, psd_tol, tolerances):
-    """Clip to the PSD cone and re-verify against the raw system."""
+def _certify(sol, y_coords, tol, psd_tol, tolerances):
+    """Project Y onto the PSD cone and re-verify Y (x) I_n against the raw system.
+
+    The projection keeps the eigenpairs of Y above rounding level
+    (k eps lambda_max for k x k Y, numpy's matrix_rank cut) as a factor
+    F = V diag(sqrt(w)); the certificate is F F*, checked as it is kept.
+    """
     system = sol.system
-    X = hermitian_decode(x_coords, sol.side)
-    w, V = herm_eig(X)
-    scale_x = max(1.0, float(np.linalg.norm(X)))
+    w, V = herm_eig(_block(y_coords, system.n))
+    scale_x = max(1.0, float(np.linalg.norm(y_coords)))
     if w[0] < -psd_tol * scale_x:
         return None
-    wc = np.clip(w, 0.0, None)
-    Xp = (V * wc) @ V.conj().T
-    Xp = 0.5 * (Xp + Xp.conj().T)
-    coords = hermitian_encode(Xp)
-    residual = system.residual_of(coords)
+    keep = w > w[-1] * w.size * np.finfo(float).eps
+    F = V[:, keep] * np.sqrt(w[keep])
+    Yp = _gram(F)
+    residual = system.residual_of(hermitian_encode(kron_eye(Yp, system.n)))
     if residual > system.residual_bound(tol):
         return None
-    wf, _ = herm_eig(Xp)
+    wf, _ = herm_eig(Yp)
     return FeasibilityVerdict(
         kind=FEASIBLE, residual=residual, nullspace_dim=sol.dim,
-        certificate_upper=Xp[np.triu_indices(sol.side)], spectrum=wf,
-        tolerances=tolerances,
+        certificate_factor=F, tolerances=tolerances,
         diagnostics={**sol.diagnostics, "certificate_min_eig": float(wf[0])})
 
 
@@ -388,44 +463,47 @@ class _Settled(Exception):
 
 
 def _max_min_eig(sol, psd_tol):
-    """Maximise lambda_min(X0 + sum_k t_k N_k) over t.
+    """Maximise lambda_min(X0 + sum_k t_k N_k) over t, in Y.
 
-    Minimises the smoothed -lambda_min,
-    mu log sum_i exp(-(lambda_i - lambda_1) / mu) - lambda_1, whose gradient
-    in t is -B encode(P) for the softmax eigenprojector
-    P = sum_i p_i v_i v_i*, by L-BFGS from t = 0; mu runs through
-    MU_SCHEDULE times max(1, ||X0||), each run starting where the last one
-    ended. Stops at the first point, X0 included, whose least eigenvalue
-    passes the certificate's test or whose least eigenvector is a witness
-    (then it is a maximiser: the witness's form is the same all over the
-    set and bounds lambda_min). Returns (x, least eigenvalue of every
-    eigensolve); the first is X0's and the last is x's.
+    Minimises the smoothed -lambda_min of X,
+    mu log sum_i exp(-(lambda_i - lambda_1) / mu) - lambda_1 over X's
+    eigenvalues, which are Y's, each n times: mu log(n sum_j ...) over Y's.
+    Its gradient in t is -B encode(P) / sqrt(n) for the softmax
+    eigenprojector P = sum_j p_j u_j u_j* of Y. L-BFGS runs from t = 0; mu
+    runs through MU_SCHEDULE times max(1, ||X0||), each run starting where
+    the last one ended. Stops at the first point, X0 included, whose least
+    eigenvalue passes the certificate's test or whose least eigenvector is
+    a witness (then it is a maximiser: the witness's form is the same all
+    over the set and bounds lambda_min). Returns (y, least eigenvalue of every
+    eigensolve); the first is X0's and the last is y's.
     """
-    x0, B, side = sol.x0_coords, sol.basis_array, sol.side
+    y0, B, n = sol.y0_coords, sol.basis_array, sol.system.n
     least = []
 
     def smoothed(t, mu):
-        x = x0 + B.T @ t
-        w, V = herm_eig(hermitian_decode(x, side))
+        y = y0 + B.T @ t
+        w, V = herm_eig(_block(y, n))
         least.append(float(w[0]))
-        if (w[0] >= -psd_tol * max(1.0, float(np.linalg.norm(x)))
-                or _is_witness(*witness_check(sol, V[:, 0]))):
-            raise _Settled(x)
+        u = V[:, 0]
+        if (w[0] >= -psd_tol * max(1.0, float(np.linalg.norm(y)))
+                or _is_witness(*_form(sol, np.outer(u, u.conj())))):
+            raise _Settled(y)
         e = np.exp((w[0] - w) / mu)
         P = (V * (e / e.sum())) @ V.conj().T
-        return mu * np.log(e.sum()) - w[0], -(B @ hermitian_encode(P))
+        return (mu * np.log(n * e.sum()) - w[0],
+                -(B @ hermitian_encode(P)) / np.sqrt(n))
 
     t = np.zeros(sol.dim)
     if sol.dim:
-        scale = max(1.0, float(np.linalg.norm(x0)))
+        scale = max(1.0, float(np.linalg.norm(y0)))
         try:
             for mu in MU_SCHEDULE:
                 t = _lbfgs(smoothed, t, mu * scale)
         except _Settled as stop:
             return stop.args[0], least
-    x = x0 + B.T @ t
-    least.append(float(herm_eig(hermitian_decode(x, side))[0][0]))
-    return x, least
+    y = y0 + B.T @ t
+    least.append(float(herm_eig(_block(y, n))[0][0]))
+    return y, least
 
 
 def psd_search(sol, tol=DEFAULT_FEAS_TOL, psd_tol=DEFAULT_PSD_TOL,
@@ -443,23 +521,23 @@ def psd_search(sol, tol=DEFAULT_FEAS_TOL, psd_tol=DEFAULT_PSD_TOL,
     if not sol.consistent:
         raise DimensionMismatch("psd_search requires a consistent solution set")
     tolerances = _tolerances(tol, rank_tol, psd_tol)
-    verdict = _certify(sol, sol.x0_coords, tol, psd_tol, tolerances)
+    verdict = _certify(sol, sol.y0_coords, tol, psd_tol, tolerances)
     if verdict is not None:
         return verdict
 
-    x, least = _max_min_eig(sol, psd_tol)
+    y, least = _max_min_eig(sol, psd_tol)
     search = {"iterations": len(least), "min_eig_first": least[0],
               "cone_gap": least[-1]}
-    verdict = _certify(sol, x, tol, psd_tol, tolerances)
+    verdict = _certify(sol, y, tol, psd_tol, tolerances)
     if verdict is not None:
         verdict.diagnostics.update(search)
         return verdict
-    hunt = witness_hunt(sol, x)
+    hunt = witness_hunt(sol, y)
     if hunt is not None:
-        v, value, coupling = hunt
+        u, value, coupling = hunt
         return FeasibilityVerdict(
             kind=NOT_PSD, residual=sol.residual, nullspace_dim=sol.dim,
-            witness_vector=v, witness_value=value, witness_coupling=coupling,
+            reduced_witness=u, witness_value=value, witness_coupling=coupling,
             tolerances=tolerances, diagnostics={**sol.diagnostics, **search})
     return FeasibilityVerdict(
         kind=INDETERMINATE, residual=sol.residual, nullspace_dim=sol.dim,

@@ -25,6 +25,8 @@ which is an isometry between the Frobenius inner product on Hermitian
 matrices and the Euclidean inner product on coordinates.
 """
 
+import functools
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -171,6 +173,14 @@ def nullspace(A, tol=DEFAULT_RANK_TOL):
     return out
 
 
+@functools.cache
+def _strict_upper(m):
+    """np.triu_indices(m, k=1), read-only, computed once per size."""
+    iu, ju = np.triu_indices(m, k=1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
 def hermitian_vec_map(M):
     """Sparse complex map from Hermitian coordinates to the row-major vec(X).
 
@@ -179,7 +189,7 @@ def hermitian_vec_map(M):
     sqrt(2) on the others. Leaving the sqrt(2) out of H keeps products with
     integer equations exact.
     """
-    iu, ju = np.triu_indices(M, k=1)
+    iu, ju = _strict_upper(M)
     d = np.arange(M)
     t = M + np.arange(iu.size)
     upper, lower = iu * M + ju, ju * M + iu
@@ -188,6 +198,39 @@ def hermitian_vec_map(M):
     vals = np.concatenate([np.ones(M + 2 * iu.size), np.full(iu.size, 1j),
                            np.full(iu.size, -1j)])
     return sp.csr_matrix((vals, (rows, cols)), shape=(M * M, M * M))
+
+
+def kron_eye_map(k, n):
+    """Sparse isometry y -> hermitian_encode(decode(y) (x) I_n) / sqrt(n).
+
+    y holds the Hermitian coordinates of a k x k matrix. Coordinate j of y
+    is the diagonal entry, or sqrt(2) times the real or imaginary part of
+    the entry, at some (a, b) with a <= b; in decode(y) (x) I_n that entry
+    sits at the n positions (a n + l, b n + l), all on or above the
+    diagonal, so column j has n entries 1 / sqrt(n). The columns have
+    disjoint supports: the map has orthonormal columns, and norms, inner
+    products and singular values read the same on either side of it.
+    """
+    M = k * n
+    iu, ju = _strict_upper(k)
+    lane = np.arange(n)
+    diag = np.arange(k)[:, None] * n + lane
+    i, j = iu[:, None] * n + lane, ju[:, None] * n + lane
+    # position of (i, j), i < j, in the strict upper triangle's row-major order
+    pair = (i * (M - 1) - i * (i - 1) // 2 + j - i - 1).reshape(-1)
+    rows = np.concatenate([diag.reshape(-1), M + pair, M + M * (M - 1) // 2 + pair])
+    cols = np.repeat(np.arange(k * k), n)
+    return sp.csr_matrix((np.full(rows.size, 1.0 / np.sqrt(n)), (rows, cols)),
+                         shape=(M * M, k * k))
+
+
+def kron_eye(Y, n):
+    """Y (x) I_n as a dense array, exact zeros off the copies of Y's entries."""
+    k = Y.shape[0]
+    X = np.zeros((k, n, k, n), dtype=complex)
+    lane = np.arange(n)
+    X[:, lane, :, lane] = Y
+    return X.reshape(k * n, k * n)
 
 
 def hermitian_encode(X, tol=1e-10):
@@ -202,7 +245,7 @@ def hermitian_encode(X, tol=1e-10):
     scale = max(np.linalg.norm(X), 1e-300)
     if np.linalg.norm(X - X.conj().T) > tol * scale:
         raise NotHermitian("matrix is not Hermitian within tolerance")
-    iu, ju = np.triu_indices(X.shape[0], k=1)
+    iu, ju = _strict_upper(X.shape[0])
     return np.concatenate([
         X.diagonal().real,
         np.sqrt(2.0) * X[iu, ju].real,
@@ -215,7 +258,7 @@ def hermitian_decode(coords, m2):
     coords = np.asarray(coords, dtype=float)
     if coords.shape != (m2 * m2,):
         raise DimensionMismatch(f"need {m2 ** 2} coordinates, got {coords.shape}")
-    iu, ju = np.triu_indices(m2, k=1)
+    iu, ju = _strict_upper(m2)
     X = np.zeros((m2, m2), dtype=complex)
     np.fill_diagonal(X, coords[:m2])
     T = iu.size

@@ -245,11 +245,13 @@ def test_certificate_checks_use_the_consistency_bound(preset_problems, tmp_path,
     problem = preset_problems["2x2-gns"]
     system = assemble(problem.spec, problem.s)
     sol = solve_affine(system)
-    h = hermitian_encode(np.diag(np.eye(16)[0]))
+    h = np.eye(sol.y0_coords.size)[0]      # Y's (0, 0) entry
     bound = system.residual_bound(1e-8)
-    x = sol.x0_coords + (10 * bound / np.linalg.norm(system.A @ h)) * h
+    step = 10 * bound / np.linalg.norm(system.A @ (system.lift @ h))
+    y = sol.y0_coords + step * h
+    x = system.lift @ y
     assert system.residual_of(x) == pytest.approx(10 * bound, rel=1e-6)
-    assert _certify(sol, x, 1e-8, 1e-9, {}) is None
+    assert _certify(sol, y, 1e-8, 1e-9, {}) is None
 
     out = tmp_path / "rep.json"
     assert main(["repro", "2x2-gns", "--out", str(out)]) == 0

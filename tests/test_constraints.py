@@ -228,6 +228,30 @@ def test_hom_kernel_dimension(hom_kernels):
         assert kernel.shape == (n ** 4 - n ** 2 + 1, n ** 8)
 
 
+def test_hom_kernel_is_trivial_on_the_last_factor(hom_kernels):
+    # every solution of the action rows is X = Y (x) I_n: it commutes with
+    # I_{n^3} (x) G for any G, so the lift loses no kernel direction
+    rng = np.random.default_rng(14)
+    for n, kernel in hom_kernels.items():
+        G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        C = np.kron(np.eye(n ** 3), G)
+        for x in kernel:
+            X = hermitian_decode(x, n ** 4)
+            gap = np.linalg.norm(X @ C - C @ X)
+            assert gap <= 1e-12 * np.linalg.norm(X) * np.linalg.norm(C)
+        tpl = system_template(n)
+        reduced = nullspace(tpl.hom @ tpl.lift)
+        assert reduced.shape == (kernel.shape[0], n ** 6)
+    assert [len(hom_kernels[n]) for n in (2, 3)] == [13, 73]
+
+
+def test_lift_has_orthonormal_columns():
+    for n in (2, 3):
+        E = system_template(n).lift
+        assert E.shape == (n ** 8, n ** 6)
+        assert abs(E.T @ E - np.eye(n ** 6)).max() <= 1e-15
+
+
 def test_dedup_survives_key_collisions(monkeypatch):
     expect = system_template(2).hom
     monkeypatch.setattr(constraints, "_row_keys",
@@ -263,7 +287,7 @@ def test_adjointability_roundtrip(preset_problems, hom_kernels):
         assert sol.consistent
         side = system.m ** 2
         Xs = [hermitian_decode(x, side)
-              for x in (sol.x0_coords, *hom_kernels[n])]
+              for x in (system.lift @ sol.y0_coords, *hom_kernels[n])]
         for _ in range(8):
             A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             t = TensorElem(n, {tuple(rng.integers(0, n, size=4)): complex(c)
@@ -330,6 +354,6 @@ def test_residual_of_equals_the_stacked_residual(preset_problems):
     rng = np.random.default_rng(13)
     for problem in preset_problems.values():
         system = assemble(problem.spec, problem.s)
-        for x in (solve_affine(system).x0_coords,
+        for x in (system.lift @ solve_affine(system).y0_coords,
                   rng.standard_normal(system.unknowns)):
             assert system.residual_of(x) == np.linalg.norm(system.A @ x - system.b)

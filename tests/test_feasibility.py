@@ -1,11 +1,13 @@
 """Affine solution sets, PSD search, witnesses, and verdicts."""
 
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ from qmsderiv.feasibility import (AffineSolutionSet, EXIT_CODES, FEASIBLE,
                                   decide, psd_search, solve_affine,
                                   witness_check, witness_hunt)
 from qmsderiv.linalg import herm_eig, hermitian_decode, hermitian_encode
+from qmsderiv.problems import parse_problem
 from qmsderiv.qms import DensityState, make_spec
 
 PI = math.pi
@@ -121,8 +124,9 @@ def test_known_witness_vector_value(solutions):
 
 def test_witness_check_trivial_solution_set(systems):
     system = systems["2x2-gns"]
-    sol = AffineSolutionSet(system, np.zeros(system.unknowns),
-                            np.zeros((0, system.unknowns)), 0.0, True, {})
+    reduced = system.lift.shape[1]
+    sol = AffineSolutionSet(system, np.zeros(reduced), np.zeros((0, reduced)),
+                            0.0, True, {})
     value, coupling = witness_check(sol, np.ones(16, dtype=complex))
     assert value == 0.0
     assert coupling == 0.0
@@ -133,17 +137,35 @@ def test_witness_check_dimension_error(solutions):
         witness_check(solutions["3x3-kms"], np.ones(5, dtype=complex))
 
 
+def test_witness_check_takes_any_vector_of_x_space(solutions):
+    # v need not be a product u (x) w: its form is read through the partial
+    # trace, and equals v* X v and v* N_k v computed on the lifted matrices
+    rng = np.random.default_rng(22)
+    for pid in ("2x2-gns", "3x3-kms", "3x3-gns"):
+        sol = solutions[pid]
+        side = sol.side
+        X0 = hermitian_decode(sol.system.lift @ sol.y0_coords, side)
+        Ns = [hermitian_decode(sol.system.lift @ b, side) for b in sol.basis_array]
+        for _ in range(3):
+            v = rng.standard_normal(side) + 1j * rng.standard_normal(side)
+            v /= np.linalg.norm(v)
+            value, coupling = witness_check(sol, v)
+            assert abs(value - (v.conj() @ X0 @ v).real) <= 1e-12
+            brute = max((abs(v.conj() @ N @ v) for N in Ns), default=0.0)
+            assert abs(coupling - brute) <= 1e-12
+
+
 def test_solution_set_membership(solutions):
     sol = solutions["3x3-kms"]
     rng = np.random.default_rng(21)
     system = sol.system
     B = sol.basis_array
     for _ in range(5):
-        x = sol.x0_coords + B.T @ rng.standard_normal(B.shape[0])
+        x = system.lift @ (sol.y0_coords + B.T @ rng.standard_normal(B.shape[0]))
         assert system.residual_of(x) <= sol.residual + system.residual_bound(1e-8)
     # min-norm particular solution is orthogonal to the solution subspace
     if len(B):
-        assert np.max(np.abs(B @ sol.x0_coords)) <= 1e-8
+        assert np.max(np.abs(B @ sol.y0_coords)) <= 1e-8
 
 
 def test_nullspace_dims_frozen(solutions):
@@ -158,7 +180,7 @@ def test_psd_search_independent_of_basis_choice(solutions):
     # the path to it, and so the eigensolve count, may differ
     sol = solutions["3x3-kms"]
     Q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((sol.dim,) * 2))
-    rotated = AffineSolutionSet(sol.system, sol.x0_coords, Q @ sol.basis_array,
+    rotated = AffineSolutionSet(sol.system, sol.y0_coords, Q @ sol.basis_array,
                                 sol.residual, sol.consistent, sol.diagnostics)
     base, turned = psd_search(sol), psd_search(rotated)
     assert turned.kind == base.kind
@@ -171,7 +193,7 @@ def test_psd_search_climbs_from_a_shifted_base_point(solutions):
     # to climb back to the optimum, and the witness at its end still holds
     sol = solutions["3x3-kms"]
     B = sol.basis_array
-    shifted = AffineSolutionSet(sol.system, sol.x0_coords + 0.5 * (B[0] + B[1]),
+    shifted = AffineSolutionSet(sol.system, sol.y0_coords + 0.5 * (B[0] + B[1]),
                                 B, sol.residual, sol.consistent, sol.diagnostics)
     verdict = psd_search(shifted)
     gap = psd_search(sol).diagnostics["cone_gap"]
@@ -201,26 +223,61 @@ def test_psd_search_stops_at_a_witness(verdicts):
 
 
 def test_verdicts_keep_compact_evidence(solutions, verdicts):
-    # the certificate is rebuilt bit for bit from the upper triangle kept,
-    # and a witness does not keep the eigenvector matrix it came from alive
+    # a certificate is kept as a factor F of Y, one column per eigenvalue
+    # above rounding level, and X = F F* (x) I_n is rebuilt bit for bit on
+    # every read: the PSD part of Y0 (x) I_n up to rounding. A witness is
+    # kept as the vector u of Y, without the eigenvector matrix it came
+    # from, and reported as u (x) e_1
     for pid in ("2x2-gns", "2x2-kms"):
         v = verdicts[pid]
-        X = np.asarray(v.certificate)
-        assert v.certificate_upper.size == len(X) * (len(X) + 1) // 2
-        sol = solutions[pid]
-        Y = hermitian_decode(sol.x0_coords, sol.side)
-        w, V = herm_eig(Y)
-        Xp = (V * np.clip(w, 0.0, None)) @ V.conj().T
-        Xp = 0.5 * (Xp + Xp.conj().T)
-        assert X.tobytes() == Xp.tobytes()
-    assert verdicts["3x3-kms"].certificate is None
-    assert verdicts["3x3-kms"].witness_vector.base is None
+        F = v.certificate_factor
+        assert F.shape == (8, 6) and F.base is None    # Y has rank 6
+        X = v.certificate
+        assert X.tobytes() == v.certificate.tobytes()
+        assert np.array_equal(X, X.conj().T)
+        np.testing.assert_allclose(X, np.kron(F @ F.conj().T, np.eye(2)),
+                                   rtol=0, atol=1e-14)
+        w, V = herm_eig(hermitian_decode(solutions[pid].y0_coords, 8) / np.sqrt(2))
+        Yp = (V * np.clip(w, 0.0, None)) @ V.conj().T
+        np.testing.assert_allclose(X, np.kron(Yp, np.eye(2)), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(v.spectrum, np.linalg.eigvalsh(X), atol=1e-12)
+        assert v.spectrum[0] == v.diagnostics["certificate_min_eig"]
+    kms = verdicts["3x3-kms"]
+    assert kms.certificate is None and kms.spectrum is None
+    assert kms.reduced_witness.shape == (27,)
+    assert kms.reduced_witness.base is None
+    np.testing.assert_array_equal(kms.witness_vector[::3], kms.reduced_witness)
+    assert not kms.witness_vector.reshape(27, 3)[:, 1:].any()
+
+
+def test_a_corpus_round_keeps_little_memory():
+    # a benchmark-shaped round of decisions, every verdict kept: compact
+    # certificates (Y's triangle) and witnesses keep it small
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import gen
+    problems = [parse_problem(case.doc) for case in gen.warm_corpus(1)]
+
+    def round_of_decisions():
+        return [decide(p.spec, p.s) for p in problems]
+
+    round_of_decisions()    # fills the template, kernel and target-SVD caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = round_of_decisions()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 17
+    assert retained <= 50 * 1024
 
 
 def test_witness_hunt_deterministic(solutions):
     sol = solutions["3x3-kms"]
-    first = witness_hunt(sol, sol.x0_coords)
-    second = witness_hunt(sol, sol.x0_coords)
+    first = witness_hunt(sol, sol.y0_coords)
+    second = witness_hunt(sol, sol.y0_coords)
     assert first is not None and second is not None
     np.testing.assert_array_equal(first[0], second[0])
     assert first[1] == second[1]
@@ -229,7 +286,7 @@ def test_witness_hunt_deterministic(solutions):
 def test_witness_hunt_finds_nothing_on_feasible(solutions):
     for pid in ("2x2-gns", "2x2-kms"):
         sol = solutions[pid]
-        assert witness_hunt(sol, sol.x0_coords) is None
+        assert witness_hunt(sol, sol.y0_coords) is None
 
 
 def test_psd_search_requires_consistency(solutions):
