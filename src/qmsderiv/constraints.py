@@ -16,8 +16,9 @@ derivation pairs produces three families of equations, each linear in X:
 
 with m = n^2 the algebra dimension and L_a, R_a the n^4 x n^4 matrices of
 left_act and right_act, which are the only definition of the actions. Each
-intertwining equation is the sparse operator kron(I, L_a^T) - kron(L_{a*}^H, I)
-on the row-major vec(X). X is searched over Hermitian matrices: one sparse
+intertwining equation is the sparse operator I (x) L_a^T - L_{a*}^H (x) I
+on the row-major vec(X), whose rows are read off L_a^T and L_{a*}^H
+directly. X is searched over Hermitian matrices: one sparse
 map from the Hermitian coordinates to vec(X) turns every complex equation
 into a real and an imaginary row. Action rows that vanish are dropped, the
 rest are scaled to unit norm with a positive first entry, and repeats are
@@ -30,8 +31,9 @@ on psi, and R_{a*}^H = R_a, so the right family says that X commutes with
 every I_{n^3} (x) G, whose commutant is M_{n^3} (x) I_n. The template
 therefore also carries the lift E (linalg.kron_eye_map), the sparse
 isometry from the Hermitian coordinates y of Y to those of X, scaled so
-that x = E y has ||x|| = ||y||. The solver works in y; the system itself,
-its residuals and dump_system stay in X.
+that x = E y has ||x|| = ||y||, and both blocks times E, the lifted blocks
+the solver works with in y. The system itself, its residual_of and
+dump_system stay in X.
 
 The coefficient matrix of the system depends only on n, not on the state or
 the generator; those enter only through the right-hand side values of the
@@ -49,10 +51,10 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DimensionMismatch, IndexOutOfRange, SizeCapExceeded
-from .linalg import as_cmatrix, hermitian_vec_map, kron_eye_map
+from .linalg import (CSR, _indptr, _product_terms, as_cmatrix, hermitian_vec_map,
+                     kron, kron_eye_map, stable_argsort, vstack)
 from .qms import generator_matrix
 
 DEFAULT_SIZE_CAP = 4
@@ -240,35 +242,56 @@ def _action_matrix(n, act):
             rows.append(_tidx(n, *p))
             cols.append(_tidx(n, *q))
             vals.append(c)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n ** 4, n ** 4),
-                         dtype=complex)
+    return CSR.from_triplets(rows, cols, np.asarray(vals, dtype=complex),
+                             (n ** 4, n ** 4))
 
 
-def _real_rows(E, herm, M):
+def _intertwiner(PT, QH, order, M):
+    """Triplets of the rows `order` of I (x) PT - QH (x) I.
+
+    Row i M + j of I (x) PT - QH (x) I over the row-major vec(X) is row j of
+    PT at the columns i M + k minus row i of QH at the columns k M + j.
+    """
+    i, j = np.divmod(order, M)
+    left, right = PT[j], QH[i]
+    lrow, rrow = left.entry_rows, right.entry_rows
+    return (np.concatenate([lrow, rrow]),
+            np.concatenate([i[lrow] * M + left.indices, right.indices * M + j[rrow]]),
+            np.concatenate([left.data, -right.data]))
+
+
+def _real_rows(E, nrows, herm, M):
     """Real and imaginary parts, interleaved, of complex equations over vec(X).
 
-    E has integer coefficients on the row-major vec(X); the result is real
-    CSR over the Hermitian coordinates, rows (2r, 2r + 1) from equation r,
+    E holds the (row, column, value) triplets of nrows equations with
+    integer coefficients on the row-major vec(X); the result is real CSR
+    over the Hermitian coordinates, rows (2r, 2r + 1) from equation r,
     without explicit zeros and with sorted indices.
     """
-    G = (E @ herm).tocoo()
+    # E @ herm with each row's columns ascending: the sums are exact
+    G = CSR.from_triplets(*_product_terms(*E, herm), (nrows, herm.shape[1]))
+    row = G.entry_rows
     # the off-diagonal coordinates carry the sqrt(2) that herm leaves out
-    r = np.where(G.col < M, 1.0, _SQRT2)
-    R = sp.csr_matrix(
-        (np.concatenate([G.data.real / r, G.data.imag / r]),
-         (np.concatenate([2 * G.row, 2 * G.row + 1]), np.tile(G.col, 2))),
-        shape=(2 * E.shape[0], herm.shape[1]))
-    R.eliminate_zeros()
-    R.sort_indices()
-    return R
+    r = np.where(G.indices < M, 1.0, _SQRT2)
+    # row q's real parts, then its imaginary parts, make rows 2q and 2q + 1
+    at = np.arange(G.nnz) + G.indptr[row]
+    at = np.concatenate([at, at + np.diff(G.indptr)[row]])
+    rows, cols = np.empty(at.size, dtype=np.int64), np.empty(at.size, dtype=np.int64)
+    vals = np.empty(at.size)
+    rows[at] = np.concatenate([2 * row, 2 * row + 1])
+    cols[at] = np.tile(G.indices, 2)
+    vals[at] = np.concatenate([G.data.real / r, G.data.imag / r])
+    keep = vals != 0
+    return CSR(_indptr(rows[keep], 2 * G.shape[0]), cols[keep], vals[keep],
+               (2 * G.shape[0], G.shape[1]))
 
 
 def _unit_rows(R):
     """Scale each nonempty row to unit norm with a positive first entry."""
     norm = np.sqrt(np.add.reduceat(R.data ** 2, R.indptr[:-1]))
     rescale = np.where(R.data[R.indptr[:-1]] > 0, 1.0, -1.0) / norm
-    return sp.csr_matrix((R.data * np.repeat(rescale, np.diff(R.indptr)),
-                          R.indices, R.indptr), shape=R.shape)
+    return CSR(R.indptr, R.indices, R.data * np.repeat(rescale, np.diff(R.indptr)),
+               R.shape)
 
 
 def _row_keys(R):
@@ -299,8 +322,9 @@ def _rows_equal(R, a, b):
 
 def _first_occurrences(R):
     """Ascending indices of the first copy of each distinct nonempty row."""
-    keys = _row_keys(R)
-    order = np.argsort(keys, kind="stable")
+    # the hash's top bits, leaving stable_argsort room for the row positions
+    keys = (_row_keys(R) >> np.uint64(R.shape[0].bit_length() + 1)).view(np.int64)
+    order = stable_argsort(keys)
     shared = keys[order[1:]] == keys[order[:-1]]
     later, earlier = order[1:][shared], order[:-1][shared]
     equal = _rows_equal(R, later, earlier)
@@ -319,10 +343,12 @@ def _first_occurrences(R):
 @dataclass(frozen=True)
 class SystemTemplate:
     n: int
-    hom: sp.csr_matrix = field(repr=False)     # deduped unit-norm action rows
-    target: sp.csr_matrix = field(repr=False)  # 2 m^2 rows in (a, b, re/im) order
-    lift: sp.csr_matrix = field(repr=False)    # y -> x, X = Y (x) I_n
-    counts: Mapping                            # read-only, shared by systems
+    hom: CSR = field(repr=False)       # deduped unit-norm action rows
+    target: CSR = field(repr=False)    # 2 m^2 rows in (a, b, re/im) order
+    lift: CSR = field(repr=False)      # E: y -> x, X = Y (x) I_n
+    hom_y: CSR = field(repr=False)     # hom E without its zero rows
+    target_y: CSR = field(repr=False)  # target E
+    counts: Mapping                    # read-only, shared by systems
 
 
 _TEMPLATE_CACHE = {}
@@ -337,7 +363,6 @@ def _build_template(n):
         units.append(Q)
     star = [(a % n) * n + a // n for a in range(m)]   # index of Q_a*
     herm = hermitian_vec_map(M)
-    eye = sp.identity(M, dtype=complex, format="csr")
 
     # scalar equation (a, t, u) is entry (u, t) of X P_a - P_{a*}^H X, with
     # t = Q_c (x) Q_d and u = Q_g* (x) Q_h*, listed by (a, c, d, g, h)
@@ -356,27 +381,29 @@ def _build_template(n):
     blocks = []
     for family, action in families:
         P = [_action_matrix(n, action(A)) for A in units]
-        E = sp.vstack([(sp.kron(eye, P[a].T) - sp.kron(P[star[a]].conj().T, eye))
-                       .tocsr()[order] for a in range(m)], format="csr")
-        R = _real_rows(E, herm, M)
+        R = vstack([_real_rows(_intertwiner(P[a].T, P[star[a]].conj().T, order, M),
+                               order.size, herm, M) for a in range(m)])
         R = R[np.diff(R.indptr) > 0]
         counts[f"nonzero_real_{family}"] = R.shape[0]
         blocks.append(_unit_rows(R))
-    hom = sp.vstack(blocks, format="csr")
+    hom = vstack(blocks)
     hom = hom[_first_occurrences(hom)]
 
     # target family: psi(Q_b* (x) 1)* X psi(Q_a (x) 1) = f(Q_a, Q_b*), rows
     # (a, b); kron(D^T, D^T) lists the same rows by (b*, a)
-    D = sp.csr_matrix(np.column_stack(
+    D = CSR.from_dense(np.column_stack(
         [TensorElem.derivation_of(A).vector() for A in units]))
     pairs = (np.array(star).reshape(1, -1) * m + np.arange(m).reshape(-1, 1))
-    T = sp.kron(D.T, D.T, format="csr")[pairs.reshape(-1)]
-    target = _real_rows(T, herm, M)
+    T = kron(D.T, D.T)[pairs.reshape(-1)]
+    target = _real_rows((T.entry_rows, T.indices, T.data), T.shape[0], herm, M)
 
     counts["hom_rows_after_dedup"] = hom.shape[0]
     counts["target_rows_real"] = target.shape[0]
     counts["rows_total"] = hom.shape[0] + target.shape[0]
-    return SystemTemplate(n, hom, target, kron_eye_map(n ** 3, n),
+    lift = kron_eye_map(n ** 3, n)
+    hom_y = hom @ lift
+    return SystemTemplate(n, hom, target, lift,
+                          hom_y[np.diff(hom_y.indptr) > 0], target @ lift,
                           types.MappingProxyType(counts))
 
 
@@ -401,26 +428,28 @@ class ConstraintSystem:
     """Sparse real-linear system A x = b over Hermitian coordinates of X.
 
     A stacks the homogeneous block hom, shared by every system of size n,
-    over the target block; only the target part of b is nonzero. The blocks
-    and the lift y -> x (X = Y (x) I_n) are the cached template's own
-    matrices (target rows reordered under a basis permutation), and counts
-    is its read-only mapping, so a system owns only b_target, the 2 m^2
-    target right-hand sides; the stacked A and the zero-padded b are built
-    only when they are read.
+    over the target block; only the target part of b is nonzero. The
+    blocks, the lift y -> x (X = Y (x) I_n) and the lifted blocks over y are
+    the cached template's own matrices (target rows reordered under a basis
+    permutation), and counts is its read-only mapping, so a system owns only
+    b_target, the 2 m^2 target right-hand sides; the stacked A and the
+    zero-padded b are built only when they are read.
     """
 
     n: int
     m: int
     s: float
-    hom: sp.csr_matrix = field(repr=False)
-    target: sp.csr_matrix = field(repr=False)
-    lift: sp.csr_matrix = field(repr=False)
+    hom: CSR = field(repr=False)
+    target: CSR = field(repr=False)
+    lift: CSR = field(repr=False)
+    hom_y: CSR = field(repr=False)
+    target_y: CSR = field(repr=False)
     b_target: np.ndarray = field(repr=False)
     counts: Mapping
 
     @functools.cached_property
     def A(self):
-        return sp.vstack([self.hom, self.target], format="csr")
+        return vstack([self.hom, self.target])
 
     @functools.cached_property
     def b(self):
@@ -461,16 +490,17 @@ def assemble(spec, s, basis_perm=None):
     tpl = system_template(n)
     m = n * n
     form = target_form(spec, s, basis_perm=basis_perm)
-    target = tpl.target
+    target, target_y = tpl.target, tpl.target_y
     if basis_perm is not None:
         # the row for permuted pair (a, b) is the template row (perm[a], perm[b])
         perm = np.asarray(basis_perm, dtype=int)
         pair = (perm.reshape(-1, 1) * m + perm.reshape(1, -1)).reshape(-1)
-        target = target[np.stack([2 * pair, 2 * pair + 1], axis=1).reshape(-1)]
+        rows = np.stack([2 * pair, 2 * pair + 1], axis=1).reshape(-1)
+        target, target_y = target[rows], target_y[rows]
     # target rows are in (a, b, re/im) order
     b_t = np.stack([form.F.real, form.F.imag], axis=-1).reshape(-1)
-    return ConstraintSystem(n, m, float(s), tpl.hom, target, tpl.lift, b_t,
-                            tpl.counts)
+    return ConstraintSystem(n, m, float(s), tpl.hom, target, tpl.lift, tpl.hom_y,
+                            target_y, b_t, tpl.counts)
 
 
 def dump_system(system, path):
@@ -478,11 +508,12 @@ def dump_system(system, path):
 
     The right-hand side goes to ``<path>.rhs`` as (row value) lines.
     """
-    coo = system.A.tocoo()
-    order = np.lexsort((coo.col, coo.row))
+    A = system.A
+    row, col, data = A.entry_rows, A.indices, A.data
+    order = np.lexsort((col, row))
     with open(path, "w") as fh:
         for idx in order:
-            fh.write(f"{coo.row[idx]} {coo.col[idx]} {coo.data[idx]:.17g}\n")
+            fh.write(f"{row[idx]} {col[idx]} {data[idx]:.17g}\n")
     with open(str(path) + ".rhs", "w") as fh:
         for idx in np.nonzero(system.b)[0]:
             fh.write(f"{idx} {system.b[idx]:.17g}\n")

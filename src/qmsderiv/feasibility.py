@@ -39,9 +39,11 @@ multiplicity n. The pipeline is split into a linear stage and a conic stage:
      verdict is INDETERMINATE, with the maximised lambda_min as its cone
      gap.
 
-The lift back to X happens only where the contract sees X: residuals, the
-certificate (kept as the factor F, rebuilt as F F* (x) I_n), the witness
-vector, and witness_check, which takes any vector of X's space.
+The lift back to X happens only where the contract sees X: the certificate
+(kept as the factor F, rebuilt as F F* (x) I_n and checked against the
+system's own blocks), the witness vector, and witness_check, which takes any
+vector of X's space. The linear stage reads the residual of x0 = E y0
+through the lifted blocks hom E and target E, without forming x0.
 All tolerances are relative to problem scale and recorded in the verdict.
 There is one threshold on the residual ||A x - b||, the system's
 residual_bound(tol) = tol * max(1, ||b||): the consistency test, the
@@ -140,7 +142,7 @@ def _hom_kernel(system, rank_tol):
     key = (system.n, float(rank_tol))
     N = _KERNEL_CACHE.get(key)
     if N is None:
-        rows = nullspace(system.hom @ system.lift, tol=rank_tol)
+        rows = nullspace(system.hom_y, tol=rank_tol)
         N = np.ascontiguousarray(rows.T)
         _KERNEL_CACHE[key] = N
     return N
@@ -155,7 +157,7 @@ def _target_svd(system, N, rank_tol):
     key = (system.n, float(rank_tol))
     if canonical and key in _TARGET_SVD_CACHE:
         return _TARGET_SVD_CACHE[key]
-    W = ((system.target @ system.lift) @ N if N.shape[1]
+    W = (system.target_y @ N if N.shape[1]
          else np.zeros((2 * system.m ** 2, 0)))
     U, sv, Vt = np.linalg.svd(W, full_matrices=False)
     rank = int(_rank(sv, sv[0] if sv.size else 0.0, rank_tol))
@@ -177,7 +179,8 @@ def _solve_stacked(systems, tol, rank_tol):
     homogeneous kernel N through the cached target SVD,
     y0 = N Vt^T diag(1/sv) U^T b_t, all rows in one product. residual[j] is
     the full-system residual ||[hom x0, target x0 - b_t]|| of the lifted
-    x0 = system.lift @ y0, and bound[j] is systems[j].residual_bound(tol).
+    x0 = system.lift @ y0, read as ||[hom_y y0, target_y y0 - b_t]|| through
+    the lifted blocks, and bound[j] is systems[j].residual_bound(tol).
     Returns (Y0, residual, hom_residual, bound, svd) with svd =
     _target_svd's (U, sv, Vt, rank, basis, margins).
     """
@@ -186,11 +189,9 @@ def _solve_stacked(systems, tol, rank_tol):
     svd = U, sv, Vt, rank, _, _ = _target_svd(system, N, rank_tol)
     B = np.array([s.b_target for s in systems])
     Y0 = (B @ U[:, :rank] / sv[:rank]) @ Vt[:rank] @ N.T
-    X0 = (system.lift @ Y0.T).T
-    # row by row, so that only one hom x0 (22464 entries at n = 3) is alive
-    hom_res = np.array([np.linalg.norm(system.hom @ x) for x in X0])
-    target_res = np.array([np.linalg.norm(system.target @ x - b)
-                           for x, b in zip(X0, B)])
+    # row by row, so that only one hom_y y0 (5643 entries at n = 3) is alive
+    hom_res = np.array([np.linalg.norm(system.hom_y @ y) for y in Y0])
+    target_res = np.linalg.norm(system.target_y @ Y0.T - B.T, axis=0)
     bound = np.array([s.residual_bound(tol) for s in systems])
     return Y0, np.hypot(hom_res, target_res), hom_res, bound, svd
 

@@ -1,10 +1,12 @@
 """Bimodule actions, vectorization, target form, and system assembly."""
 
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from qmsderiv import constraints
 from qmsderiv.constraints import (ConstraintSystem, TensorElem, assemble,
@@ -16,6 +18,10 @@ from qmsderiv.linalg import hermitian_decode, nullspace
 from qmsderiv.qms import DensityState, lindblad_apply, make_spec, s_inner
 
 PI = math.pi
+
+
+def scipy_csr(M):
+    return sp.csr_matrix((M.data, M.indices, M.indptr), shape=M.shape)
 
 
 def unit(n, i, j):
@@ -213,7 +219,8 @@ def test_system_counts_pinned(preset_problems, pid):
 @pytest.mark.parametrize("n", [2, 3])
 def test_hom_rows_unit_norm_and_distinct_up_to_sign(n):
     hom = system_template(n).hom
-    np.testing.assert_allclose(np.sqrt(hom.multiply(hom).sum(axis=1)), 1.0,
+    S = scipy_csr(hom)
+    np.testing.assert_allclose(np.sqrt(S.multiply(S).sum(axis=1)), 1.0,
                                atol=1e-15)
     seen = set()
     for r in range(hom.shape[0]):
@@ -221,6 +228,55 @@ def test_hom_rows_unit_norm_and_distinct_up_to_sign(n):
         data = hom.data[lo:hi] * np.sign(hom.data[lo])
         seen.add((hom.indices[lo:hi].tobytes(), data.tobytes()))
     assert len(seen) == hom.shape[0]
+
+
+# sha256 of indptr, indices (int64), data (float64) and shape (int64) of each
+# template block; the blocks come from exact integer and sqrt(2) arithmetic,
+# so the digests hold on every machine
+TEMPLATE_DIGESTS = {
+    (2, "hom"): "817c25aa85d90e81692384370820c2dfe3cd1f81d8e46d132a32569355cdc23e",
+    (2, "target"): "3c8a4ef2191bf8f12994a37e10b0c8f8410dfc1c3d1abb514ca54db459c740e5",
+    (2, "lift"): "53f8271d68c32307cce9d4f999ebb0b49a0a241b0ab77042e8e609826e1d9a72",
+    (3, "hom"): "42331060b073fdd46e51d38122db857f9ce3ba06171a265bc6f85ae0c791e586",
+    (3, "target"): "6fe5af8dab704360aaebe6272567d7fb80bbf1e57211f831c1a3fff5c274da9d",
+    (3, "lift"): "e36fecd100b9d5434d5f4c71f74853ca7ef22e75baa7bb5cbf43768c68f4888d",
+}
+
+
+@pytest.mark.parametrize("n, block", sorted(TEMPLATE_DIGESTS))
+def test_template_blocks_pinned(n, block):
+    M = getattr(system_template(n), block)
+    h = hashlib.sha256()
+    for a, t in ((M.indptr, "<i8"), (M.indices, "<i8"), (M.data, "<f8"),
+                 (M.shape, "<i8")):
+        h.update(np.ascontiguousarray(a, dtype=t).tobytes())
+    assert h.hexdigest() == TEMPLATE_DIGESTS[n, block]
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_products_equal_scipy_bit_for_bit(n):
+    # the kernel, the target SVD and every residual rest on these products
+    tpl = system_template(n)
+    for A, B in ((tpl.hom, tpl.lift), (tpl.target, tpl.lift)):
+        got, expect = A @ B, scipy_csr(A) @ scipy_csr(B)
+        assert got.shape == expect.shape
+        # stored order included
+        assert np.array_equal(got.indptr, expect.indptr)
+        assert np.array_equal(got.indices, expect.indices)
+        assert same_bits(got.data, expect.data)
+    rng = np.random.default_rng(n)
+    blocks = (tpl.hom, tpl.target, tpl.lift, tpl.hom_y, tpl.target_y)
+    for A in blocks:
+        for x in (rng.standard_normal(A.shape[1]),
+                  rng.standard_normal((A.shape[1], 16))):
+            assert same_bits(A @ x, scipy_csr(A) @ x)
+    N = np.ascontiguousarray(nullspace(tpl.hom_y).T)
+    assert same_bits(tpl.target_y @ N, scipy_csr(tpl.target) @ scipy_csr(tpl.lift) @ N)
 
 
 def test_hom_kernel_dimension(hom_kernels):
@@ -247,7 +303,7 @@ def test_hom_kernel_is_trivial_on_the_last_factor(hom_kernels):
 
 def test_lift_has_orthonormal_columns():
     for n in (2, 3):
-        E = system_template(n).lift
+        E = scipy_csr(system_template(n).lift)
         assert E.shape == (n ** 8, n ** 6)
         assert abs(E.T @ E - np.eye(n ** 6)).max() <= 1e-15
 
@@ -258,7 +314,7 @@ def test_dedup_survives_key_collisions(monkeypatch):
                         lambda R: np.zeros(R.shape[0], dtype=np.uint64))
     got = constraints._build_template(2).hom
     assert got.shape == expect.shape
-    assert (got != expect).nnz == 0
+    assert (scipy_csr(got) != scipy_csr(expect)).nnz == 0
 
 
 def test_assemble_size_cap():

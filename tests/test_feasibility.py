@@ -355,17 +355,30 @@ def test_solve_affine_diagnostics(solutions):
         assert key in diag
 
 
-def test_decisions_do_not_import_scipy_optimize():
-    # importing scipy.optimize costs 0.2-0.3 s and about 16 MB, more than a
-    # cold 2x2 decision; the conic stage runs its own L-BFGS instead
+def test_decisions_do_not_import_scipy_optimize(tmp_path):
+    # importing scipy.sparse costs about 0.26 s and 22 MB, scipy.optimize
+    # 0.2-0.3 s and 16 MB, more than a cold 2x2 decision: the program runs
+    # on numpy alone, with its own CSR layer and L-BFGS
     code = textwrap.dedent("""
         import sys
-        from qmsderiv import decide, parse_problem, presets
+        import qmsderiv
+        from qmsderiv import cli, decide, parse_problem, presets, sweep
+
+        def check(stage):
+            loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+            assert not loaded, f"{{stage}} imported {{loaded[:3]}}"
+
+        check("import qmsderiv")
         for pid in ("2x2-gns", "2x2-kms", "3x3-gns", "3x3-kms"):
             p = parse_problem(presets()[pid].problem)
             decide(p.spec, p.s)
-        assert "scipy.optimize" not in sys.modules, "scipy.optimize imported"
-    """)
+            check("decide " + pid)
+        sweep(2, seed=0)
+        check("sweep")
+        assert cli.main(["repro", "2x2-gns", "--out", {report!r}]) == 0
+        assert cli.main(["verify", {report!r}]) == 0
+        check("verify")
+    """).format(report=str(tmp_path / "report.json"))
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))

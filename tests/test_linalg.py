@@ -4,19 +4,25 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmsderiv.errors import NotHermitian
-from qmsderiv.linalg import (_column_blocks, herm_eig, hermitian_decode,
-                             hermitian_encode, hermitian_vec_map, nullspace)
+from qmsderiv.errors import DimensionMismatch, NotHermitian
+from qmsderiv.linalg import (CSR, _column_blocks, herm_eig, hermitian_decode,
+                             hermitian_encode, hermitian_vec_map, kron, nullspace,
+                             stable_argsort, vstack)
 
 PI = math.pi
 
 
 def sparse_from_dense(M):
-    return sp.csr_matrix(np.asarray(M, dtype=float))
+    return CSR.from_dense(np.asarray(M, dtype=float))
+
+
+def dense(A):
+    out = np.zeros(A.shape, dtype=A.data.dtype)
+    np.add.at(out, (A.entry_rows, A.indices), A.data)
+    return out
 
 
 def random_hermitian(rng, m):
@@ -59,6 +65,40 @@ def test_herm_eig_reconstruction(m):
     assert np.linalg.norm(M @ V - V * w) <= 1e-10 * scale * m
 
 
+def test_from_triplets_sums_repeats_in_order_and_drops_zeros():
+    # 1e16 + 1 - 1e16 is 0 left to right; any other order gives 1 or -1
+    A = CSR.from_triplets([1, 0, 1, 1, 0, 0], [2, 1, 2, 2, 0, 0],
+                          [1e16, 3.0, 1.0, -1e16, 2.0, -2.0], (2, 3))
+    assert A.nnz == 1 and list(A.indptr) == [0, 1, 1]
+    assert list(A.indices) == [1] and list(A.data) == [3.0]
+
+
+def test_csr_rows_vstack_kron_and_products_match_dense():
+    rng = np.random.default_rng(7)
+    P = rng.standard_normal((5, 4)) * (rng.random((5, 4)) < 0.5)
+    Q = rng.standard_normal((3, 2)) * (rng.random((3, 2)) < 0.6)
+    A, B = sparse_from_dense(P), sparse_from_dense(Q)
+    np.testing.assert_array_equal(dense(A[[4, 0, 0]]), P[[4, 0, 0]])
+    np.testing.assert_array_equal(dense(A[P[:, 0] != 0]), P[P[:, 0] != 0])
+    np.testing.assert_array_equal(dense(vstack([A, A[[1]]])), np.vstack([P, P[[1]]]))
+    np.testing.assert_array_equal(dense(kron(A, B)), np.kron(P, Q))
+    np.testing.assert_array_equal(dense(A.T), P.T)
+    np.testing.assert_allclose(dense(A @ A.T), P @ P.T, atol=1e-14)
+    x = rng.standard_normal(4)
+    np.testing.assert_allclose(A @ x, P @ x, atol=1e-14)
+    np.testing.assert_allclose(A @ np.outer(x, x), P @ np.outer(x, x), atol=1e-14)
+    with pytest.raises(DimensionMismatch):
+        A @ np.ones(5)
+
+
+@pytest.mark.parametrize("high", [5, 2 ** 62])
+def test_stable_argsort_is_the_stable_argsort(high):
+    # small keys take the packed value sort, huge ones the plain stable sort
+    key = np.random.default_rng(3).integers(0, high, 1000)
+    np.testing.assert_array_equal(stable_argsort(key),
+                                  np.argsort(key, kind="stable"))
+
+
 def test_nullspace_identity_empty():
     assert nullspace(sparse_from_dense(np.eye(4))).shape == (0, 4)
 
@@ -72,7 +112,7 @@ def test_nullspace_single_row():
 
 
 def test_nullspace_zero_matrix():
-    basis = nullspace(sp.csr_matrix((1, 3)))
+    basis = nullspace(CSR.from_triplets([], [], np.zeros(0), (1, 3)))
     G = np.array(basis)
     assert G.shape == (3, 3)
     np.testing.assert_allclose(G @ G.T, np.eye(3), atol=1e-12)
@@ -81,7 +121,7 @@ def test_nullspace_zero_matrix():
 @pytest.mark.parametrize("cols", [40, 401])
 def test_nullspace_cut_is_relative_to_the_largest_singular_value(cols):
     # a column scaled by 1e-8 has sigma = 1e-8 > 1e-9 * sigma_max at any size
-    A = sp.diags(np.r_[np.ones(cols - 1), 1e-8]).tocsr()
+    A = sparse_from_dense(np.diag(np.r_[np.ones(cols - 1), 1e-8]))
     assert nullspace(A, tol=1e-9).shape == (0, cols)
     assert nullspace(A, tol=1e-7).shape == (1, cols)
 
