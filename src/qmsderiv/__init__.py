@@ -20,7 +20,7 @@ from .feasibility import (AffineSolutionSet, EXIT_CODES, FEASIBLE,
                           FeasibilityVerdict, INDETERMINATE, NOT_CONSISTENT,
                           NOT_PSD, decide, psd_search, solve_affine,
                           verdict_for, witness_check, witness_hunt)
-from .linalg import hermitian_decode, hermitian_encode, nullspace
+from .linalg import hermitian_decode, hermitian_encode
 from .parametric import (LambdaPoint, SweepRecord, YMatrix, agreement_rate,
                          build_LY, diag_jump_identity, predicate_coefficients,
                          predicate_lhs, project_to_hyperplane,
@@ -73,7 +73,6 @@ __all__ = [
     "load_problem",
     "make_spec",
     "modular_conjugate",
-    "nullspace",
     "parse_problem",
     "predicate_coefficients",
     "predicate_lhs",

@@ -33,7 +33,7 @@ from .feasibility import (DEFAULT_PSD_TOL, DEFAULT_WITNESS_COUPLING_TOL,
                           DEFAULT_WITNESS_VALUE_TOL, FEASIBLE, INDETERMINATE,
                           NOT_CONSISTENT, NOT_PSD, solve_affine, verdict_for,
                           witness_check)
-from .linalg import DEFAULT_FEAS_TOL, DEFAULT_RANK_TOL, herm_eig, hermitian_encode
+from .linalg import DEFAULT_FEAS_TOL, DEFAULT_RANK_TOL, herm_eig
 from .parametric import CSV_COLUMNS, agreement_rate, sweep
 from .problems import (load_problem, load_sweep_config, parse_matrix,
                        parse_problem, parse_vector, presets)
@@ -128,7 +128,6 @@ def run_pipeline(problem, args):
     t = time.perf_counter()
     verdict = verdict_for(sol, tol=tol, rank_tol=rank_tol, psd_tol=psd_tol)
     timings["psd_search"] = time.perf_counter() - t
-    verdict.diagnostics["system_counts"] = dict(system.counts)
 
     command = {
         "kind": args.command,
@@ -272,7 +271,7 @@ def cmd_verify(args):
             return fail("FEASIBLE verdict carries no certificate")
         if np.linalg.norm(X - X.conj().T) > 1e-10 * max(1.0, np.linalg.norm(X)):
             return fail("certificate is not Hermitian")
-        residual = system.residual_of(hermitian_encode(X))
+        residual = system.matrix_residual(X)
         bound = system.residual_bound(tol)
         if residual > bound:
             return fail(f"certificate residual {residual:.3e} exceeds "

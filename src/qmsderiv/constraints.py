@@ -1,4 +1,4 @@
-"""Canonical bimodule actions on M_n (x) M_n and assembly of the feasibility system.
+"""Canonical bimodule actions on M_n (x) M_n and the feasibility system over them.
 
 The tensor square of the algebra carries the bimodule structure
 
@@ -10,42 +10,46 @@ with psi the fixed vectorization of the matrix-unit basis. Requiring the form
 to make both actions adjointable and to take prescribed values f(A, B) on
 derivation pairs produces three families of equations, each linear in X:
 
-    family "left"   X L_a = L_{a*}^H X   for each matrix unit a   (m^5 scalars)
-    family "right"  X R_a = R_{a*}^H X   for each matrix unit a   (m^5 scalars)
+    family "left"   X L_a = L_{a*}^H X   for each matrix unit a   (m matrix equations)
+    family "right"  X R_a = R_{a*}^H X   for each matrix unit a   (m matrix equations)
     family "target" <delta(A), delta(B)> = f(A, B)                (m^2 scalars)
 
 with m = n^2 the algebra dimension and L_a, R_a the n^4 x n^4 matrices of
-left_act and right_act, which are the only definition of the actions. Each
-intertwining equation is the sparse operator I (x) L_a^T - L_{a*}^H (x) I
-on the row-major vec(X), whose rows are read off L_a^T and L_{a*}^H
-directly. X is searched over Hermitian matrices: one sparse
-map from the Hermitian coordinates to vec(X) turns every complex equation
-into a real and an imaginary row. Action rows that vanish are dropped, the
-rest are scaled to unit norm with a positive first entry, and repeats are
-removed by one 64-bit key per row plus an exact comparison of rows that
-share a key; at n = 3 this leaves 22464 of 149670 nonzero rows.
+left_act and right_act.
 
-Every solution of the action rows is X = Y (x) I_n, with Y of size
-n^3 x n^3: the right action of a matrix unit E_a is R_a = I_{n^3} (x) E_a^T
-on psi, and R_{a*}^H = R_a, so the right family says that X commutes with
-every I_{n^3} (x) G, whose commutant is M_{n^3} (x) I_n. The template
-therefore also carries the lift E (linalg.kron_eye_map), the sparse
-isometry from the Hermitian coordinates y of Y to those of X, scaled so
-that x = E y has ||x|| = ||y||, and both blocks times E, the lifted blocks
-the solver works with in y. The system itself, its residual_of and
-dump_system stay in X.
+The solutions of the two action families have a concrete form: every
+derivation into a Hilbert bimodule factors through bimodule maps (Cipriani
+and Sauvageot 2003; Carlen and Maas 2017, where L = sum_j d_j* d_j with
+d_j = [V_j, .]). On M_n (x) M_n these maps are
 
-The coefficient matrix of the system depends only on n, not on the state or
-the generator; those enter only through the right-hand side values of the
-target family. Assembly therefore caches a per-n template holding both
-blocks as CSR, and a ConstraintSystem is that template plus the target
-right-hand side: assembling costs one target form, read off the generator's
-m x m matrix, and the stacked A and zero-padded b are built only when
-something reads them (dump_system). Residuals are computed block by block
-and compared with one threshold, ConstraintSystem.residual_bound.
+    T_K(B (x) C) = [K, B] C     into M_n, for K in an orthonormal basis of
+                                the traceless matrices (the off-diagonal
+                                matrix units and the normalised diagonal
+                                Gell-Mann matrices, n^2 - 1 of them),
+    T_i(B (x) C) = e_i^T B C    into the row vectors, on which the left
+                                action is zero, for i = 1..n,
+
+and every solution of the action families is
+
+    X = T* (Q1 (x) I_{n^2}  (+)  Q2 (x) I_n) T
+
+for Hermitian Q1 ((n^2 - 1) x (n^2 - 1)) and Q2 (n x n), where T stacks the
+maps. T is real, square (n^4 x n^4) and invertible, so X is a congruence of
+the block matrix Q = Q1 (+) Q2 and X is PSD exactly when Q1 and Q2 are. The
+system is therefore solved in q, the Hermitian coordinates of Q1 followed
+by those of Q2: n^4 - n^2 + 1 real unknowns, 73 at n = 3. In q the target
+family is one dense real matrix G of 2 m^2 rows (the real and imaginary
+part of the equation for each pair (a, b)), which depends only on n.
+
+A per-size template holds T, G and the derivation vectors; it is built
+once per n and cached. A ConstraintSystem is that template plus the target
+right-hand side, read off the generator's m x m matrix. The equations over
+X stay the independent check: ConstraintSystem.matrix_residual evaluates a
+matrix X against the 2m intertwining equations, with L_a and R_a applied in
+closed form, and against the target equations, and one threshold,
+residual_bound, judges the consistency test, certificates and verify.
 """
 import functools
-import itertools
 import types
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -53,13 +57,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, SizeCapExceeded
-from .linalg import (CSR, _indptr, _product_terms, as_cmatrix, hermitian_vec_map,
-                     kron, kron_eye_map, stable_argsort, vstack)
+from .linalg import CSR, as_cmatrix, hermitian_coords, hermitian_decode
 from .qms import generator_matrix
 
-DEFAULT_SIZE_CAP = 4
-
-_SQRT2 = np.sqrt(2.0)
+DEFAULT_SIZE_CAP = 5
 
 
 def psi_index(n, i, j, k, l):
@@ -231,180 +232,151 @@ def _check_perm(perm, m):
 
 
 # ---------------------------------------------------------------------------
-# Per-size template: everything in the system that does not depend on f
+# The bimodule coordinates: everything in the system that does not depend on f
 # ---------------------------------------------------------------------------
 
-def _action_matrix(n, act):
-    """n^4 x n^4 matrix of a linear map on M_n (x) M_n in the psi vectorization."""
-    rows, cols, vals = [], [], []
-    for q in itertools.product(range(n), repeat=4):
-        for p, c in act(TensorElem.unit(n, *q)).terms:
-            rows.append(_tidx(n, *p))
-            cols.append(_tidx(n, *q))
-            vals.append(c)
-    return CSR.from_triplets(rows, cols, np.asarray(vals, dtype=complex),
-                             (n ** 4, n ** 4))
+def _traceless_basis(n):
+    """Real orthonormal basis of the traceless n x n matrices: the matrix units
+    E_ij (i != j), then diag(1, .., 1, -k, 0, ..) / sqrt(k (k + 1))."""
+    units = [np.outer(np.eye(n)[i], np.eye(n)[j])
+             for i in range(n) for j in range(n) if i != j]
+    diagonals = [np.diag(np.r_[np.ones(k), -k, np.zeros(n - k - 1)]) / np.sqrt(k * (k + 1))
+                 for k in range(1, n)]
+    return np.array(units + diagonals).reshape(n * n - 1, n, n)
 
 
-def _intertwiner(PT, QH, order, M):
-    """Triplets of the rows `order` of I (x) PT - QH (x) I.
+def _frame(n):
+    """T, the n^4 x n^4 matrix of the maps T_K and T_i stacked.
 
-    Row i M + j of I (x) PT - QH (x) I over the row-major vec(X) is row j of
-    PT at the columns i M + k minus row i of QH at the columns k M + j.
+    Rows (j, x, y) carry entry (x, y) of T_{K_j}, then rows (i, y) entry y of
+    T_i. On psi(E_ab (x) E_cd), whose position is n^3 a + n^2 c + n b + d,
+    T_K gives delta_bc K E_ad - K[b, c] E_ad and T_i gives delta_ia delta_bc e_d^T.
     """
-    i, j = np.divmod(order, M)
-    left, right = PT[j], QH[i]
-    lrow, rrow = left.entry_rows, right.entry_rows
-    return (np.concatenate([lrow, rrow]),
-            np.concatenate([i[lrow] * M + left.indices, right.indices * M + j[rrow]]),
-            np.concatenate([left.data, -right.data]))
+    K, eye = _traceless_basis(n), np.eye(n)
+    TK = (np.einsum("jxa,bc,yd->jxyacbd", K, eye, eye)
+          - np.einsum("xa,jbc,yd->jxyacbd", eye, K, eye))
+    Ti = np.einsum("ia,bc,yd->iyacbd", eye, eye, eye)
+    N = n ** 4
+    return np.concatenate([TK.reshape(-1, N), Ti.reshape(-1, N)])
 
 
-def _real_rows(E, nrows, herm, M):
-    """Real and imaginary parts, interleaved, of complex equations over vec(X).
-
-    E holds the (row, column, value) triplets of nrows equations with
-    integer coefficients on the row-major vec(X); the result is real CSR
-    over the Hermitian coordinates, rows (2r, 2r + 1) from equation r,
-    without explicit zeros and with sorted indices.
-    """
-    # E @ herm with each row's columns ascending: the sums are exact
-    G = CSR.from_triplets(*_product_terms(*E, herm), (nrows, herm.shape[1]))
-    row = G.entry_rows
-    # the off-diagonal coordinates carry the sqrt(2) that herm leaves out
-    r = np.where(G.indices < M, 1.0, _SQRT2)
-    # row q's real parts, then its imaginary parts, make rows 2q and 2q + 1
-    at = np.arange(G.nnz) + G.indptr[row]
-    at = np.concatenate([at, at + np.diff(G.indptr)[row]])
-    rows, cols = np.empty(at.size, dtype=np.int64), np.empty(at.size, dtype=np.int64)
-    vals = np.empty(at.size)
-    rows[at] = np.concatenate([2 * row, 2 * row + 1])
-    cols[at] = np.tile(G.indices, 2)
-    vals[at] = np.concatenate([G.data.real / r, G.data.imag / r])
-    keep = vals != 0
-    return CSR(_indptr(rows[keep], 2 * G.shape[0]), cols[keep], vals[keep],
-               (2 * G.shape[0], G.shape[1]))
+def _stars(n):
+    """Index of Q_a* for each matrix unit Q_a = E_ij, a = n i + j."""
+    a = np.arange(n * n)
+    return (a % n) * n + a // n
 
 
-def _unit_rows(R):
-    """Scale each nonempty row to unit norm with a positive first entry."""
-    norm = np.sqrt(np.add.reduceat(R.data ** 2, R.indptr[:-1]))
-    rescale = np.where(R.data[R.indptr[:-1]] > 0, 1.0, -1.0) / norm
-    return CSR(R.indptr, R.indices, R.data * np.repeat(rescale, np.diff(R.indptr)),
-               R.shape)
-
-
-def _row_keys(R):
-    """One 64-bit hash per row of its (column, value bits) entries."""
-    z = R.indices.astype(np.uint64)
-    z *= np.uint64(0x9E3779B97F4A7C15)
-    z ^= R.data.view(np.uint64)
-    # splitmix64 finaliser
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return np.add.reduceat(z, R.indptr[:-1])
-
-
-def _rows_equal(R, a, b):
-    """Elementwise: row a[k] of R equals row b[k] exactly."""
-    ptr = R.indptr
-    length = ptr[a + 1] - ptr[a]
-    equal = length == ptr[b + 1] - ptr[b]
-    for k in range(length.max(initial=0)):
-        live = np.flatnonzero(equal & (length > k))
-        ea, eb = ptr[a[live]] + k, ptr[b[live]] + k
-        equal[live] = (R.indices[ea] == R.indices[eb]) & (R.data[ea] == R.data[eb])
-    return equal
-
-
-def _first_occurrences(R):
-    """Ascending indices of the first copy of each distinct nonempty row."""
-    # the hash's top bits, leaving stable_argsort room for the row positions
-    keys = (_row_keys(R) >> np.uint64(R.shape[0].bit_length() + 1)).view(np.int64)
-    order = stable_argsort(keys)
-    shared = keys[order[1:]] == keys[order[:-1]]
-    later, earlier = order[1:][shared], order[:-1][shared]
-    equal = _rows_equal(R, later, earlier)
-    drop = [later[equal]]
-    # a row that shares its key with a different row: compare it with every
-    # earlier row of that key
-    for r in later[~equal]:
-        before = np.flatnonzero(keys[:r] == keys[r])
-        if _rows_equal(R, np.full(before.size, r), before).any():
-            drop.append([r])
-    keep = np.ones(R.shape[0], dtype=bool)
-    keep[np.concatenate(drop)] = False
-    return np.flatnonzero(keep)
+def _derivation_vectors(n):
+    """psi(Q_a (x) 1) for each matrix unit, as the columns of an n^4 x m array."""
+    m = n * n
+    V = np.zeros((n ** 4, m))
+    i, j = np.divmod(np.arange(m), n)
+    for t in range(n):
+        V[_tidx(n, i, j, t, t), np.arange(m)] = 1.0
+    return V
 
 
 @dataclass(frozen=True)
 class SystemTemplate:
+    """The part of the system that depends only on the algebra size n.
+
+    T is the frame of the bimodule coordinates (module docstring) and G the
+    target rows in q, rows (a, b, re/im); V holds the derivation vectors
+    psi(Q_a (x) 1). A reduced matrix Q is the block matrix Q1 (+) Q2, of
+    side k = n^2 - 1 + n.
+    """
+
     n: int
-    hom: CSR = field(repr=False)       # deduped unit-norm action rows
-    target: CSR = field(repr=False)    # 2 m^2 rows in (a, b, re/im) order
-    lift: CSR = field(repr=False)      # E: y -> x, X = Y (x) I_n
-    hom_y: CSR = field(repr=False)     # hom E without its zero rows
-    target_y: CSR = field(repr=False)  # target E
+    T: np.ndarray = field(repr=False)
+    G: np.ndarray = field(repr=False)
+    V: np.ndarray = field(repr=False)
     counts: Mapping                    # read-only, shared by systems
+
+    @property
+    def unknowns(self):
+        """Length of q: (n^2 - 1)^2 + n^2."""
+        return self.G.shape[1]
+
+    def matrix(self, q):
+        """The reduced matrix Q1 (+) Q2 with coordinates q."""
+        n, d = self.n, self.n * self.n - 1
+        Q = np.zeros((d + n, d + n), dtype=complex)
+        Q[:d, :d] = hermitian_decode(q[:d * d], d)
+        Q[d:, d:] = hermitian_decode(q[d * d:], n)
+        return Q
+
+    def pairing(self, R):
+        """h with q . h = tr(Q(q) R) for Hermitian R of Q's side: the
+        coordinates of R's two diagonal blocks."""
+        d = self.n * self.n - 1
+        return np.concatenate([hermitian_coords(R[:d, :d]), hermitian_coords(R[d:, d:])])
+
+    def lift(self, Q):
+        """X = T* (Q1 (x) I_{n^2} (+) Q2 (x) I_n) T, exactly Hermitian."""
+        n, d = self.n, self.n * self.n - 1
+        split = d * n * n
+        T1, T2 = self.T[:split], self.T[split:]
+        # (Q1 (x) I) T1 and (Q2 (x) I) T2; T is real, so X's real and
+        # imaginary parts are two real products
+        QT = np.concatenate([
+            (Q[:d, :d] @ T1.reshape(d, -1)).reshape(split, -1),
+            (Q[d:, d:] @ T2.reshape(n, -1)).reshape(-1, T2.shape[1])])
+        X = self.T.T @ QT.real + 1j * (self.T.T @ QT.imag)
+        return 0.5 * (X + X.conj().T)
+
+    def lift_witness(self, u):
+        """v = T^{-1}(u (x) e_1): v* X v = u* Q u for every X = lift(Q)."""
+        n, d = self.n, self.n * self.n - 1
+        w1, w2 = np.zeros((d, n * n), dtype=complex), np.zeros((n, n), dtype=complex)
+        w1[:, 0], w2[:, 0] = u[:d], u[d:]
+        return np.linalg.solve(self.T, np.concatenate([w1.reshape(-1), w2.reshape(-1)]))
+
+    def vector_form(self, v):
+        """h with v* lift(Q(q)) v = q . h, for any vector v of X's space."""
+        n, d = self.n, self.n * self.n - 1
+        w = self.T @ v
+        W1, W2 = w[:d * n * n].reshape(d, n * n), w[d * n * n:].reshape(n, n)
+        return np.concatenate([hermitian_coords(W1 @ W1.conj().T),
+                               hermitian_coords(W2 @ W2.conj().T)])
+
+
+def _target_rows(T, V, n):
+    """G: row 2 (a m + b) + r is part r (real, imaginary) of
+    psi(Q_b* (x) 1)* X(q) psi(Q_a (x) 1) as a linear function of q.
+
+    With W = T V, the value is sum_jk Q_jk c_jk + the same over Q2, where
+    c_jk = <W_k(a), W_j(b*)> sums over the rows of one map; tr(Q M) for
+    M = c^T splits into tr(Q H) + i tr(Q S) with H and S the Hermitian
+    and skew parts of M, whose coordinates are the two rows.
+    """
+    m, d = n * n, n * n - 1
+    W = T @ V
+    star = _stars(n)
+    rows = []
+    for block in (W[:d * m].reshape(d, m, m), W[d * m:].reshape(n, n, m)):
+        M = np.einsum("kpa,jpb->abkj", block, block[:, :, star].conj())
+        Mh = M.conj().swapaxes(-1, -2)
+        rows.append(np.stack([hermitian_coords((M + Mh) / 2),
+                              hermitian_coords((M - Mh) / 2j)], axis=2))
+    return np.concatenate(rows, axis=-1).reshape(2 * m * m, -1)
 
 
 _TEMPLATE_CACHE = {}
 
 
 def _build_template(n):
-    m, M = n * n, n ** 4
-    units = []
-    for a in range(m):
-        Q = np.zeros((n, n), dtype=complex)
-        Q[divmod(a, n)] = 1.0
-        units.append(Q)
-    star = [(a % n) * n + a // n for a in range(m)]   # index of Q_a*
-    herm = hermitian_vec_map(M)
-
-    # scalar equation (a, t, u) is entry (u, t) of X P_a - P_{a*}^H X, with
-    # t = Q_c (x) Q_d and u = Q_g* (x) Q_h*, listed by (a, c, d, g, h)
-    psi = np.array([[_tidx(n, *divmod(c, n), *divmod(d, n)) for d in range(m)]
-                    for c in range(m)])
-    order = (psi.reshape(-1, 1) + M * psi[np.ix_(star, star)].reshape(1, -1))
-    order = order.reshape(-1)
-
+    m = n * n
+    T, V = _frame(n), _derivation_vectors(n)
+    G = _target_rows(T, V, n)
     counts = {
-        "raw_complex_left": m ** 5,
-        "raw_complex_right": m ** 5,
-        "raw_complex_target": m * m,
+        "intertwining_equations": 2 * m,
+        "target_equations": m * m,
+        "reduced_unknowns": G.shape[1],
+        "rows_total": G.shape[0],
     }
-    families = (("left", lambda A: lambda t: left_act(A, t)),
-                ("right", lambda A: lambda t: right_act(t, A)))
-    blocks = []
-    for family, action in families:
-        P = [_action_matrix(n, action(A)) for A in units]
-        R = vstack([_real_rows(_intertwiner(P[a].T, P[star[a]].conj().T, order, M),
-                               order.size, herm, M) for a in range(m)])
-        R = R[np.diff(R.indptr) > 0]
-        counts[f"nonzero_real_{family}"] = R.shape[0]
-        blocks.append(_unit_rows(R))
-    hom = vstack(blocks)
-    hom = hom[_first_occurrences(hom)]
-
-    # target family: psi(Q_b* (x) 1)* X psi(Q_a (x) 1) = f(Q_a, Q_b*), rows
-    # (a, b); kron(D^T, D^T) lists the same rows by (b*, a)
-    D = CSR.from_dense(np.column_stack(
-        [TensorElem.derivation_of(A).vector() for A in units]))
-    pairs = (np.array(star).reshape(1, -1) * m + np.arange(m).reshape(-1, 1))
-    T = kron(D.T, D.T)[pairs.reshape(-1)]
-    target = _real_rows((T.entry_rows, T.indices, T.data), T.shape[0], herm, M)
-
-    counts["hom_rows_after_dedup"] = hom.shape[0]
-    counts["target_rows_real"] = target.shape[0]
-    counts["rows_total"] = hom.shape[0] + target.shape[0]
-    lift = kron_eye_map(n ** 3, n)
-    hom_y = hom @ lift
-    return SystemTemplate(n, hom, target, lift,
-                          hom_y[np.diff(hom_y.indptr) > 0], target @ lift,
-                          types.MappingProxyType(counts))
+    for a in (T, G, V):
+        a.flags.writeable = False
+    return SystemTemplate(n, T, G, V, types.MappingProxyType(counts))
 
 
 def system_template(n):
@@ -420,100 +392,167 @@ def clear_template_cache():
 
 
 # ---------------------------------------------------------------------------
-# Assembled system
+# The equations over X, in closed form
 # ---------------------------------------------------------------------------
+
+@functools.cache
+def _diagonal_positions(n):
+    """(diag, left, right): diag lists the positions psi(E_sk (x) E_kl) over
+    every (s, k, l), and left[p, q] and right[p, q] the positions that J_pq
+    and J_qp fill for them, psi(E_pq (x) E_sl) and psi(E_qp (x) E_sl);
+    read-only."""
+    s, k, l = (a.reshape(-1) for a in np.meshgrid(*[np.arange(n)] * 3, indexing="ij"))
+    p, q = (a[..., None] for a in np.meshgrid(np.arange(n), np.arange(n), indexing="ij"))
+    out = (_tidx(n, s, k, k, l), _tidx(n, p, q, s, l), _tidx(n, q, p, s, l))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def left_residual(X, n, p, q):
+    """X L_a - L_{a*}^T X for the matrix unit a = E_pq.
+
+    In psi's axis order (i, k, j, l) for E_ij (x) E_kl, the left action of
+    E_pq is E_pq (x) I_{n^3} - J S, where S sends E_ij (x) E_jl to E_il and
+    J sends E_il to E_pq (x) E_il. L is real and X is Hermitian, so
+    L_{a*}^T X = (X L_{a*})^H:
+
+        (X L_a)[:, (s, k, j, l)] = [s = q] X[:, (p, k, j, l)] - [k = j] X[:, (p, s, q, l)]
+        (L_{a*}^T X)[(u, k, j, l), :] = [u = p] X[(q, k, j, l), :] - [k = j] X[(q, u, p, l), :]
+    """
+    N = n ** 4
+    blocks = (n, n ** 3, n, n ** 3)
+    E = np.zeros(blocks, dtype=complex)
+    E[:, :, q] = X.reshape(blocks)[:, :, p]
+    E[p] -= X.reshape(blocks)[q]
+    E = E.reshape(N, N)
+    diag, left, right = _diagonal_positions(n)
+    E[:, diag] -= X[:, left[p, q]]
+    E[diag, :] += X[right[p, q], :]
+    return E
+
+
+def _intertwining_residual_sq(X, n):
+    """The squared Frobenius norms of every intertwining residual, summed.
+
+    Left family: the residual for a* is minus the adjoint of the one for
+    a, so each pair {a, a*} is formed once and counted twice. Right family:
+    R_a = I_{n^3} (x) E_qp for a = E_pq, so with X_st the n^3 x n^3 block
+    of X at last-factor indices (s, t), X R_a - R_{a*}^T X = X (I (x) E_qp)
+    - (I (x) E_qp) X has the blocks X_sq at (s, p) for s != q, -X_pt at
+    (q, t) for t != p and X_qq - X_pp at (q, p); summed over a, its squared
+    entries are 2n sum_{s != t} ||X_st||^2 + sum_{p, q} ||X_pp - X_qq||^2.
+    """
+    total = 0.0
+    for p, q in zip(*np.triu_indices(n)):
+        E = left_residual(X, n, p, q)
+        total += (1.0 if p == q else 2.0) * np.vdot(E, E).real
+    X4 = X.reshape(n ** 3, n, n ** 3, n)
+    block_sq = np.einsum("asbt,asbt->st", X4.conj(), X4).real
+    lane = np.arange(n)
+    diagonal = X4[:, lane, :, lane]
+    spread = diagonal[:, None] - diagonal[None]
+    off = block_sq[~np.eye(n, dtype=bool)].sum()
+    total += 2 * n * off + np.vdot(spread, spread).real
+    return float(total)
+
 
 @dataclass
 class ConstraintSystem:
-    """Sparse real-linear system A x = b over Hermitian coordinates of X.
+    """The feasibility system of one problem: a template plus its target values.
 
-    A stacks the homogeneous block hom, shared by every system of size n,
-    over the target block; only the target part of b is nonzero. The
-    blocks, the lift y -> x (X = Y (x) I_n) and the lifted blocks over y are
-    the cached template's own matrices (target rows reordered under a basis
-    permutation), and counts is its read-only mapping, so a system owns only
-    b_target, the 2 m^2 target right-hand sides; the stacked A and the
-    zero-padded b are built only when they are read.
+    G is the template's target matrix with its rows in this system's basis
+    order and b_target the matching right-hand sides, so a q solves the
+    system when G q = b_target; F holds the target values f(Q_a, Q_b*) in
+    the canonical basis order, which matrix_residual checks X against. The
+    template and counts are shared by every system of size n.
     """
 
     n: int
     m: int
     s: float
-    hom: CSR = field(repr=False)
-    target: CSR = field(repr=False)
-    lift: CSR = field(repr=False)
-    hom_y: CSR = field(repr=False)
-    target_y: CSR = field(repr=False)
+    template: SystemTemplate = field(repr=False)
+    G: np.ndarray = field(repr=False)
     b_target: np.ndarray = field(repr=False)
+    F: np.ndarray = field(repr=False)
     counts: Mapping
 
     @functools.cached_property
     def A(self):
-        return vstack([self.hom, self.target])
+        """The reduced system's matrix, G."""
+        return CSR.from_dense(self.G)
 
-    @functools.cached_property
+    @property
     def b(self):
-        return np.concatenate([np.zeros(self.hom_row_count), self.b_target])
+        return self.b_target
 
     @property
     def unknowns(self):
+        """Real unknowns of the Hermitian n^4 x n^4 matrix X."""
         return self.m ** 4
 
     @property
     def hom_row_count(self):
-        return self.hom.shape[0]
+        """The action equations hold for every q: no homogeneous rows."""
+        return 0
 
-    def residual_vector(self, coords):
-        """A x - b, the homogeneous rows first, computed block by block."""
-        x = np.asarray(coords, dtype=float)
-        return np.concatenate([self.hom @ x, self.target @ x - self.b_target])
+    def matrix_residual(self, X):
+        """||residual|| of X over the intertwining and target equations.
+
+        The square root of the squared Frobenius norms of X L_a - L_{a*}^T X
+        and X R_a - R_{a*}^T X over every matrix unit a, plus the squared
+        moduli of psi(Q_b* (x) 1)* X psi(Q_a (x) 1) - F[a, b].
+        """
+        X = np.asarray(X, dtype=complex)
+        V = self.template.V
+        # entry (a, b) is psi(Q_b* (x) 1)* X psi(Q_a (x) 1)
+        target = V.T @ X.T @ V[:, _stars(self.n)] - self.F
+        return float(np.sqrt(_intertwining_residual_sq(X, self.n)
+                             + np.vdot(target, target).real))
 
     def residual_of(self, coords):
-        return float(np.linalg.norm(self.residual_vector(coords)))
+        """matrix_residual of the X with the Hermitian coordinates coords."""
+        return self.matrix_residual(hermitian_decode(coords, self.m ** 2))
 
     def residual_bound(self, tol):
-        """tol * max(1, ||b||): the one threshold on ||A x - b||."""
+        """tol * max(1, ||b||): the one threshold on a residual."""
         return tol * max(1.0, float(np.linalg.norm(self.b_target)))
 
 
 def assemble(spec, s, basis_perm=None):
-    """Build the full feasibility system for a validated generator spec.
+    """The feasibility system of a validated generator spec.
 
-    Rows appear in family order (left, right, target), duplicates removed
-    within the action families. The target rows, one real and one
-    imaginary row per pair of basis elements in the order of basis_perm,
-    carry the only nonzero right-hand sides.
+    Its target rows come one real and one imaginary row per pair of basis
+    elements, in the order of basis_perm.
     """
     n = spec.n
     if n > DEFAULT_SIZE_CAP:
         raise SizeCapExceeded(f"algebra size {n} exceeds cap {DEFAULT_SIZE_CAP}")
     tpl = system_template(n)
     m = n * n
-    form = target_form(spec, s, basis_perm=basis_perm)
-    target, target_y = tpl.target, tpl.target_y
+    F = target_form(spec, s).F
+    # rows in (a, b, re/im) order
+    b_t = np.stack([F.real, F.imag], axis=-1).reshape(-1)
+    G = tpl.G
     if basis_perm is not None:
         # the row for permuted pair (a, b) is the template row (perm[a], perm[b])
-        perm = np.asarray(basis_perm, dtype=int)
+        perm = _check_perm(basis_perm, m)
         pair = (perm.reshape(-1, 1) * m + perm.reshape(1, -1)).reshape(-1)
         rows = np.stack([2 * pair, 2 * pair + 1], axis=1).reshape(-1)
-        target, target_y = target[rows], target_y[rows]
-    # target rows are in (a, b, re/im) order
-    b_t = np.stack([form.F.real, form.F.imag], axis=-1).reshape(-1)
-    return ConstraintSystem(n, m, float(s), tpl.hom, target, tpl.lift, tpl.hom_y,
-                            target_y, b_t, tpl.counts)
+        G, b_t = G[rows], b_t[rows]
+    return ConstraintSystem(n, m, float(s), tpl, G, b_t, F, tpl.counts)
 
 
 def dump_system(system, path):
-    """Write sorted triplets (row col value) with 17 significant digits.
+    """Write the reduced system's G as sorted triplets (row col value) with
+    17 significant digits; columns are the coordinates q.
 
     The right-hand side goes to ``<path>.rhs`` as (row value) lines.
     """
     A = system.A
-    row, col, data = A.entry_rows, A.indices, A.data
-    order = np.lexsort((col, row))
     with open(path, "w") as fh:
-        for idx in order:
-            fh.write(f"{row[idx]} {col[idx]} {data[idx]:.17g}\n")
+        for row, col, value in zip(A.entry_rows, A.indices, A.data):
+            fh.write(f"{row} {col} {value:.17g}\n")
     with open(str(path) + ".rhs", "w") as fh:
         for idx in np.nonzero(system.b)[0]:
             fh.write(f"{idx} {system.b[idx]:.17g}\n")

@@ -1,51 +1,47 @@
 """Decide whether the assembled linear system has a positive-semidefinite solution.
 
-Every solution of the homogeneous rows acts trivially on the last tensor
-factor of the row-major vec(X): X = Y (x) I_n with Y of size n^3 x n^3, and
-X is PSD exactly when Y is. So the whole pipeline runs in the reduced
-coordinates y of Y, n^6 of them instead of n^8, through the system's lift
-x = E y = hermitian_encode(decode(y) (x) I_n) / sqrt(n), a sparse
-isometry: norms, singular values and every tolerance read the same in y as
-in x, and Y = decode(y) / sqrt(n) has X's eigenvalues without their
-multiplicity n. The pipeline is split into a linear stage and a conic stage:
+The pipeline runs in the bimodule coordinates q (constraints module
+docstring): X = T* (Q1 (x) I_{n^2} (+) Q2 (x) I_n) T satisfies the action
+equations for every q, and X is PSD exactly when the reduced matrix
+Q = Q1 (+) Q2 is, a matrix of side n^2 - 1 + n (11 at n = 3) instead of
+n^4. The lift q -> X is a congruence, not an isometry: norms and
+eigenvalues read in q are those of Q, not of X. The pipeline is split into
+a linear stage and a conic stage:
 
-  1. solve_affine intersects the nullspace of the homogeneous rows with the
-     target rows. The homogeneous block depends only on the algebra size, so
-     the nullspace of hom E (linalg.nullspace) is computed once per size and
-     cached; each concrete problem then reduces to one SVD of the target
-     rows target E restricted to that nullspace, also cached per size. Both
-     cut their rank with the same rule: singular values above rank_tol
-     times the largest one count. The result is a min-norm particular
-     solution and an orthonormal basis of the solution space, or a
-     NOT_CONSISTENT flag when the least-squares residual of the lifted
-     point against the full system exceeds tol * max(1, ||b||).
+  1. solve_affine solves the target rows G q = b. G depends only on the
+     algebra size, so its SVD is computed once per size and cached; the
+     rank cut keeps singular values above rank_tol times the largest one.
+     The result is the min-norm q0, an orthonormal basis of the solution
+     space (the right singular vectors past the rank) and a NOT_CONSISTENT
+     flag when the least-squares residual ||G q0 - b|| exceeds
+     tol * max(1, ||b||). G's rows are the target equations over X,
+     written in q, so this is X's residual too.
 
-  2. psd_search asks whether the affine set {X0 + sum_k t_k N_k} holds a
-     PSD point. It certifies X0 itself when it can; otherwise it maximises
-     lambda_min(X0 + sum_k t_k N_k) over t, the one optimisation whose
+  2. psd_search asks whether the affine set {Q0 + sum_k t_k N_k} holds a
+     PSD point. It certifies Q0 itself when it can; otherwise it maximises
+     lambda_min(Q0 + sum_k t_k N_k) over t, the one optimisation whose
      theorem of alternatives answers both sides of the question (Boyd and
      Vandenberghe, Convex Optimization, 5.9; Overton 1992). A point with no
      negative eigenvalue is a certificate; at a negative maximum some
      trace-one PSD P on the least eigenspace is orthogonal to every N_k and
-     pairs with X0 to that negative value. The reported negative
-     evidence is rank one: an eigenvector u of the point's Y, reported as
-     v = u (x) e_1, whose quadratic form is constant over the whole
-     solution set (couplings to every basis direction at rounding level)
-     and negative; a point whose least eigenvector is one is a maximiser,
-     and the search stops there. Any candidate certificate is Y's PSD part
-     F F* (its eigenpairs above rounding level), lifted to F F* (x) I_n and
-     re-verified against the raw system before being reported, so a
-     FEASIBLE verdict never depends on solver internals. When neither a certificate nor a witness is found the
-     verdict is INDETERMINATE, with the maximised lambda_min as its cone
-     gap.
+     pairs with Q0 to that negative value. The reported negative evidence
+     is rank one: an eigenvector u of the point's Q whose quadratic form is
+     constant over the whole solution set (couplings to every basis
+     direction at rounding level) and negative, lifted to X's space as
+     v = T^{-1}(u (x) e_1), for which v* X v = u* Q u on every solution. A
+     point whose least eigenvector is one is a maximiser, and the search
+     stops there. A candidate certificate is Q's PSD part P (its
+     eigenpairs above rounding level), lifted to X = lift(P) and
+     re-verified against the intertwining and target equations over X
+     before being reported, so a FEASIBLE verdict never depends on solver
+     internals. With neither a certificate nor a witness the verdict is
+     INDETERMINATE, with the maximised lambda_min as its cone gap.
 
-The lift back to X happens only where the contract sees X: the certificate
-(kept as the factor F, rebuilt as F F* (x) I_n and checked against the
-system's own blocks), the witness vector, and witness_check, which takes any
-vector of X's space. The linear stage reads the residual of x0 = E y0
-through the lifted blocks hom E and target E, without forming x0.
-All tolerances are relative to problem scale and recorded in the verdict.
-There is one threshold on the residual ||A x - b||, the system's
+The lift to X happens only where the contract sees X: the certificate
+(kept as the coordinates p of P, rebuilt as lift(P)), the witness vector,
+and witness_check, which takes any vector of X's space. All tolerances are
+relative to problem scale and recorded in the verdict; psd_tol is relative
+to max(1, ||q||). There is one threshold on a residual, the system's
 residual_bound(tol) = tol * max(1, ||b||): the consistency test, the
 certificate check and the CLI's verify all use it.
 """
@@ -57,10 +53,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import assemble, clear_template_cache, system_template
+from .constraints import assemble, clear_template_cache
 from .errors import DimensionMismatch
-from .linalg import (DEFAULT_FEAS_TOL, DEFAULT_RANK_TOL, _rank, herm_eig,
-                     hermitian_decode, hermitian_encode, kron_eye, nullspace)
+from .linalg import DEFAULT_FEAS_TOL, DEFAULT_RANK_TOL, _rank, herm_eig
 
 FEASIBLE = "FEASIBLE"
 NOT_CONSISTENT = "NOT_CONSISTENT"
@@ -78,7 +73,7 @@ DEFAULT_PSD_TOL = 1e-9
 DEFAULT_WITNESS_VALUE_TOL = 1e-6
 DEFAULT_WITNESS_COUPLING_TOL = 1e-8
 # smoothing widths of the lambda_min maximisation, relative to
-# max(1, ||X0||), one L-BFGS run each
+# max(1, ||q0||), one L-BFGS run each
 MU_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4)
 # an L-BFGS run stops after LBFGS_MAX_ITER steps, once the gradient's largest
 # entry is at most LBFGS_GRAD_TOL, or when LINE_SEARCH_HALVINGS halvings of
@@ -89,35 +84,39 @@ LBFGS_MEMORY = 10
 LBFGS_GRAD_TOL = 1e-12
 LINE_SEARCH_HALVINGS = 20
 
-_KERNEL_CACHE = {}
 _TARGET_SVD_CACHE = {}
 
 
 def clear_caches():
-    _KERNEL_CACHE.clear()
     _TARGET_SVD_CACHE.clear()
     clear_template_cache()
 
 
 class AffineSolutionSet:
-    """Solution set {X0 + sum_k t_k N_k} of the assembled system.
+    """Solution set {Q0 + sum_k t_k N_k} of the assembled system.
 
-    Coordinates are the reduced ones, y with X = Y (x) I_n for
-    x = system.lift @ y (module docstring): y0_coords is the min-norm
-    particular solution restricted to the homogeneous nullspace, and the
-    rows of basis_array, orthonormal, span the solution space. residual is
-    the full-system residual of the lifted x0; consistent means it is at
-    most the system's residual_bound(tol).
+    Coordinates are the bimodule coordinates q (module docstring):
+    q0_coords is the min-norm solution of the target rows, and the rows of
+    basis_array, orthonormal, span the solution space. residual is
+    ||G q0 - b||; consistent means it is at most consistency_bound, the
+    system's residual_bound(tol). size_diagnostics is the read-only mapping
+    that every set of the size shares.
     """
 
-    def __init__(self, system, y0, basis_array, residual, consistent,
-                 diagnostics):
+    def __init__(self, system, q0, basis_array, residual, consistent,
+                 size_diagnostics, consistency_bound=None):
         self.system = system
-        self.y0_coords = np.asarray(y0, dtype=float)
+        self.q0_coords = np.asarray(q0, dtype=float)
         self.basis_array = np.asarray(basis_array, dtype=float)
         self.residual = float(residual)
         self.consistent = bool(consistent)
-        self.diagnostics = dict(diagnostics)
+        self.size_diagnostics = size_diagnostics
+        self.consistency_bound = consistency_bound
+
+    @property
+    def diagnostics(self):
+        return _diagnostics(self.size_diagnostics, residual=self.residual,
+                            consistency_bound=self.consistency_bound)
 
     @property
     def side(self):
@@ -129,44 +128,28 @@ class AffineSolutionSet:
         return self.basis_array.shape[0]
 
 
-def _block(y, n):
-    """The n^3 x n^3 matrix Y with X = Y (x) I_n, for reduced coordinates y.
-
-    The lift carries 1/sqrt(n), so Y = decode(y) / sqrt(n); Y has X's
-    eigenvalues, each once instead of n times, and ||X||_F = ||y||.
-    """
-    return hermitian_decode(y, n ** 3) / np.sqrt(n)
-
-
-def _hom_kernel(system, rank_tol):
-    key = (system.n, float(rank_tol))
-    N = _KERNEL_CACHE.get(key)
-    if N is None:
-        rows = nullspace(system.hom_y, tol=rank_tol)
-        N = np.ascontiguousarray(rows.T)
-        _KERNEL_CACHE[key] = N
-    return N
-
-
-def _target_svd(system, N, rank_tol):
-    # (U, sv, Vt, rank, solution-space basis, (largest, smallest kept and
-    # largest dropped singular value)), cached for the template's own target
-    # block so that sweep samples, and the verdicts that report the margins,
-    # share them; permuted systems recompute
-    canonical = system.target is system_template(system.n).target
+def _target_svd(system, rank_tol):
+    # (U, sv, Vt, rank, solution-space basis, diagnostics of the size),
+    # cached for the template's own G so that sweep samples, and the
+    # verdicts that report the margins, share them; permuted systems
+    # recompute
+    canonical = system.G is system.template.G
     key = (system.n, float(rank_tol))
     if canonical and key in _TARGET_SVD_CACHE:
         return _TARGET_SVD_CACHE[key]
-    W = (system.target_y @ N if N.shape[1]
-         else np.zeros((2 * system.m ** 2, 0)))
-    U, sv, Vt = np.linalg.svd(W, full_matrices=False)
-    rank = int(_rank(sv, sv[0] if sv.size else 0.0, rank_tol))
-    # orthonormal: N has orthonormal columns and Vt rows are orthonormal
-    basis = (N @ Vt[rank:].T).T if N.shape[1] else np.zeros((0, N.shape[0]))
-    margins = (float(sv[0]) if sv.size else 0.0,
-               float(sv[rank - 1]) if rank else 0.0,
-               float(sv[rank]) if rank < sv.size else 0.0)
-    out = (U, sv, Vt, rank, basis, margins)
+    U, sv, Vt = np.linalg.svd(system.G, full_matrices=False)
+    rank = int(_rank(sv, sv[0], rank_tol))
+    basis = np.ascontiguousarray(Vt[rank:])
+    shared = types.MappingProxyType({
+        "hom_kernel_dim": int(Vt.shape[1]),    # the coordinates q
+        "target_rank": rank,
+        "solution_dim": int(basis.shape[0]),
+        "target_sv_max": float(sv[0]),
+        "target_sv_min_kept": float(sv[rank - 1]) if rank else 0.0,
+        "target_sv_max_dropped": float(sv[rank]) if rank < sv.size else 0.0,
+        "system_counts": system.counts,
+    })
+    out = (U, sv, Vt, rank, basis, shared)
     if canonical:
         _TARGET_SVD_CACHE[key] = out
     return out
@@ -175,51 +158,30 @@ def _target_svd(system, N, rank_tol):
 def _solve_stacked(systems, tol, rank_tol):
     """Min-norm solutions of systems that share one template, one per row.
 
-    Row j of Y0 solves the target rows of systems[j] over the reduced
-    homogeneous kernel N through the cached target SVD,
-    y0 = N Vt^T diag(1/sv) U^T b_t, all rows in one product. residual[j] is
-    the full-system residual ||[hom x0, target x0 - b_t]|| of the lifted
-    x0 = system.lift @ y0, read as ||[hom_y y0, target_y y0 - b_t]|| through
-    the lifted blocks, and bound[j] is systems[j].residual_bound(tol).
-    Returns (Y0, residual, hom_residual, bound, svd) with svd =
-    _target_svd's (U, sv, Vt, rank, basis, margins).
+    Row j of Q0 solves G q = b_t of systems[j] through the cached SVD,
+    q0 = Vt^T diag(1/sv) U^T b_t, all rows in one product; residual[j] is
+    ||G q0 - b_t|| and bound[j] is systems[j].residual_bound(tol). Returns
+    (Q0, residual, bound, svd) with svd = _target_svd's tuple.
     """
     system = systems[0]
-    N = _hom_kernel(system, rank_tol)
-    svd = U, sv, Vt, rank, _, _ = _target_svd(system, N, rank_tol)
+    svd = U, sv, Vt, rank, _, _ = _target_svd(system, rank_tol)
     B = np.array([s.b_target for s in systems])
-    Y0 = (B @ U[:, :rank] / sv[:rank]) @ Vt[:rank] @ N.T
-    # row by row, so that only one hom_y y0 (5643 entries at n = 3) is alive
-    hom_res = np.array([np.linalg.norm(system.hom_y @ y) for y in Y0])
-    target_res = np.linalg.norm(system.target_y @ Y0.T - B.T, axis=0)
+    Q0 = (B @ U[:, :rank] / sv[:rank]) @ Vt[:rank]
+    residual = np.linalg.norm(Q0 @ system.G.T - B, axis=1)
     bound = np.array([s.residual_bound(tol) for s in systems])
-    return Y0, np.hypot(hom_res, target_res), hom_res, bound, svd
+    return Q0, residual, bound, svd
 
 
 def solve_affine(system, tol=DEFAULT_FEAS_TOL, rank_tol=DEFAULT_RANK_TOL):
-    """Intersect the homogeneous nullspace with the target equations.
+    """Solve the target rows G q = b in the least-squares sense.
 
     Returns an AffineSolutionSet; .consistent is False when the
     least-squares residual exceeds system.residual_bound(tol) =
-    tol * max(1, ||b||) (the Rouche-Capelli test in floating point). The
-    bound leaves out ||A||_F, which only counts the unit-norm rows and would
-    admit residuals of inconsistent systems.
+    tol * max(1, ||b||) (the Rouche-Capelli test in floating point).
     """
-    Y0, residual, hom_res, bound, svd = _solve_stacked([system], tol, rank_tol)
-    _, _, Vt, rank, basis, (sv_max, sv_kept, sv_dropped) = svd
-    diagnostics = {
-        "hom_kernel_dim": int(Vt.shape[1]),    # one column per kernel vector
-        "target_rank": rank,
-        "solution_dim": int(basis.shape[0]),
-        "residual": float(residual[0]),
-        "hom_residual": float(hom_res[0]),
-        "consistency_bound": float(bound[0]),
-        "target_sv_max": sv_max,
-        "target_sv_min_kept": sv_kept,
-        "target_sv_max_dropped": sv_dropped,
-    }
-    return AffineSolutionSet(system, Y0[0], basis, diagnostics["residual"],
-                             residual[0] <= bound[0], diagnostics)
+    Q0, residual, bound, svd = _solve_stacked([system], tol, rank_tol)
+    return AffineSolutionSet(system, Q0[0], svd[4], residual[0],
+                             residual[0] <= bound[0], svd[5], float(bound[0]))
 
 
 def witness_check(sol, v):
@@ -234,37 +196,35 @@ def witness_check(sol, v):
     v = np.asarray(v, dtype=complex).reshape(-1)
     if v.shape != (sol.side,):
         raise DimensionMismatch(f"witness length {v.size}, expected {sol.side}")
-    # v* (Y (x) I_n) v = tr(Y R) for the partial trace R = Tr_2(v v*)
-    V = v.reshape(-1, sol.system.n)
-    return _form(sol, V @ V.conj().T)
+    return _form(sol, sol.system.template.vector_form(v))
 
 
-def _form(sol, R):
-    """(tr(Y0 R), max_k |tr(Y_k R)|) for a Hermitian n^3 x n^3 matrix R.
-
-    Y0 and Y_k are the blocks of X0 and of the basis directions N_k; the
-    pairing <y, encode(R)> / sqrt(n) is tr(Y R) (see _block).
-    """
-    h = hermitian_encode(R) / np.sqrt(sol.system.n)
+def _form(sol, h):
+    """(q0 . h, max_k |N_k . h|): the form with coordinates h at Q0 and on
+    the basis directions."""
     coupling = float(np.max(np.abs(sol.basis_array @ h))) if sol.dim else 0.0
-    return float(sol.y0_coords @ h), coupling
+    return float(sol.q0_coords @ h), coupling
 
 
-def witness_hunt(sol, y_coords):
-    """Look for an infeasibility witness among the eigenvectors of Y(y).
+def _rank_one_form(sol, u):
+    return _form(sol, sol.system.template.pairing(np.outer(u, u.conj())))
 
-    y is a point of the solution set, normally the end of the lambda_min
-    maximisation. Each eigenvector u of Y(y) with a negative eigenvalue is
+
+def witness_hunt(sol, q_coords, eig=None):
+    """Look for an infeasibility witness among the eigenvectors of Q(q).
+
+    q is a point of the solution set, normally the end of the lambda_min
+    maximisation. Each eigenvector u of Q(q) with a negative eigenvalue is
     tried in ascending order, first with its rounding-noise entries
     dropped, then as it is. A candidate is accepted when its value is below
     -DEFAULT_WITNESS_VALUE_TOL and its coupling at most
     DEFAULT_WITNESS_COUPLING_TOL. Returns (u, value, coupling) or None; the
-    witness in X's space is u (x) e_1, with the same value and coupling.
+    witness in X's space is T^{-1}(u (x) e_1), with the same value and
+    coupling. eig, when given, is Q(q)'s eigendecomposition.
     """
-    n = sol.system.n
-    w, V = herm_eig(_block(y_coords, n))
-    scale_x = max(1.0, float(np.linalg.norm(y_coords)))
-    for idx in np.nonzero(w < -DEFAULT_PSD_TOL * scale_x)[0]:
+    w, V = eig or herm_eig(sol.system.template.matrix(q_coords))
+    scale = max(1.0, float(np.linalg.norm(q_coords)))
+    for idx in np.nonzero(w < -DEFAULT_PSD_TOL * scale)[0]:
         u = V[:, idx]
         candidates = [u]
         # drop rounding-noise entries when the cleaned vector still works
@@ -273,7 +233,7 @@ def witness_hunt(sol, y_coords):
             cleaned = np.where(mask, u, 0.0)
             candidates.insert(0, cleaned / np.linalg.norm(cleaned))
         for c in candidates:
-            value, coupling = _form(sol, np.outer(c, c.conj()))
+            value, coupling = _rank_one_form(sol, c)
             if _is_witness(value, coupling):
                 return c.copy(), value, coupling    # a view keeps V alive
     return None
@@ -284,52 +244,70 @@ def _is_witness(value, coupling):
             and coupling <= DEFAULT_WITNESS_COUPLING_TOL)
 
 
+def _diagnostics(size_diagnostics, **own):
+    """A read-only mapping of the size's values, then the run's own ones
+    that are set."""
+    return types.MappingProxyType(
+        {**size_diagnostics, **{k: v for k, v in own.items() if v is not None}})
+
+
 @dataclass(slots=True)
 class FeasibilityVerdict:
     """Outcome of the PSD feasibility decision with its evidence attached.
 
-    The evidence is kept in the reduced variable, X = Y (x) I_n:
-    certificate_factor is F with Y = F F* (one column per eigenvalue of Y
-    above rounding level) and reduced_witness the witness u of Y.
+    The evidence is kept in the bimodule coordinates of the size's
+    template: certificate_coords is p, the coordinates of the PSD part of
+    the certified point's Q, and reduced_witness the witness u of Q.
     certificate, spectrum and witness_vector give the same evidence in X's
-    space. The tolerances are one read-only mapping shared by the verdicts
-    that use them.
+    space, rebuilt on every read. The tolerances and size_diagnostics are
+    read-only mappings shared by every verdict that uses them; the fields
+    after them are the run's own diagnostics, None where a stage did not
+    run, and diagnostics shows both as one mapping.
     """
 
     kind: str
     residual: float
     nullspace_dim: int
-    certificate_factor: np.ndarray = None
+    template: object = field(default=None, repr=False)
+    certificate_coords: np.ndarray = None
     reduced_witness: np.ndarray = None
     witness_value: float = None
     witness_coupling: float = None
     tolerances: Mapping = field(default_factory=dict)
-    diagnostics: dict = field(default_factory=dict)
+    size_diagnostics: Mapping = field(default_factory=dict, repr=False)
+    least_squares_residual: float = None
+    consistency_bound: float = None
+    stop: str = None
+    iterations: int = None
+    min_eig_first: float = None
+    cone_gap: float = None
+    certificate_min_eig: float = None
+
+    @property
+    def diagnostics(self):
+        return _diagnostics(
+            self.size_diagnostics, residual=self.least_squares_residual,
+            consistency_bound=self.consistency_bound, stop=self.stop,
+            iterations=self.iterations, min_eig_first=self.min_eig_first,
+            cone_gap=self.cone_gap, certificate_min_eig=self.certificate_min_eig)
 
     @property
     def certificate(self):
-        """X = F F* (x) I_n, bit for bit the matrix checked against the system."""
-        F = self.certificate_factor
-        return None if F is None else kron_eye(_gram(F), _n_of_side(len(F)))
+        """X = lift(Q(p)), bit for bit the matrix checked against the system."""
+        p = self.certificate_coords
+        return None if p is None else self.template.lift(self.template.matrix(p))
 
     @property
     def spectrum(self):
-        """X's eigenvalues, ascending: each of Y's n times."""
-        F = self.certificate_factor
-        if F is None:
-            return None
-        return np.repeat(herm_eig(_gram(F))[0], _n_of_side(len(F)))
+        """X's eigenvalues, ascending."""
+        X = self.certificate
+        return None if X is None else herm_eig(X)[0]
 
     @property
     def witness_vector(self):
-        """The witness u (x) e_1 in X's space."""
+        """The witness T^{-1}(u (x) e_1) in X's space."""
         u = self.reduced_witness
-        if u is None:
-            return None
-        n = _n_of_side(u.size)
-        v = np.zeros(u.size * n, dtype=complex)
-        v[::n] = u
-        return v
+        return None if u is None else self.template.lift_witness(u)
 
     @property
     def exit_code(self):
@@ -343,9 +321,10 @@ class FeasibilityVerdict:
             "tolerances": dict(self.tolerances),
             "diagnostics": _jsonable(self.diagnostics),
         }
-        if self.certificate_factor is not None:
-            out["certificate"] = _cmat_to_json(self.certificate)
-            out["spectrum"] = [float(x) for x in self.spectrum]
+        if self.certificate_coords is not None:
+            X = self.certificate
+            out["certificate"] = _cmat_to_json(X)
+            out["spectrum"] = [float(x) for x in herm_eig(X)[0]]
         if self.reduced_witness is not None:
             out["witness"] = {
                 "vector": _cvec_to_json(self.witness_vector),
@@ -353,17 +332,6 @@ class FeasibilityVerdict:
                 "coupling": self.witness_coupling,
             }
         return out
-
-
-def _n_of_side(side):
-    """n for Y's side n^3."""
-    return round(side ** (1 / 3))
-
-
-def _gram(F):
-    """F F*, exactly Hermitian; numpy's own loops (no BLAS) give the same
-    bits on every call with the same F."""
-    return np.einsum("ir,jr->ij", F, F.conj())
 
 
 def _jsonable(obj):
@@ -396,29 +364,37 @@ def _tolerances(tol, rank_tol, psd_tol):
         "witness_coupling": DEFAULT_WITNESS_COUPLING_TOL})
 
 
-def _certify(sol, y_coords, tol, psd_tol, tolerances):
-    """Project Y onto the PSD cone and re-verify Y (x) I_n against the raw system.
+def _verdict(sol, kind, tolerances, **fields):
+    """A verdict on sol, with the set's residual and diagnostics."""
+    fields.setdefault("residual", sol.residual)
+    return FeasibilityVerdict(
+        kind=kind, nullspace_dim=sol.dim, tolerances=tolerances,
+        size_diagnostics=sol.size_diagnostics,
+        least_squares_residual=sol.residual,
+        consistency_bound=sol.consistency_bound, **fields)
 
-    The projection keeps the eigenpairs of Y above rounding level
-    (k eps lambda_max for k x k Y, numpy's matrix_rank cut) as a factor
-    F = V diag(sqrt(w)); the certificate is F F*, checked as it is kept.
+
+def _certify(sol, q_coords, eig, tol, psd_tol, tolerances, **own):
+    """Project Q onto the PSD cone and re-verify its lift against the system.
+
+    eig is Q(q)'s eigendecomposition. The projection keeps the eigenpairs
+    of Q above rounding level (k eps lambda_max for k x k Q, numpy's
+    matrix_rank cut); the certificate is X = lift(P) for that PSD part P,
+    checked as it is kept.
     """
     system = sol.system
-    w, V = herm_eig(_block(y_coords, system.n))
-    scale_x = max(1.0, float(np.linalg.norm(y_coords)))
-    if w[0] < -psd_tol * scale_x:
+    tpl = system.template
+    w, V = eig
+    if w[0] < -psd_tol * max(1.0, float(np.linalg.norm(q_coords))):
         return None
     keep = w > w[-1] * w.size * np.finfo(float).eps
     F = V[:, keep] * np.sqrt(w[keep])
-    Yp = _gram(F)
-    residual = system.residual_of(hermitian_encode(kron_eye(Yp, system.n)))
+    p = tpl.pairing(F @ F.conj().T)
+    residual = system.matrix_residual(tpl.lift(tpl.matrix(p)))
     if residual > system.residual_bound(tol):
         return None
-    wf, _ = herm_eig(Yp)
-    return FeasibilityVerdict(
-        kind=FEASIBLE, residual=residual, nullspace_dim=sol.dim,
-        certificate_factor=F, tolerances=tolerances,
-        diagnostics={**sol.diagnostics, "certificate_min_eig": float(wf[0])})
+    return _verdict(sol, FEASIBLE, tolerances, residual=residual, template=tpl,
+                    certificate_coords=p, certificate_min_eig=float(w[0]), **own)
 
 
 def _lbfgs(fun, t, *args):
@@ -464,85 +440,87 @@ class _Settled(Exception):
 
 
 def _max_min_eig(sol, psd_tol):
-    """Maximise lambda_min(X0 + sum_k t_k N_k) over t, in Y.
+    """Maximise lambda_min(Q0 + sum_k t_k N_k) over t.
 
-    Minimises the smoothed -lambda_min of X,
-    mu log sum_i exp(-(lambda_i - lambda_1) / mu) - lambda_1 over X's
-    eigenvalues, which are Y's, each n times: mu log(n sum_j ...) over Y's.
-    Its gradient in t is -B encode(P) / sqrt(n) for the softmax
-    eigenprojector P = sum_j p_j u_j u_j* of Y. L-BFGS runs from t = 0; mu
-    runs through MU_SCHEDULE times max(1, ||X0||), each run starting where
-    the last one ended. Stops at the first point, X0 included, whose least
-    eigenvalue passes the certificate's test or whose least eigenvector is
-    a witness (then it is a maximiser: the witness's form is the same all
-    over the set and bounds lambda_min). Returns (y, least eigenvalue of every
-    eigensolve); the first is X0's and the last is y's.
+    Minimises the smoothed -lambda_min of Q,
+    mu log sum_i exp(-(lambda_i - lambda_1) / mu) - lambda_1, whose
+    gradient in t is -B pairing(P) for the softmax eigenprojector
+    P = sum_j p_j u_j u_j* of Q. L-BFGS runs from t = 0; mu runs through
+    MU_SCHEDULE times max(1, ||q0||), each run starting where the last one
+    ended. Stops at the first point, Q0 included, whose least eigenvalue
+    passes the certificate's test or whose least eigenvector is a witness
+    (then it is a maximiser: the witness's form is the same all over the
+    set and bounds lambda_min). Returns (q, least eigenvalue of every
+    eigensolve, Q(q)'s eigendecomposition); the first eigenvalue is Q0's
+    and the last is q's.
     """
-    y0, B, n = sol.y0_coords, sol.basis_array, sol.system.n
+    q0, B, tpl = sol.q0_coords, sol.basis_array, sol.system.template
     least = []
 
     def smoothed(t, mu):
-        y = y0 + B.T @ t
-        w, V = herm_eig(_block(y, n))
+        q = q0 + B.T @ t
+        w, V = herm_eig(tpl.matrix(q))
         least.append(float(w[0]))
-        u = V[:, 0]
-        if (w[0] >= -psd_tol * max(1.0, float(np.linalg.norm(y)))
-                or _is_witness(*_form(sol, np.outer(u, u.conj())))):
-            raise _Settled(y)
+        if (w[0] >= -psd_tol * max(1.0, float(np.linalg.norm(q)))
+                or _is_witness(*_rank_one_form(sol, V[:, 0]))):
+            raise _Settled(q, (w, V))
         e = np.exp((w[0] - w) / mu)
         P = (V * (e / e.sum())) @ V.conj().T
-        return (mu * np.log(n * e.sum()) - w[0],
-                -(B @ hermitian_encode(P)) / np.sqrt(n))
+        return mu * np.log(e.sum()) - w[0], -(B @ tpl.pairing(P))
 
     t = np.zeros(sol.dim)
     if sol.dim:
-        scale = max(1.0, float(np.linalg.norm(y0)))
+        scale = max(1.0, float(np.linalg.norm(q0)))
         try:
             for mu in MU_SCHEDULE:
                 t = _lbfgs(smoothed, t, mu * scale)
         except _Settled as stop:
-            return stop.args[0], least
-    y = y0 + B.T @ t
-    least.append(float(herm_eig(_block(y, n))[0][0]))
-    return y, least
+            return stop.args[0], least, stop.args[1]
+    q = q0 + B.T @ t
+    eig = herm_eig(tpl.matrix(q))
+    least.append(float(eig[0][0]))
+    return q, least, eig
 
 
 def psd_search(sol, tol=DEFAULT_FEAS_TOL, psd_tol=DEFAULT_PSD_TOL,
                rank_tol=DEFAULT_RANK_TOL):
     """Decide whether the affine solution set holds a PSD element.
 
-    Certifies x0 itself when it passes; otherwise maximises the least
+    Certifies q0 itself when it passes; otherwise maximises the least
     eigenvalue over the set (_max_min_eig), certifies the point reached,
     and looks for a witness among its eigenvectors. Every candidate
-    certificate is re-verified against the raw system; with neither a
-    certificate nor a witness the verdict is INDETERMINATE. Diagnostics:
-    iterations (eigensolves of the maximisation), min_eig_first (at X0) and
-    cone_gap (the least eigenvalue at the point reached, signed).
+    certificate is re-verified against the equations over X; with neither
+    a certificate nor a witness the verdict is INDETERMINATE. Diagnostics:
+    stop (why the conic stage ended: x0_certificate, x0_witness,
+    search_certificate, search_witness, or budget when it decided nothing),
+    and once the maximisation ran iterations (its eigensolves),
+    min_eig_first (Q0's least eigenvalue) and cone_gap (the least
+    eigenvalue at the point reached, signed).
     """
     if not sol.consistent:
         raise DimensionMismatch("psd_search requires a consistent solution set")
     tolerances = _tolerances(tol, rank_tol, psd_tol)
-    verdict = _certify(sol, sol.y0_coords, tol, psd_tol, tolerances)
+    q0 = sol.q0_coords
+    verdict = _certify(sol, q0, herm_eig(sol.system.template.matrix(q0)), tol,
+                       psd_tol, tolerances, stop="x0_certificate")
     if verdict is not None:
         return verdict
 
-    y, least = _max_min_eig(sol, psd_tol)
+    q, least, eig = _max_min_eig(sol, psd_tol)
     search = {"iterations": len(least), "min_eig_first": least[0],
               "cone_gap": least[-1]}
-    verdict = _certify(sol, y, tol, psd_tol, tolerances)
+    verdict = _certify(sol, q, eig, tol, psd_tol, tolerances,
+                       stop="search_certificate", **search)
     if verdict is not None:
-        verdict.diagnostics.update(search)
         return verdict
-    hunt = witness_hunt(sol, y)
+    hunt = witness_hunt(sol, q, eig)
     if hunt is not None:
         u, value, coupling = hunt
-        return FeasibilityVerdict(
-            kind=NOT_PSD, residual=sol.residual, nullspace_dim=sol.dim,
-            reduced_witness=u, witness_value=value, witness_coupling=coupling,
-            tolerances=tolerances, diagnostics={**sol.diagnostics, **search})
-    return FeasibilityVerdict(
-        kind=INDETERMINATE, residual=sol.residual, nullspace_dim=sol.dim,
-        tolerances=tolerances, diagnostics={**sol.diagnostics, **search})
+        stop = "x0_witness" if len(least) == 1 else "search_witness"
+        return _verdict(sol, NOT_PSD, tolerances, template=sol.system.template,
+                        reduced_witness=u, witness_value=value,
+                        witness_coupling=coupling, stop=stop, **search)
+    return _verdict(sol, INDETERMINATE, tolerances, stop="budget", **search)
 
 
 def verdict_for(sol, tol=DEFAULT_FEAS_TOL, rank_tol=DEFAULT_RANK_TOL,
@@ -553,11 +531,7 @@ def verdict_for(sol, tol=DEFAULT_FEAS_TOL, rank_tol=DEFAULT_RANK_TOL,
     goes through the PSD search.
     """
     if not sol.consistent:
-        return FeasibilityVerdict(
-            kind=NOT_CONSISTENT, residual=sol.residual,
-            nullspace_dim=sol.dim,
-            tolerances=_tolerances(tol, rank_tol, psd_tol),
-            diagnostics=dict(sol.diagnostics))
+        return _verdict(sol, NOT_CONSISTENT, _tolerances(tol, rank_tol, psd_tol))
     return psd_search(sol, tol=tol, psd_tol=psd_tol, rank_tol=rank_tol)
 
 
@@ -566,6 +540,4 @@ def decide(spec, s, tol=DEFAULT_FEAS_TOL, rank_tol=DEFAULT_RANK_TOL,
     """Assemble, solve the linear stage, and run the PSD search."""
     system = assemble(spec, s, basis_perm=basis_perm)
     sol = solve_affine(system, tol=tol, rank_tol=rank_tol)
-    verdict = verdict_for(sol, tol=tol, rank_tol=rank_tol, psd_tol=psd_tol)
-    verdict.diagnostics.setdefault("system_counts", system.counts)
-    return verdict
+    return verdict_for(sol, tol=tol, rank_tol=rank_tol, psd_tol=psd_tol)

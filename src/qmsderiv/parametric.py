@@ -20,7 +20,7 @@ system's actual consistency, record by record.
 
 Every sample is assembled against the cached per-size template, so a sample
 adds only its target right-hand side, read off the generator's matrix. The
-samples share the homogeneous kernel and the target SVD, so a sweep solves
+samples share the SVD of the reduced target matrix, so a sweep solves
 them a chunk at a time with one product over the stacked right-hand sides,
 and keeps its results as columns (SweepRecords) rather than as objects.
 """
@@ -228,9 +228,8 @@ def sample_inputs(count, seed, project=False, pin=None):
         yield k, p, Y
 
 
-# samples solved by one stacked product: the kernel (3.8 MB at n = 3) is read
-# once per chunk instead of once per sample, while the chunk's solutions
-# (52 KB each at n = 3) are alive together
+# samples solved by one stacked product: the SVD factors of the target matrix
+# (140 KB at n = 3) are read once per chunk instead of once per sample
 SWEEP_CHUNK = 16
 
 
@@ -300,7 +299,7 @@ def sweep(count, seed, project=False, pin=None, s=0.0,
                 out.errors[k] = f"{type(exc).__name__}: {exc}"
         if chunk:
             try:
-                _, residual, _, bound, _ = _solve_stacked(systems, tol, rank_tol)
+                _, residual, bound, _ = _solve_stacked(systems, tol, rank_tol)
                 out.residual[chunk] = residual
                 out.consistent[chunk] = residual <= bound
             except ToolError as exc:

@@ -1,6 +1,7 @@
 """Command-line entry points, reports, and the verify subcommand."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -10,7 +11,7 @@ import qmsderiv.cli as cli
 from qmsderiv.cli import canonical_json, fingerprint_of, main
 from qmsderiv.constraints import assemble
 from qmsderiv.feasibility import _certify, solve_affine
-from qmsderiv.linalg import hermitian_decode, hermitian_encode
+from qmsderiv.linalg import herm_eig
 
 
 TRACIAL_2X2 = {
@@ -245,20 +246,20 @@ def test_certificate_checks_use_the_consistency_bound(preset_problems, tmp_path,
     problem = preset_problems["2x2-gns"]
     system = assemble(problem.spec, problem.s)
     sol = solve_affine(system)
-    h = np.eye(sol.y0_coords.size)[0]      # Y's (0, 0) entry
+    tpl = system.template
+    h = np.eye(tpl.unknowns)[0]             # Q1's (0, 0) entry
     bound = system.residual_bound(1e-8)
-    step = 10 * bound / np.linalg.norm(system.A @ (system.lift @ h))
-    y = sol.y0_coords + step * h
-    x = system.lift @ y
-    assert system.residual_of(x) == pytest.approx(10 * bound, rel=1e-6)
-    assert _certify(sol, y, 1e-8, 1e-9, {}) is None
+    step = 10 * bound / np.linalg.norm(tpl.G @ h)
+    q = sol.q0_coords + step * h
+    X = tpl.lift(tpl.matrix(q))
+    assert system.matrix_residual(X) == pytest.approx(10 * bound, rel=1e-6)
+    assert _certify(sol, q, herm_eig(tpl.matrix(q)), 1e-8, 1e-9, {}) is None
 
     out = tmp_path / "rep.json"
     assert main(["repro", "2x2-gns", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     report["verdict"]["certificate"] = [
-        [[float(z.real), float(z.imag)] for z in row]
-        for row in hermitian_decode(x, 16)]
+        [[float(z.real), float(z.imag)] for z in row] for row in X]
     report["fingerprint"] = fingerprint_of(report)
     out.write_text(json.dumps(report))
     assert main(["verify", str(out)]) == 1
@@ -329,3 +330,29 @@ def test_verify_malformed_evidence_is_an_input_error(evidence_reports, tmp_path,
     path.write_text(json.dumps(report))
     assert main(["verify", str(path)]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+def chain_problem(n):
+    """The n-level chain at s = 1/2: density proportional to
+    diag(1, 2, 4, ...) and matrix-unit jump pairs between neighbours."""
+    d = [2.0 ** i / (2.0 ** n - 1.0) for i in range(n)]
+    jumps = []
+    for i in range(n - 1):
+        up = [[1.0 if (r, c) == (i, i + 1) else 0.0 for c in range(n)]
+              for r in range(n)]
+        omega = -math.log(d[i] / d[i + 1])
+        jumps += [{"V": up, "omega": omega},
+                  {"V": [list(row) for row in zip(*up)], "omega": -omega}]
+    return {"n": n, "density": {"diag": d}, "jumps": jumps, "s": 0.5}
+
+
+def test_five_level_chain_is_not_psd_and_verifies(tmp_path, capsys):
+    # n = 5 is within the size cap; its witness passes verify
+    path, out = tmp_path / "chain5.json", tmp_path / "chain5.report.json"
+    path.write_text(json.dumps(chain_problem(5)))
+    assert main(["check", str(path), "--out", str(out)]) == 11
+    report = json.loads(out.read_text())
+    assert report["verdict"]["diagnostics"]["stop"] == "x0_witness"
+    assert report["system"]["unknowns"] == 5 ** 8
+    assert main(["verify", str(out)]) == 0
+    assert "witness value" in capsys.readouterr().out

@@ -1,4 +1,5 @@
-"""Bimodule actions, vectorization, target form, and system assembly."""
+"""Bimodule actions, vectorization, target form, the bimodule coordinates and
+system assembly, checked against the X-space reference (tests/xspace.py)."""
 
 import hashlib
 import itertools
@@ -8,14 +9,17 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from qmsderiv import constraints
-from qmsderiv.constraints import (ConstraintSystem, TensorElem, assemble,
-                                  dump_system, left_act, psi_index, right_act,
-                                  system_template, target_form)
+import xspace
+from qmsderiv.constraints import (ConstraintSystem, TensorElem,
+                                  _intertwining_residual_sq, assemble,
+                                  dump_system, left_act, left_residual,
+                                  psi_index, right_act, system_template,
+                                  target_form)
 from qmsderiv.errors import IndexOutOfRange, SizeCapExceeded
 from qmsderiv.feasibility import decide, solve_affine
-from qmsderiv.linalg import hermitian_decode, nullspace
+from qmsderiv.linalg import hermitian_decode, hermitian_encode
 from qmsderiv.qms import DensityState, lindblad_apply, make_spec, s_inner
+from xspace import nullspace
 
 PI = math.pi
 
@@ -42,7 +46,13 @@ def kms_3x3(preset_problems):
 
 @pytest.fixture(scope="module")
 def hom_kernels():
-    return {n: nullspace(system_template(n).hom) for n in (2, 3)}
+    # the reference kernel: intertwining rows built from left_act/right_act
+    return {n: nullspace(xspace.system_template(n).hom) for n in (2, 3)}
+
+
+def lifted(system, q):
+    tpl = system.template
+    return tpl.lift(tpl.matrix(q))
 
 
 def test_psi_index_matches_reference_formulas():
@@ -169,23 +179,34 @@ def test_target_form_is_s_inner_of_generator(preset_problems, random_spec,
 
 
 def test_assemble_counts_2x2(gns_2x2):
+    # 2m matrix equations over X, m^2 complex target equations, which are
+    # 2 m^2 real rows over the n^4 - n^2 + 1 coordinates q
     counts = assemble(gns_2x2, 0.0).counts
-    raw = (counts["raw_complex_left"] + counts["raw_complex_right"]
-           + counts["raw_complex_target"])
+    assert counts["intertwining_equations"] == 2 * 4
+    assert counts["target_equations"] == 4 ** 2
+    assert counts["reduced_unknowns"] == 2 ** 4 - 2 ** 2 + 1 == 13
+    assert counts["rows_total"] == 32
+    # the reference's X-space rows: every one of its 2064 raw equations
+    ref = xspace.system_template(2).counts
+    raw = (ref["raw_complex_left"] + ref["raw_complex_right"]
+           + ref["raw_complex_target"])
     assert raw == 2 * 4 ** 5 + 4 ** 2 == 2064
-    assert counts["hom_rows_after_dedup"] == 568
-    assert counts["rows_total"] == 600
+    assert ref["hom_rows_after_dedup"] == 568
+    assert ref["rows_total"] == 600
 
 
 def test_assemble_counts_3x3():
     counts = system_template(3).counts
-    raw = (counts["raw_complex_left"] + counts["raw_complex_right"]
-           + counts["raw_complex_target"])
+    assert counts["reduced_unknowns"] == 3 ** 4 - 3 ** 2 + 1 == 73
+    assert counts["rows_total"] == 2 * 9 ** 2 == 162
+    ref = xspace.system_template(3).counts
+    raw = (ref["raw_complex_left"] + ref["raw_complex_right"]
+           + ref["raw_complex_target"])
     assert raw == 2 * 9 ** 5 + 9 ** 2 == 118179
-    assert counts["hom_rows_after_dedup"] == 22464
+    assert ref["hom_rows_after_dedup"] == 22464
     # pruning and dedup must strictly shrink the row count
-    assert counts["hom_rows_after_dedup"] < (counts["nonzero_real_left"]
-                                             + counts["nonzero_real_right"])
+    assert ref["hom_rows_after_dedup"] < (ref["nonzero_real_left"]
+                                          + ref["nonzero_real_right"])
 
 
 def test_assemble_zero_spec_is_homogeneous():
@@ -196,6 +217,14 @@ def test_assemble_zero_spec_is_homogeneous():
 
 
 SYSTEM_COUNTS = {
+    2: {"intertwining_equations": 8, "target_equations": 16,
+        "reduced_unknowns": 13, "rows_total": 32},
+    3: {"intertwining_equations": 18, "target_equations": 81,
+        "reduced_unknowns": 73, "rows_total": 162},
+}
+
+# the X-space reference's counts
+REFERENCE_COUNTS = {
     2: {"raw_complex_left": 1024, "raw_complex_right": 1024,
         "raw_complex_target": 16, "nonzero_real_left": 1676,
         "nonzero_real_right": 1264, "hom_rows_after_dedup": 568,
@@ -210,15 +239,19 @@ SYSTEM_COUNTS = {
 @pytest.mark.parametrize("pid", ["2x2-gns", "3x3-kms"])
 def test_system_counts_pinned(preset_problems, pid):
     problem = preset_problems[pid]
+    n = problem.spec.n
     system = assemble(problem.spec, problem.s)
-    assert system.counts == SYSTEM_COUNTS[problem.spec.n]
-    assert system.hom.shape == (system.counts["hom_rows_after_dedup"],
-                                system.unknowns)
+    assert system.counts == SYSTEM_COUNTS[n]
+    assert system.A.shape == (system.counts["rows_total"],
+                              system.counts["reduced_unknowns"])
+    ref = xspace.system_template(n)
+    assert ref.counts == REFERENCE_COUNTS[n]
+    assert ref.hom.shape == (ref.counts["hom_rows_after_dedup"], n ** 8)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_hom_rows_unit_norm_and_distinct_up_to_sign(n):
-    hom = system_template(n).hom
+    hom = xspace.system_template(n).hom
     S = scipy_csr(hom)
     np.testing.assert_allclose(np.sqrt(S.multiply(S).sum(axis=1)), 1.0,
                                atol=1e-15)
@@ -245,7 +278,7 @@ TEMPLATE_DIGESTS = {
 
 @pytest.mark.parametrize("n, block", sorted(TEMPLATE_DIGESTS))
 def test_template_blocks_pinned(n, block):
-    M = getattr(system_template(n), block)
+    M = getattr(xspace.system_template(n), block)
     h = hashlib.sha256()
     for a, t in ((M.indptr, "<i8"), (M.indices, "<i8"), (M.data, "<f8"),
                  (M.shape, "<i8")):
@@ -260,8 +293,8 @@ def same_bits(a, b):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_products_equal_scipy_bit_for_bit(n):
-    # the kernel, the target SVD and every residual rest on these products
-    tpl = system_template(n)
+    # the reference kernel rests on these products
+    tpl = xspace.system_template(n)
     for A, B in ((tpl.hom, tpl.lift), (tpl.target, tpl.lift)):
         got, expect = A @ B, scipy_csr(A) @ scipy_csr(B)
         assert got.shape == expect.shape
@@ -282,6 +315,55 @@ def test_products_equal_scipy_bit_for_bit(n):
 def test_hom_kernel_dimension(hom_kernels):
     for n, kernel in hom_kernels.items():
         assert kernel.shape == (n ** 4 - n ** 2 + 1, n ** 8)
+        assert system_template(n).unknowns == n ** 4 - n ** 2 + 1
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_q_forms_span_the_reference_kernel(hom_kernels, n):
+    # every lifted coordinate direction solves the reference's action rows,
+    # and together they span its kernel: the concrete form loses nothing
+    tpl = system_template(n)
+    forms = np.array([hermitian_encode(tpl.lift(tpl.matrix(e)))
+                      for e in np.eye(tpl.unknowns)])
+    ref = xspace.system_template(n).hom
+    assert max(np.linalg.norm(ref @ f) for f in forms) <= 1e-14
+    kernel = hom_kernels[n]
+    rank = n ** 4 - n ** 2 + 1
+    for block in (forms, kernel, np.vstack([forms, kernel])):
+        s = np.linalg.svd(block, compute_uv=False)
+        assert np.count_nonzero(s > 1e-9 * s[0]) == rank
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_frame_is_invertible(n):
+    s = np.linalg.svd(system_template(n).T, compute_uv=False)
+    assert s[-1] > 0.1 and s[0] / s[-1] < 10
+
+
+def dense(A):
+    out = np.zeros(A.shape, dtype=complex)
+    np.add.at(out, (A.entry_rows, A.indices), A.data)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_closed_form_actions_match_left_act_and_right_act(n):
+    # the left residual in closed form, R_{E_pq} = I_{n^3} (x) E_qp, and the
+    # summed residual, against the action matrices built term by term
+    rng = np.random.default_rng(40 + n)
+    Z = rng.standard_normal((n ** 4,) * 2) + 1j * rng.standard_normal((n ** 4,) * 2)
+    X = Z + Z.conj().T
+    total = 0.0
+    for p, q in itertools.product(range(n), repeat=2):
+        a, a_star = unit(n, p, q), unit(n, q, p)
+        L, L_star, R, R_star = (dense(xspace._action_matrix(n, act)) for act in (
+            lambda t: left_act(a, t), lambda t: left_act(a_star, t),
+            lambda t: right_act(t, a), lambda t: right_act(t, a_star)))
+        EL = X @ L - L_star.T @ X
+        np.testing.assert_allclose(left_residual(X, n, p, q), EL, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(R, np.kron(np.eye(n ** 3), a_star))
+        total += np.vdot(EL, EL).real + np.linalg.norm(X @ R - R_star.T @ X) ** 2
+    assert _intertwining_residual_sq(X, n) == pytest.approx(total, rel=1e-12)
 
 
 def test_hom_kernel_is_trivial_on_the_last_factor(hom_kernels):
@@ -295,7 +377,7 @@ def test_hom_kernel_is_trivial_on_the_last_factor(hom_kernels):
             X = hermitian_decode(x, n ** 4)
             gap = np.linalg.norm(X @ C - C @ X)
             assert gap <= 1e-12 * np.linalg.norm(X) * np.linalg.norm(C)
-        tpl = system_template(n)
+        tpl = xspace.system_template(n)
         reduced = nullspace(tpl.hom @ tpl.lift)
         assert reduced.shape == (kernel.shape[0], n ** 6)
     assert [len(hom_kernels[n]) for n in (2, 3)] == [13, 73]
@@ -303,22 +385,22 @@ def test_hom_kernel_is_trivial_on_the_last_factor(hom_kernels):
 
 def test_lift_has_orthonormal_columns():
     for n in (2, 3):
-        E = scipy_csr(system_template(n).lift)
+        E = scipy_csr(xspace.system_template(n).lift)
         assert E.shape == (n ** 8, n ** 6)
         assert abs(E.T @ E - np.eye(n ** 6)).max() <= 1e-15
 
 
 def test_dedup_survives_key_collisions(monkeypatch):
-    expect = system_template(2).hom
-    monkeypatch.setattr(constraints, "_row_keys",
+    expect = xspace.system_template(2).hom
+    monkeypatch.setattr(xspace, "_row_keys",
                         lambda R: np.zeros(R.shape[0], dtype=np.uint64))
-    got = constraints._build_template(2).hom
+    got = xspace._build_template(2).hom
     assert got.shape == expect.shape
     assert (scipy_csr(got) != scipy_csr(expect)).nnz == 0
 
 
 def test_assemble_size_cap():
-    spec = make_spec(DensityState.tracial(5), [])
+    spec = make_spec(DensityState.tracial(6), [])
     with pytest.raises(SizeCapExceeded):
         assemble(spec, 0.0)
 
@@ -326,8 +408,8 @@ def test_assemble_size_cap():
 def test_system_shape(gns_2x2):
     system = assemble(gns_2x2, 0.0)
     assert system.unknowns == 4 ** 4 == 256
-    assert system.A.shape == (600, 256)
-    assert system.b.shape == (600,)
+    assert system.A.shape == (32, 13)
+    assert system.b.shape == (32,)
 
 
 def test_adjointability_roundtrip(preset_problems, hom_kernels):
@@ -342,8 +424,8 @@ def test_adjointability_roundtrip(preset_problems, hom_kernels):
         sol = solve_affine(system)
         assert sol.consistent
         side = system.m ** 2
-        Xs = [hermitian_decode(x, side)
-              for x in (system.lift @ sol.y0_coords, *hom_kernels[n])]
+        Xs = [lifted(system, q) for q in (sol.q0_coords, *sol.basis_array)]
+        Xs += [hermitian_decode(x, side) for x in hom_kernels[n]]
         for _ in range(8):
             A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             t = TensorElem(n, {tuple(rng.integers(0, n, size=4)): complex(c)
@@ -396,10 +478,10 @@ def test_dump_system_format(tmp_path, gns_2x2):
 def test_systems_share_the_template_and_differ_only_in_b(gns_2x2, monkeypatch):
     system = assemble(gns_2x2, 0.0)
     other = assemble(gns_2x2, 0.5)
-    assert other.hom is system.hom is system_template(2).hom
-    assert other.target is system.target is system_template(2).target
+    assert other.template is system.template is system_template(2)
+    assert other.G is system.G is system_template(2).G
     assert not np.allclose(other.b, system.b)
-    np.testing.assert_array_equal(other.b[:other.hom_row_count], 0.0)
+    assert other.hom_row_count == 0
     # deciding never stacks the full matrix
     monkeypatch.setattr(ConstraintSystem, "A", property(
         lambda self: pytest.fail("ConstraintSystem.A was built")))
@@ -407,9 +489,19 @@ def test_systems_share_the_template_and_differ_only_in_b(gns_2x2, monkeypatch):
 
 
 def test_residual_of_equals_the_stacked_residual(preset_problems):
+    # a lifted point satisfies the intertwining equations, and the target
+    # rows are its target equations: its residual over X is ||A q - b||
     rng = np.random.default_rng(13)
     for problem in preset_problems.values():
         system = assemble(problem.spec, problem.s)
-        for x in (system.lift @ solve_affine(system).y0_coords,
-                  rng.standard_normal(system.unknowns)):
-            assert system.residual_of(x) == np.linalg.norm(system.A @ x - system.b)
+        G = np.zeros(system.A.shape)
+        G[system.A.entry_rows, system.A.indices] = system.A.data
+        for q in (solve_affine(system).q0_coords,
+                  rng.standard_normal(system.template.unknowns)):
+            X = lifted(system, q)
+            expect = np.linalg.norm(G @ q - system.b)
+            assert abs(system.matrix_residual(X) - expect) <= 1e-12 * max(1.0, expect)
+            assert system.residual_of(hermitian_encode(X)) == pytest.approx(
+                system.matrix_residual(X), rel=1e-9, abs=1e-14)
+        Z = rng.standard_normal((system.m ** 2,) * 2)
+        assert system.matrix_residual(Z + Z.T) > 1.0     # not a form of the bimodule

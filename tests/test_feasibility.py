@@ -19,12 +19,16 @@ from qmsderiv.feasibility import (AffineSolutionSet, EXIT_CODES, FEASIBLE,
                                   INDETERMINATE, NOT_CONSISTENT, NOT_PSD,
                                   decide, psd_search, solve_affine,
                                   witness_check, witness_hunt)
-from qmsderiv.linalg import herm_eig, hermitian_decode, hermitian_encode
+from qmsderiv.linalg import herm_eig, hermitian_encode
 from qmsderiv.problems import parse_problem
 from qmsderiv.qms import DensityState, make_spec
 
 PI = math.pi
 E = math.e
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import checker  # noqa: E402
+import gen  # noqa: E402
 
 GNS_2X2_SPECTRUM = [1.96, 1.96, 0.96, 0.96, 0.64, 0.64, 0.31, 0.31,
                     0.07, 0.07, 0.07, 0.07, 0, 0, 0, 0]
@@ -45,6 +49,11 @@ def solutions(systems):
 @pytest.fixture(scope="module")
 def verdicts(preset_problems):
     return {pid: decide(p.spec, p.s) for pid, p in preset_problems.items()}
+
+
+def lifted(sol, q):
+    tpl = sol.system.template
+    return tpl.lift(tpl.matrix(q))
 
 
 def known_witness_vector():
@@ -124,7 +133,7 @@ def test_known_witness_vector_value(solutions):
 
 def test_witness_check_trivial_solution_set(systems):
     system = systems["2x2-gns"]
-    reduced = system.lift.shape[1]
+    reduced = system.template.unknowns
     sol = AffineSolutionSet(system, np.zeros(reduced), np.zeros((0, reduced)),
                             0.0, True, {})
     value, coupling = witness_check(sol, np.ones(16, dtype=complex))
@@ -138,14 +147,14 @@ def test_witness_check_dimension_error(solutions):
 
 
 def test_witness_check_takes_any_vector_of_x_space(solutions):
-    # v need not be a product u (x) w: its form is read through the partial
-    # trace, and equals v* X v and v* N_k v computed on the lifted matrices
+    # v need not be a lifted u (x) e_1: its form is read through T v, and
+    # equals v* X v and v* N_k v computed on the lifted matrices
     rng = np.random.default_rng(22)
     for pid in ("2x2-gns", "3x3-kms", "3x3-gns"):
         sol = solutions[pid]
         side = sol.side
-        X0 = hermitian_decode(sol.system.lift @ sol.y0_coords, side)
-        Ns = [hermitian_decode(sol.system.lift @ b, side) for b in sol.basis_array]
+        X0 = lifted(sol, sol.q0_coords)
+        Ns = [lifted(sol, b) for b in sol.basis_array]
         for _ in range(3):
             v = rng.standard_normal(side) + 1j * rng.standard_normal(side)
             v /= np.linalg.norm(v)
@@ -161,11 +170,11 @@ def test_solution_set_membership(solutions):
     system = sol.system
     B = sol.basis_array
     for _ in range(5):
-        x = system.lift @ (sol.y0_coords + B.T @ rng.standard_normal(B.shape[0]))
-        assert system.residual_of(x) <= sol.residual + system.residual_bound(1e-8)
+        X = lifted(sol, sol.q0_coords + B.T @ rng.standard_normal(B.shape[0]))
+        assert system.matrix_residual(X) <= sol.residual + system.residual_bound(1e-8)
     # min-norm particular solution is orthogonal to the solution subspace
     if len(B):
-        assert np.max(np.abs(B @ sol.y0_coords)) <= 1e-8
+        assert np.max(np.abs(B @ sol.q0_coords)) <= 1e-8
 
 
 def test_nullspace_dims_frozen(solutions):
@@ -180,7 +189,7 @@ def test_psd_search_independent_of_basis_choice(solutions):
     # the path to it, and so the eigensolve count, may differ
     sol = solutions["3x3-kms"]
     Q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((sol.dim,) * 2))
-    rotated = AffineSolutionSet(sol.system, sol.y0_coords, Q @ sol.basis_array,
+    rotated = AffineSolutionSet(sol.system, sol.q0_coords, Q @ sol.basis_array,
                                 sol.residual, sol.consistent, sol.diagnostics)
     base, turned = psd_search(sol), psd_search(rotated)
     assert turned.kind == base.kind
@@ -193,24 +202,33 @@ def test_psd_search_climbs_from_a_shifted_base_point(solutions):
     # to climb back to the optimum, and the witness at its end still holds
     sol = solutions["3x3-kms"]
     B = sol.basis_array
-    shifted = AffineSolutionSet(sol.system, sol.y0_coords + 0.5 * (B[0] + B[1]),
+    shifted = AffineSolutionSet(sol.system, sol.q0_coords + 0.5 * (B[0] + B[1]),
                                 B, sol.residual, sol.consistent, sol.diagnostics)
     verdict = psd_search(shifted)
     gap = psd_search(sol).diagnostics["cone_gap"]
     assert verdict.kind == NOT_PSD
+    assert verdict.diagnostics["stop"] == "search_witness"
     assert verdict.diagnostics["min_eig_first"] < gap - 0.01
     assert abs(verdict.diagnostics["cone_gap"] - gap) <= 1e-6
     assert verdict.witness_coupling <= 1e-8
 
 
 def test_psd_search_cone_gap_bounds_the_witness(verdicts):
-    # weak duality: a unit witness's value is at least the largest lambda_min
-    # over the solution set, which the search reports as its cone gap
+    # weak duality: a unit u's value u* Q u is at least the largest
+    # lambda_min of Q over the solution set, which the search reports as its
+    # cone gap; the lifted witness v has T v = u (x) e_1 and v* X v = u* Q u
     v = verdicts["3x3-kms"]
     gap = v.diagnostics["cone_gap"]
-    assert abs(gap - (-0.6196)) <= 1e-4
-    assert abs(np.linalg.norm(np.asarray(v.witness_vector)) - 1.0) <= 1e-12
+    assert abs(gap - (-0.2067)) <= 1e-4
+    u = v.reduced_witness
+    assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
     assert v.witness_value >= gap - 1e-8
+    w = v.template.T @ v.witness_vector
+    np.testing.assert_allclose(w[[0, 9, 18, 27, 36, 45, 54, 63]], u[:8], atol=1e-14)
+    np.testing.assert_allclose(w[[72, 75, 78]], u[8:], atol=1e-14)
+    mask = np.ones(81, dtype=bool)
+    mask[[0, 9, 18, 27, 36, 45, 54, 63, 72, 75, 78]] = False
+    assert np.abs(w[mask]).max() <= 1e-14
 
 
 def test_psd_search_stops_at_a_witness(verdicts):
@@ -218,43 +236,68 @@ def test_psd_search_stops_at_a_witness(verdicts):
     # maximiser and the search ends after its first eigensolve
     v = verdicts["3x3-kms"]
     assert v.diagnostics["iterations"] == 1
+    assert v.diagnostics["stop"] == "x0_witness"
     assert v.diagnostics["cone_gap"] == v.diagnostics["min_eig_first"]
     assert v.witness_coupling <= 1e-8
 
 
+def test_stop_reasons_of_the_presets(verdicts):
+    assert verdicts["2x2-gns"].diagnostics["stop"] == "x0_certificate"
+    assert verdicts["2x2-kms"].diagnostics["stop"] == "x0_certificate"
+    assert "stop" not in verdicts["3x3-gns"].diagnostics
+    assert verdicts["3x3-kms"].diagnostics["stop"] == "x0_witness"
+
+
+def test_pinned_problem_is_not_psd_after_one_eigensolve():
+    # Q0's least eigenvector is a witness; its lift passes the benchmark's
+    # independent checker, which builds the system with scipy
+    case = gen.pinned_kms()
+    problem = parse_problem(case.doc)
+    verdict = decide(problem.spec, problem.s)
+    assert verdict.kind == NOT_PSD
+    assert verdict.diagnostics["iterations"] == 1
+    assert verdict.diagnostics["stop"] == "x0_witness"
+    assert verdict.witness_value < -0.05
+    system = checker.System(case.doc, checker.action_matrices(3))
+    ok, msg, value = checker.check_witness(system, verdict.witness_vector)
+    assert ok, msg
+    assert abs(value - verdict.witness_value) <= 1e-9
+
+
 def test_verdicts_keep_compact_evidence(solutions, verdicts):
-    # a certificate is kept as a factor F of Y, one column per eigenvalue
-    # above rounding level, and X = F F* (x) I_n is rebuilt bit for bit on
-    # every read: the PSD part of Y0 (x) I_n up to rounding. A witness is
-    # kept as the vector u of Y, without the eigenvector matrix it came
-    # from, and reported as u (x) e_1
+    # a certificate is kept as the coordinates p of the PSD part of Q, and
+    # X = lift(Q(p)) is rebuilt bit for bit on every read: the lift of Q0's
+    # PSD part up to rounding. A witness is kept as the vector u of Q,
+    # without the eigenvector matrix it came from, and reported as
+    # T^{-1}(u (x) e_1)
     for pid in ("2x2-gns", "2x2-kms"):
         v = verdicts[pid]
-        F = v.certificate_factor
-        assert F.shape == (8, 6) and F.base is None    # Y has rank 6
+        p = v.certificate_coords
+        assert p.shape == (13,) and p.base is None
         X = v.certificate
         assert X.tobytes() == v.certificate.tobytes()
         assert np.array_equal(X, X.conj().T)
-        np.testing.assert_allclose(X, np.kron(F @ F.conj().T, np.eye(2)),
-                                   rtol=0, atol=1e-14)
-        w, V = herm_eig(hermitian_decode(solutions[pid].y0_coords, 8) / np.sqrt(2))
-        Yp = (V * np.clip(w, 0.0, None)) @ V.conj().T
-        np.testing.assert_allclose(X, np.kron(Yp, np.eye(2)), rtol=0, atol=1e-12)
+        sol = solutions[pid]
+        w, V = herm_eig(sol.system.template.matrix(sol.q0_coords))
+        assert v.diagnostics["certificate_min_eig"] == w[0]
+        P = (V * np.clip(w, 0.0, None)) @ V.conj().T
+        np.testing.assert_allclose(X, sol.system.template.lift(P), rtol=0, atol=1e-12)
         np.testing.assert_allclose(v.spectrum, np.linalg.eigvalsh(X), atol=1e-12)
-        assert v.spectrum[0] == v.diagnostics["certificate_min_eig"]
     kms = verdicts["3x3-kms"]
     assert kms.certificate is None and kms.spectrum is None
-    assert kms.reduced_witness.shape == (27,)
+    assert kms.reduced_witness.shape == (8 + 3,)
     assert kms.reduced_witness.base is None
-    np.testing.assert_array_equal(kms.witness_vector[::3], kms.reduced_witness)
-    assert not kms.witness_vector.reshape(27, 3)[:, 1:].any()
+    u, v = kms.reduced_witness, kms.witness_vector
+    assert abs(np.vdot(v, lifted(solutions["3x3-kms"], solutions["3x3-kms"].q0_coords) @ v)
+               - kms.witness_value) <= 1e-12
+    assert abs(kms.witness_value - (u.conj() @ kms.template.matrix(
+        solutions["3x3-kms"].q0_coords) @ u).real) <= 1e-12
 
 
 def test_a_corpus_round_keeps_little_memory():
-    # a benchmark-shaped round of decisions, every verdict kept: compact
-    # certificates (Y's triangle) and witnesses keep it small
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-    import gen
+    # a benchmark-shaped round of decisions, every verdict kept: certificates
+    # and witnesses kept in q, and diagnostics whose per-size part is shared,
+    # keep it small (about 9.5 KB for 17 verdicts)
     problems = [parse_problem(case.doc) for case in gen.warm_corpus(1)]
 
     def round_of_decisions():
@@ -271,13 +314,13 @@ def test_a_corpus_round_keeps_little_memory():
     finally:
         tracemalloc.stop()
     assert len(kept) == 17
-    assert retained <= 50 * 1024
+    assert retained <= 12 * 1024
 
 
 def test_witness_hunt_deterministic(solutions):
     sol = solutions["3x3-kms"]
-    first = witness_hunt(sol, sol.y0_coords)
-    second = witness_hunt(sol, sol.y0_coords)
+    first = witness_hunt(sol, sol.q0_coords)
+    second = witness_hunt(sol, sol.q0_coords)
     assert first is not None and second is not None
     np.testing.assert_array_equal(first[0], second[0])
     assert first[1] == second[1]
@@ -286,7 +329,7 @@ def test_witness_hunt_deterministic(solutions):
 def test_witness_hunt_finds_nothing_on_feasible(solutions):
     for pid in ("2x2-gns", "2x2-kms"):
         sol = solutions[pid]
-        assert witness_hunt(sol, sol.y0_coords) is None
+        assert witness_hunt(sol, sol.q0_coords) is None
 
 
 def test_psd_search_requires_consistency(solutions):
@@ -350,9 +393,16 @@ def test_verdict_serializes_to_json(verdicts):
 
 def test_solve_affine_diagnostics(solutions):
     diag = solutions["3x3-kms"].diagnostics
-    for key in ("hom_kernel_dim", "target_rank", "solution_dim",
-                "hom_residual"):
+    for key in ("hom_kernel_dim", "target_rank", "solution_dim", "residual",
+                "consistency_bound", "target_sv_min_kept",
+                "target_sv_max_dropped"):
         assert key in diag
+    # the rank cut of G, the only one, sits far from both sides
+    assert diag["target_sv_min_kept"] > 0.5
+    assert diag["target_sv_max_dropped"] < 1e-13
+    # the per-size part is one mapping, shared by every set of the size
+    assert (solutions["3x3-kms"].size_diagnostics
+            is solutions["3x3-gns"].size_diagnostics)
 
 
 def test_decisions_do_not_import_scipy_optimize(tmp_path):

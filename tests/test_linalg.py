@@ -1,4 +1,5 @@
-"""Hermitian eigensolve, nullspaces, Hermitian coords."""
+"""Hermitian eigensolve and Hermitian coordinates, plus the sparse layer and
+block-wise nullspace of the X-space reference (tests/xspace.py)."""
 
 import math
 
@@ -8,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmsderiv.errors import DimensionMismatch, NotHermitian
-from qmsderiv.linalg import (CSR, _column_blocks, herm_eig, hermitian_decode,
-                             hermitian_encode, hermitian_vec_map, kron, nullspace,
-                             stable_argsort, vstack)
+from qmsderiv.linalg import herm_eig, hermitian_decode, hermitian_encode
+from xspace import (CSR, _column_blocks, hermitian_vec_map, kron, nullspace,
+                    stable_argsort, vstack)
 
 PI = math.pi
 
