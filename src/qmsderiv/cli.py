@@ -20,6 +20,7 @@ import csv
 import datetime
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -100,11 +101,21 @@ def _emit_report(report, out):
         sys.stdout.write(text)
 
 
+def tol_override(args, default):
+    """The --tol value when given, else default; like the tolerances of
+    problem and config files it must be positive and finite."""
+    if args.tol is None:
+        return default
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise SchemaError("--tol", f"must be positive and finite, got {args.tol}")
+    return args.tol
+
+
 def run_pipeline(problem, args):
     """Validate, assemble, solve, search; returns (report, verdict)."""
     opts = dict(problem.options)
     s = problem.s if args.s is None else args.s
-    tol = opts.get("tol", DEFAULT_FEAS_TOL) if args.tol is None else args.tol
+    tol = tol_override(args, opts.get("tol", DEFAULT_FEAS_TOL))
     rank_tol = opts.get("rank_tol", DEFAULT_RANK_TOL)
     psd_tol = opts.get("psd_tol", DEFAULT_PSD_TOL)
 
@@ -188,6 +199,7 @@ def cmd_sweep(args):
         cfg = load_sweep_config(args.config)
         if args.seed is not None and args.seed < 0:
             raise SchemaError("--seed", "must be nonnegative")
+        tol = tol_override(args, cfg["tol"])
     except SchemaError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -198,8 +210,12 @@ def cmd_sweep(args):
     try:
         records = sweep(
             count, seed, project=cfg["project"], pin=cfg["pin"], s=cfg["s"],
-            tol=cfg["tol"] if args.tol is None else args.tol,
-            predicate_tol=cfg["predicate_tol"], on_record=collected.append)
+            tol=tol, predicate_tol=cfg["predicate_tol"],
+            on_record=collected.append)
+    except ToolError as exc:
+        # an unusable pin fails before any sample is drawn
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
     except KeyboardInterrupt:
         if args.out:
             _write_csv(args.out, sorted(collected, key=lambda r: r.sample_id))
@@ -222,8 +238,12 @@ def cmd_sweep(args):
 
 def cmd_verify(args):
     try:
+        tol = tol_override(args, None)
         with open(args.report) as fh:
             report = json.load(fh)
+    except SchemaError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
     except (OSError, json.JSONDecodeError) as exc:
         print(f"input error: cannot load report: {exc}", file=sys.stderr)
         return 2
@@ -243,7 +263,8 @@ def cmd_verify(args):
     verdict = report["verdict"]
     kind = verdict.get("kind")
     tols = verdict.get("tolerances", {})
-    tol = tols.get("feasibility", DEFAULT_FEAS_TOL) if args.tol is None else args.tol
+    if tol is None:
+        tol = tols.get("feasibility", DEFAULT_FEAS_TOL)
     rank_tol = tols.get("rank", DEFAULT_RANK_TOL)
     psd_tol = tols.get("psd", DEFAULT_PSD_TOL)
     s = report.get("command", {}).get("s", problem.s)

@@ -439,7 +439,7 @@ class _Settled(Exception):
     """Raised with the point reached when that point decides the question."""
 
 
-def _max_min_eig(sol, psd_tol):
+def _max_min_eig(sol, psd_tol, eig0):
     """Maximise lambda_min(Q0 + sum_k t_k N_k) over t.
 
     Minimises the smoothed -lambda_min of Q,
@@ -450,16 +450,17 @@ def _max_min_eig(sol, psd_tol):
     ended. Stops at the first point, Q0 included, whose least eigenvalue
     passes the certificate's test or whose least eigenvector is a witness
     (then it is a maximiser: the witness's form is the same all over the
-    set and bounds lambda_min). Returns (q, least eigenvalue of every
-    eigensolve, Q(q)'s eigendecomposition); the first eigenvalue is Q0's
-    and the last is q's.
+    set and bounds lambda_min). eig0 is Q0's eigendecomposition, which
+    stands for the first eigensolve, at t = 0. Returns (q, least
+    eigenvalue of every eigensolve, Q(q)'s eigendecomposition); the first
+    eigenvalue is Q0's and the last is q's.
     """
     q0, B, tpl = sol.q0_coords, sol.basis_array, sol.system.template
     least = []
 
     def smoothed(t, mu):
         q = q0 + B.T @ t
-        w, V = herm_eig(tpl.matrix(q))
+        w, V = herm_eig(tpl.matrix(q)) if least else eig0
         least.append(float(w[0]))
         if (w[0] >= -psd_tol * max(1.0, float(np.linalg.norm(q)))
                 or _is_witness(*_rank_one_form(sol, V[:, 0]))):
@@ -477,7 +478,7 @@ def _max_min_eig(sol, psd_tol):
         except _Settled as stop:
             return stop.args[0], least, stop.args[1]
     q = q0 + B.T @ t
-    eig = herm_eig(tpl.matrix(q))
+    eig = herm_eig(tpl.matrix(q)) if least else eig0
     least.append(float(eig[0][0]))
     return q, least, eig
 
@@ -501,18 +502,21 @@ def psd_search(sol, tol=DEFAULT_FEAS_TOL, psd_tol=DEFAULT_PSD_TOL,
         raise DimensionMismatch("psd_search requires a consistent solution set")
     tolerances = _tolerances(tol, rank_tol, psd_tol)
     q0 = sol.q0_coords
-    verdict = _certify(sol, q0, herm_eig(sol.system.template.matrix(q0)), tol,
-                       psd_tol, tolerances, stop="x0_certificate")
+    eig0 = herm_eig(sol.system.template.matrix(q0))
+    verdict = _certify(sol, q0, eig0, tol, psd_tol, tolerances,
+                       stop="x0_certificate")
     if verdict is not None:
         return verdict
 
-    q, least, eig = _max_min_eig(sol, psd_tol)
+    q, least, eig = _max_min_eig(sol, psd_tol, eig0)
     search = {"iterations": len(least), "min_eig_first": least[0],
               "cone_gap": least[-1]}
-    verdict = _certify(sol, q, eig, tol, psd_tol, tolerances,
-                       stop="search_certificate", **search)
-    if verdict is not None:
-        return verdict
+    # a search that ended at Q0 has nothing to certify beyond the first try
+    if len(least) > 1:
+        verdict = _certify(sol, q, eig, tol, psd_tol, tolerances,
+                           stop="search_certificate", **search)
+        if verdict is not None:
+            return verdict
     hunt = witness_hunt(sol, q, eig)
     if hunt is not None:
         u, value, coupling = hunt

@@ -18,17 +18,23 @@ evaluates that functional, projects Y matrices onto its zero hyperplane,
 and runs randomized sweeps comparing the closed form against the assembled
 system's actual consistency, record by record.
 
-Every sample is assembled against the cached per-size template, so a sample
-adds only its target right-hand side, read off the generator's matrix. The
-samples share the SVD of the reduced target matrix, so a sweep solves
-them a chunk at a time with one product over the stacked right-hand sides,
-and keeps its results as columns (SweepRecords) rather than as objects.
+A LambdaPoint computes its state, Bohr frequencies and predicate
+coefficients once, on first use, and a pinned sweep shares one point among
+all its samples; each sample still builds and validates its own Y, jumps and
+generator spec. Every sample is assembled against the cached per-size
+template, so a sample adds only its target right-hand side, read off the
+generator's matrix. The samples share the SVD of the reduced target matrix,
+so a sweep solves them a chunk at a time with one product over the stacked
+right-hand sides, and keeps its results as columns (SweepRecords) rather
+than as objects.
 """
 
 import itertools
+import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +42,8 @@ from .constraints import assemble
 from .errors import DimensionMismatch, ToolError
 from .feasibility import _solve_stacked
 from .linalg import DEFAULT_FEAS_TOL, DEFAULT_RANK_TOL
-from .qms import DensityState, Jump, generator_matrix, make_spec
+from .qms import (DensityState, Jump, LindbladSpec, generator_matrix,
+                  make_spec)
 
 DEFAULT_PREDICATE_TOL = 1e-10
 
@@ -56,7 +63,7 @@ class YMatrix:
         Y = np.asarray(self.entries, dtype=float)
         if Y.shape != (3, 3):
             raise DimensionMismatch(f"Y must be 3x3, got {Y.shape}")
-        if not np.all(np.isfinite(Y)):
+        if not np.isfinite(Y).all():
             raise DimensionMismatch("Y contains non-finite entries")
         if np.abs(Y - Y.T).max() > 1e-12 * max(1.0, np.abs(Y).max()):
             raise DimensionMismatch("Y must be symmetric")
@@ -65,7 +72,6 @@ class YMatrix:
             raise DimensionMismatch(
                 "Y has negative entries; pass allow_negative=True for the "
                 "signed extension")
-        Y = Y.copy()
         Y.flags.writeable = False
         object.__setattr__(self, "entries", Y)
 
@@ -87,7 +93,12 @@ class YMatrix:
 
 @dataclass(frozen=True)
 class LambdaPoint:
-    """State parameters (l2, l3), with l1 fixed to 1."""
+    """State parameters (l2, l3), with l1 fixed to 1.
+
+    The state, the Bohr frequencies and the predicate coefficients are
+    computed once, on first use, and kept with the point. Each l must be
+    positive with a square inside the float range.
+    """
 
     lambda2: float
     lambda3: float
@@ -96,10 +107,61 @@ class LambdaPoint:
         for name, v in (("lambda2", self.lambda2), ("lambda3", self.lambda3)):
             if not (np.isfinite(v) and v > 0):
                 raise DimensionMismatch(f"{name} must be positive, got {v}")
+            if not 0.0 < v * v < math.inf:
+                raise DimensionMismatch(
+                    f"{name}={v} is out of range: its square is {v * v}")
 
     def state(self):
+        """The density diag(1, l2^2, l3^2) / (1 + l2^2 + l3^2)."""
+        return self._state
+
+    @cached_property
+    def _state(self):
         return DensityState.from_diagonal(
             [1.0, self.lambda2 ** 2, self.lambda3 ** 2], normalize=True)
+
+    @cached_property
+    def omegas(self):
+        """Bohr frequencies w_ij = -log(l_i^2 / l_j^2), as nested tuples."""
+        lam = np.array([1.0, self.lambda2, self.lambda3])
+        return tuple(tuple(float(-2.0 * (np.log(lam[i]) - np.log(lam[j])))
+                           for j in range(3)) for i in range(3))
+
+    @cached_property
+    def coefficients(self):
+        """The six Y-coefficients of the solvability functional (read-only).
+
+        Order matches YMatrix.six(): (y11, y12, y13, y22, y23, y33).
+        """
+        l2s, l3s = self.lambda2 ** 2, self.lambda3 ** 2
+        c = np.array([
+            l3s - l2s,
+            (l3s - 1.0 - l2s) * (l2s - 1.0) / self.lambda2,
+            (l2s - 1.0 - l3s) * (1.0 - l3s) / self.lambda3,
+            1.0 - l3s,
+            (1.0 - l3s - l2s) * (l3s - l2s) / (self.lambda3 * self.lambda2),
+            l2s - 1.0,
+        ])
+        if not np.isfinite(c).all():
+            raise DimensionMismatch(
+                f"predicate coefficients at ({self.lambda2}, {self.lambda3}) "
+                "overflow")
+        c.flags.writeable = False
+        return c
+
+    def usable(self):
+        """The point, with its state, frequencies and coefficients computed.
+
+        Raises a ToolError when one of them cannot be: the state is not
+        strictly positive or a coefficient overflows.
+        """
+        self.state(), self.omegas, self.coefficients
+        return self
+
+
+# _UNITS[i, j] is the matrix unit E_ij, the family's jump operators
+_UNITS = np.eye(9, dtype=complex).reshape(3, 3, 3, 3)
+_UNITS.flags.writeable = False
 
 
 def build_LY(p, Y):
@@ -109,35 +171,24 @@ def build_LY(p, Y):
     frequency w_ij = -log(l_i^2 / l_j^2). Symmetry of Y makes the jump set
     adjoint-closed; negative entries are carried as signed weights.
     """
-    lam = np.array([1.0, p.lambda2, p.lambda3])
-    state = p.state()
+    omegas = p.omegas
     jumps = []
     for i in range(3):
         for j in range(3):
             w = Y.entries[i, j]
             if w == 0.0:
                 continue
-            V = np.zeros((3, 3), dtype=complex)
-            V[i, j] = 1.0
-            omega = -2.0 * (np.log(lam[i]) - np.log(lam[j]))
-            jumps.append(Jump(V, float(omega), float(w)))
-    return make_spec(state, jumps)
+            jumps.append(Jump(_UNITS[i, j], omegas[i][j], float(w)))
+    return LindbladSpec(p.state(), tuple(jumps))
 
 
 def predicate_coefficients(p):
-    """The six Y-coefficients of the solvability functional.
+    """The six Y-coefficients of the solvability functional at p.
 
-    Order matches YMatrix.six(): (y11, y12, y13, y22, y23, y33).
+    Order matches YMatrix.six(): (y11, y12, y13, y22, y23, y33). The array
+    is computed once per point and is read-only.
     """
-    l2s, l3s = p.lambda2 ** 2, p.lambda3 ** 2
-    return np.array([
-        l3s - l2s,
-        (l3s - 1.0 - l2s) * (l2s - 1.0) / p.lambda2,
-        (l2s - 1.0 - l3s) * (1.0 - l3s) / p.lambda3,
-        1.0 - l3s,
-        (1.0 - l3s - l2s) * (l3s - l2s) / (p.lambda3 * p.lambda2),
-        l2s - 1.0,
-    ])
+    return p.coefficients
 
 
 def predicate_lhs(p, Y):
@@ -152,10 +203,13 @@ def solvable_predicate(p, Y, tol=DEFAULT_PREDICATE_TOL):
     cancellation to rounding level counts as zero while honest nonzero
     values at any scale do not.
     """
-    c = predicate_coefficients(p)
-    y = Y.six()
-    scale = max(1.0, float(np.abs(c * y).sum()))
-    return abs(float(c @ y)) <= tol * scale
+    return _predicate(predicate_coefficients(p), Y.six(), tol)[1]
+
+
+def _predicate(c, y, tol):
+    """(predicate_lhs, solvable_predicate) for coefficients c and entries y."""
+    lhs = float(c @ y)
+    return lhs, abs(lhs) <= tol * max(1.0, float(np.abs(c * y).sum()))
 
 
 def project_to_hyperplane(p, Y):
@@ -210,15 +264,24 @@ CSV_COLUMNS = ["sample_id", "lambda2", "lambda3",
 def sample_inputs(count, seed, project=False, pin=None):
     """Deterministic sample stream: p log-uniform over e^[-2,2], Y uniform.
 
-    Yields (k, p, Y) for k = 0 .. count - 1. pin, when given, fixes
-    (lambda2, lambda3) for every sample. Projection onto the predicate
-    hyperplane happens after drawing Y.
+    Returns an iterator of (k, p, Y) for k = 0 .. count - 1. pin, when
+    given, fixes (lambda2, lambda3): its one LambdaPoint is made usable
+    here, before any sample is drawn, so an unusable pin raises a ToolError
+    at once, and every sample yields that point. Otherwise each sample gets
+    a fresh point. Projection onto the predicate hyperplane happens after
+    drawing Y.
     """
+    point = None
+    if pin is not None:
+        point = LambdaPoint(float(pin[0]), float(pin[1])).usable()
+    return _draw_samples(count, seed, project, point)
+
+
+def _draw_samples(count, seed, project, point):
     rng = np.random.default_rng(seed)
     for k in range(count):
-        if pin is not None:
-            p = LambdaPoint(float(pin[0]), float(pin[1]))
-        else:
+        p = point
+        if p is None:
             l2, l3 = np.exp(rng.uniform(-2.0, 2.0, size=2))
             p = LambdaPoint(float(l2), float(l3))
         R = rng.uniform(0.0, 1.0, size=(3, 3))
@@ -236,35 +299,36 @@ SWEEP_CHUNK = 16
 class SweepRecords(Sequence):
     """A sweep's results as columns, one entry per sample.
 
-    Indexing builds the sample's SweepRecord. A sample keeps about 82 bytes
-    (lambda2, lambda3, the six Y entries, the predicate value and the
-    residual as floats, the predicate and consistency as bools); errors
-    maps a failed sample's index to its message. Y allows negative entries
-    exactly when the sweep was projected.
+    Indexing builds the sample's SweepRecord. values holds a sample's
+    floats (the six Y entries, the predicate value and the residual, then
+    lambda2 and lambda3 unless the sweep was pinned) and flags its bools
+    (predicate, consistent); a pinned sweep keeps its (lambda2, lambda3)
+    once, as pin. A pinned sample keeps 66 bytes, an unpinned one 82;
+    errors maps a failed sample's index to its message. Y allows negative
+    entries exactly when the sweep was projected.
     """
 
-    def __init__(self, count, allow_negative):
-        self.lam = np.empty((count, 2))
-        self.y = np.empty((count, 6))
-        self.predicate_lhs = np.full(count, np.nan)
-        self.predicate = np.zeros(count, dtype=bool)
-        self.consistent = np.zeros(count, dtype=bool)
-        self.residual = np.full(count, np.nan)
+    __slots__ = ("values", "flags", "pin", "errors", "allow_negative")
+
+    def __init__(self, count, allow_negative, pin=None):
+        self.values = np.full((count, 8 if pin else 10), np.nan)
+        self.flags = np.zeros((count, 2), dtype=bool)
+        self.pin = pin
         self.errors = {}
         self.allow_negative = allow_negative
 
     def __len__(self):
-        return self.residual.size
+        return len(self.flags)
 
     def __getitem__(self, k):
-        k = range(self.residual.size)[operator.index(k)]
-        predicate, consistent = bool(self.predicate[k]), bool(self.consistent[k])
+        k = range(len(self.flags))[operator.index(k)]
+        v = self.values[k].tolist()
+        predicate, consistent = self.flags[k].tolist()
         error = self.errors.get(k)
         return SweepRecord(
-            k, LambdaPoint(*self.lam[k].tolist()),
-            YMatrix.from_six(self.y[k], allow_negative=self.allow_negative),
-            float(self.predicate_lhs[k]), predicate, consistent,
-            float(self.residual[k]),
+            k, LambdaPoint(*(self.pin or v[8:])),
+            YMatrix.from_six(v[:6], allow_negative=self.allow_negative),
+            v[6], predicate, consistent, v[7],
             error is None and predicate == consistent, error)
 
 
@@ -273,26 +337,32 @@ def sweep(count, seed, project=False, pin=None, s=0.0,
           predicate_tol=DEFAULT_PREDICATE_TOL, threads=1, on_record=None):
     """Compare the closed-form predicate against linear consistency.
 
-    Returns SweepRecords, a sequence ordered by sample index. Each sample is
-    assembled like any other problem; the constraint blocks come from the
-    per-size template cache, so only its target right-hand side is new. The
-    samples of each chunk of SWEEP_CHUNK are then solved together by one
-    product over their stacked right-hand sides, each keeping its own
-    residual and consistency bound, and on_record, when given, is called
-    with each record of the chunk. Per-sample failures are kept as the
-    record's error and the sweep continues. threads is accepted for
-    compatibility and ignored: samples run in one thread.
+    Returns SweepRecords, a sequence ordered by sample index. A pinned
+    sweep builds its one point before drawing any sample, and an unusable
+    pin raises a ToolError. Each sample is assembled like any other
+    problem; the constraint blocks come from the per-size template cache,
+    so only its target right-hand side is new. The samples of each chunk of
+    SWEEP_CHUNK are then solved together by one product over their stacked
+    right-hand sides, each keeping its own residual and consistency bound,
+    and on_record, when given, is called with each record of the chunk.
+    Per-sample failures are kept as the record's error and the sweep
+    continues. threads is accepted for compatibility and ignored: samples
+    run in one thread.
     """
-    out = SweepRecords(count, allow_negative=project)
     samples = sample_inputs(count, seed, project=project, pin=pin)
+    out = SweepRecords(count, allow_negative=project,
+                       pin=None if pin is None else tuple(map(float, pin)))
+    values, flags = out.values, out.flags
     for start in range(0, count, SWEEP_CHUNK):
         chunk, systems = [], []
         for k, p, Y in itertools.islice(samples, SWEEP_CHUNK):
-            out.lam[k] = p.lambda2, p.lambda3
-            out.y[k] = Y.six()
+            row, y = values[k], Y.six()
+            row[:6] = y
+            if pin is None:
+                row[8:] = p.lambda2, p.lambda3
             try:
-                out.predicate_lhs[k] = predicate_lhs(p, Y)
-                out.predicate[k] = solvable_predicate(p, Y, tol=predicate_tol)
+                row[6], flags[k, 0] = _predicate(p.coefficients, y,
+                                                 predicate_tol)
                 systems.append(assemble(build_LY(p, Y), s))
                 chunk.append(k)
             except ToolError as exc:
@@ -300,8 +370,8 @@ def sweep(count, seed, project=False, pin=None, s=0.0,
         if chunk:
             try:
                 _, residual, bound, _ = _solve_stacked(systems, tol, rank_tol)
-                out.residual[chunk] = residual
-                out.consistent[chunk] = residual <= bound
+                values[chunk, 7] = residual
+                flags[chunk, 1] = residual <= bound
             except ToolError as exc:
                 out.errors.update(
                     (k, f"{type(exc).__name__}: {exc}") for k in chunk)

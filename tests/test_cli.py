@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from qmsderiv.constraints import assemble
 from qmsderiv.feasibility import _certify, solve_affine
 from qmsderiv.linalg import herm_eig
 
+
+BAD_TOLS = ["-1", "0", "nan", "inf"]
 
 TRACIAL_2X2 = {
     "n": 2,
@@ -208,6 +211,52 @@ def test_sweep_flushes_partial_on_interrupt(tmp_path, capsys, monkeypatch):
     assert main(["sweep", str(cfg), "--out", str(out)]) == 130
     assert len(out.read_text().splitlines()) == 3  # header + 2 flushed rows
     assert "interrupted" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pin", [1e200, 1e-320])
+def test_sweep_rejects_unusable_pin(tmp_path, capsys, pin):
+    # the square of lambda2 leaves the float range: the pinned point cannot
+    # be built, so no sample is drawn and no CSV is written
+    cfg = tmp_path / "pin.json"
+    cfg.write_text(json.dumps({"count": 4, "lambda2": pin, "lambda3": 1.0}))
+    out = tmp_path / "pin.csv"
+    assert main(["sweep", str(cfg), "--out", str(out)]) == 2
+    assert "input error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pinned_sweep_csv_is_pinned(tmp_path, capsys):
+    # golden file written by a sweep that rebuilt the pinned point for every
+    # sample: sharing it changes no byte of the CSV
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"count": 10, "seed": 11, "lambda2": 0.3,
+                               "lambda3": 2.5, "project": True}))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", str(cfg), "--out", str(out)]) == 0
+    golden = Path(__file__).parent / "golden" / "sweep_pinned10.csv"
+    assert out.read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_check_rejects_bad_tol(problem_file, capsys, tol):
+    assert main(["check", problem_file, f"--tol={tol}"]) == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_sweep_rejects_bad_tol(tmp_path, capsys, tol):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"count": 2}))
+    assert main(["sweep", str(cfg), f"--tol={tol}"]) == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_verify_rejects_bad_tol(problem_file, tmp_path, capsys, tol):
+    out = tmp_path / "rep.json"
+    assert main(["check", problem_file, "--out", str(out)]) == 0
+    assert main(["verify", str(out), f"--tol={tol}"]) == 2
+    assert "--tol" in capsys.readouterr().err
 
 
 def test_verify_roundtrip(problem_file, tmp_path, capsys):

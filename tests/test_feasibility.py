@@ -248,6 +248,26 @@ def test_stop_reasons_of_the_presets(verdicts):
     assert verdicts["3x3-kms"].diagnostics["stop"] == "x0_witness"
 
 
+def test_decide_takes_one_eigendecomposition_when_q0_settles(
+        preset_problems, monkeypatch):
+    # Q0's eigendecomposition serves both the certificate try at q0 and the
+    # search's first step, and a search that ends at q0 is not re-certified
+    import qmsderiv.feasibility as feasibility
+    calls = []
+
+    def counted(M, *args, **kw):
+        calls.append(M.shape)
+        return herm_eig(M, *args, **kw)
+
+    monkeypatch.setattr(feasibility, "herm_eig", counted)
+    problem = preset_problems["3x3-kms"]
+    verdict = decide(problem.spec, problem.s)
+    assert verdict.kind == NOT_PSD
+    assert verdict.diagnostics["stop"] == "x0_witness"
+    assert verdict.diagnostics["iterations"] == 1
+    assert len(calls) == 1
+
+
 def test_pinned_problem_is_not_psd_after_one_eigensolve():
     # Q0's least eigenvector is a witness; its lift passes the benchmark's
     # independent checker, which builds the system with scipy

@@ -1,5 +1,6 @@
 """Parametric generator family, solvability predicate, and sweeps."""
 
+import hashlib
 import math
 import tracemalloc
 from collections.abc import Sequence
@@ -7,8 +8,9 @@ from collections.abc import Sequence
 import numpy as np
 import pytest
 
+import qmsderiv.qms as qms
 from qmsderiv.constraints import assemble
-from qmsderiv.errors import DimensionMismatch
+from qmsderiv.errors import DimensionMismatch, ToolError
 from qmsderiv.feasibility import solve_affine
 from qmsderiv.parametric import (CSV_COLUMNS, LambdaPoint, YMatrix,
                                  agreement_rate, build_LY,
@@ -49,6 +51,22 @@ def test_lambda_point_validation():
         LambdaPoint(0.0, 1.0)
     with pytest.raises(DimensionMismatch):
         LambdaPoint(1.0, -2.0)
+
+
+@pytest.mark.parametrize("lam", [1e200, 1e-320])
+def test_lambda_point_rejects_squares_out_of_range(lam):
+    with pytest.raises(DimensionMismatch, match="out of range"):
+        LambdaPoint(lam, 1.0)
+
+
+def test_lambda_point_computes_its_data_once():
+    p = LambdaPoint(PI, E)
+    assert p.state() is p.state()
+    assert predicate_coefficients(p) is predicate_coefficients(p)
+    assert not predicate_coefficients(p).flags.writeable
+    assert p.omegas is p.omegas
+    # equality and hashing still see only (lambda2, lambda3)
+    assert p == LambdaPoint(PI, E) and hash(p) == hash(LambdaPoint(PI, E))
 
 
 def test_lambda_point_state():
@@ -262,21 +280,92 @@ def test_sweep_records_are_a_sequence():
     assert agreement_rate(empty) == 1.0
 
 
-def test_sweep_memory_is_flat():
-    # the results are columns: a pinned sweep keeps about 82 bytes a sample,
-    # and solving a chunk at a time keeps the transient memory small
-    pin = (PI, E ** PI)
-    sweep(2, seed=0, pin=pin)
+def _kept_bytes_per_sample(count, **kw):
     tracemalloc.start()
     try:
-        records = sweep(2000, seed=1, pin=pin)
+        records = sweep(count, **kw)
         held, peak = tracemalloc.get_traced_memory()
         del records
         left, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (held - left) / 2000 <= 150
-    assert peak - held <= 1.5e6
+    return (held - left) / count, peak - held
+
+
+def test_sweep_memory_is_flat():
+    # the results are columns: a pinned sweep keeps its (lambda2, lambda3)
+    # once and 66 bytes a sample (eight floats, two bools), and solving a
+    # chunk at a time keeps the transient memory small
+    pin = (PI, E ** PI)
+    sweep(2, seed=0, pin=pin)
+    kept, transient = _kept_bytes_per_sample(2000, seed=1, pin=pin)
+    assert kept <= 70
+    assert transient <= 1.5e6
+
+
+@pytest.mark.parametrize("project", [False, True])
+def test_short_pinned_sweep_keeps_little(project):
+    # a 50-sample call, as the benchmark makes them: the fixed cost of the
+    # columns is shared by few samples
+    pin = (PI, E ** PI)
+    sweep(2, seed=0, pin=pin)
+    kept, _ = _kept_bytes_per_sample(50, seed=1, pin=pin, project=project)
+    assert kept <= 75
+
+
+def _columns_digest(records):
+    h = hashlib.sha256()
+    for r in records:
+        h.update(np.array([r.p.lambda2, r.p.lambda3, *r.Y.six(),
+                           r.predicate_lhs, r.residual]).tobytes())
+        h.update(bytes([r.predicate, r.consistent, r.agree, r.error is None]))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("kw,digest", [
+    ({"pin": (PI, E ** PI), "seed": 3},
+     "191afb5903d0c8bebc26e07c019fc43e36141ac6b893aceaee100a8d4d2a9b04"),
+    ({"pin": (PI, E ** PI), "seed": 3, "project": True},
+     "eec9c7fbba604a581931bc7e3abf8d0edc9867c6d8f399d551262a274a0524fd"),
+    ({"pin": (0.3, 2.5), "seed": 5},
+     "e60963ae68ccfd775cc9e50f2346c0cefcd334641588a28de01d682f69356360"),
+    ({"pin": (0.3, 2.5), "seed": 5, "project": True},
+     "489e405ba1259dedb15bc32269af54894b3c2e458a4be112db59ea79c80aba00"),
+    ({"seed": 8},
+     "1db39d065825e26f21a66b63324bccc2d76c4a7510f4ee4c4e0093e51502777d"),
+])
+def test_sweep_columns_pinned(kw, digest):
+    # digests of 40-sample sweeps taken from a sweep that rebuilt the point
+    # for every sample and kept one column per field: sharing the pinned
+    # point and packing the columns change no value by a bit
+    assert _columns_digest(sweep(40, **kw)) == digest
+
+
+def test_pinned_sweep_builds_one_state(monkeypatch):
+    built = []
+    post_init = qms.DensityState.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(qms.DensityState, "__post_init__", counted)
+    records = sweep(20, seed=2, pin=(0.3, 2.5), project=True)
+    assert len(built) == 1 and agreement_rate(records) == 1.0
+    built.clear()
+    sweep(5, seed=2)
+    assert len(built) == 5
+
+
+@pytest.mark.parametrize("pin", [(1e200, 1.0), (1.0, 1e-320), (1e150, 1.0)])
+def test_unusable_pin_fails_before_any_sample(pin):
+    # squares out of range, or predicate coefficients that overflow
+    with pytest.raises(ToolError):
+        sample_inputs(5, 0, pin=pin)
+    seen = []
+    with pytest.raises(ToolError):
+        sweep(5, seed=0, pin=pin, on_record=seen.append)
+    assert seen == []
 
 
 def test_csv_row_matches_columns():
