@@ -30,10 +30,9 @@ import numpy as np
 from . import __version__
 from .constraints import assemble, dump_system
 from .errors import SchemaError, ToolError
-from .feasibility import (DEFAULT_PSD_TOL, DEFAULT_WITNESS_COUPLING_TOL,
-                          DEFAULT_WITNESS_VALUE_TOL, FEASIBLE, INDETERMINATE,
-                          NOT_CONSISTENT, NOT_PSD, solve_affine, verdict_for,
-                          witness_check)
+from .feasibility import (DEFAULT_PSD_TOL, FEASIBLE, INDETERMINATE,
+                          NOT_CONSISTENT, NOT_PSD, is_witness, psd_passes,
+                          solve_affine, verdict_for, witness_check)
 from .linalg import DEFAULT_FEAS_TOL, DEFAULT_RANK_TOL, herm_eig
 from .parametric import CSV_COLUMNS, agreement_rate, sweep
 from .problems import (load_problem, load_sweep_config, parse_matrix,
@@ -290,7 +289,8 @@ def cmd_verify(args):
     if kind == FEASIBLE:
         if "certificate" not in verdict:
             return fail("FEASIBLE verdict carries no certificate")
-        if np.linalg.norm(X - X.conj().T) > 1e-10 * max(1.0, np.linalg.norm(X)):
+        norm_x = np.linalg.norm(X)
+        if np.linalg.norm(X - X.conj().T) > 1e-10 * norm_x:
             return fail("certificate is not Hermitian")
         residual = system.matrix_residual(X)
         bound = system.residual_bound(tol)
@@ -298,10 +298,9 @@ def cmd_verify(args):
             return fail(f"certificate residual {residual:.3e} exceeds "
                         f"{bound:.3e}")
         w, _ = herm_eig(X)
-        scale_x = max(1.0, float(np.linalg.norm(X)))
-        if w[0] < -psd_tol * scale_x:
+        if not psd_passes(w[0], norm_x, psd_tol):
             return fail(f"certificate min eigenvalue {w[0]:.3e} below "
-                        f"-{psd_tol * scale_x:.3e}")
+                        f"-{psd_tol * norm_x:.3e}")
         print(f"verified: certificate residual {residual:.3e}, "
               f"min eig {w[0]:.3e}")
         return 0
@@ -320,10 +319,9 @@ def cmd_verify(args):
         if not witness:
             return fail("NOT_PSD verdict carries no witness")
         value, coupling = witness_check(sol, v)
-        if coupling > tols.get("witness_coupling", DEFAULT_WITNESS_COUPLING_TOL):
-            return fail(f"witness couples to the solution set ({coupling:.3e})")
-        if value >= -tols.get("witness_value", DEFAULT_WITNESS_VALUE_TOL):
-            return fail(f"witness form value {value:.3e} is not negative")
+        if not is_witness(value, coupling, np.linalg.norm(sol.q0_coords)):
+            return fail(f"witness form is not negative on the whole solution "
+                        f"set (value {value:.3e}, coupling {coupling:.3e})")
         print(f"verified: witness value {value:.6f}, coupling {coupling:.3e}")
         return 0
     if kind == INDETERMINATE:

@@ -47,7 +47,9 @@ right-hand side, read off the generator's m x m matrix. The equations over
 X stay the independent check: ConstraintSystem.matrix_residual evaluates a
 matrix X against the 2m intertwining equations, with L_a and R_a applied in
 closed form, and against the target equations, and one threshold,
-residual_bound, judges the consistency test, certificates and verify.
+residual_bound = tol * ||b||, judges the consistency test, certificates and
+verify. It scales with the generator, as the equations do, so c L and L
+pass or fail together for every c > 0; for b = 0 it is an exact zero.
 """
 import functools
 import types
@@ -201,7 +203,7 @@ class TargetForm:
         object.__setattr__(self, "F", F)
 
 
-def target_form(spec, s, basis_perm=None):
+def target_form(spec, s):
     """Gram data of the generator against the s-inner product on matrix units.
 
     F[a, b] = tr(D^{1-s} Q_b D^s L(Q_a)) is entry (l, k) of
@@ -213,22 +215,12 @@ def target_form(spec, s, basis_perm=None):
         raise DimensionMismatch(f"inner-product parameter s={s} outside [0, 1]")
     n = spec.n
     m = n * n
-    perm = _check_perm(basis_perm, m)
     # D^s kron (D^{1-s})^T, as in qms.generator_matrix
     K = np.einsum("ik,lj->ijkl", spec.state.power(s), spec.state.power(1.0 - s))
     T = K.reshape(m, m) @ generator_matrix(spec)
     # F[a, k, l] = T[(l, k), a]
     F = T.reshape(n, n, m).transpose(2, 1, 0).reshape(m, m)
-    return TargetForm(s, F[np.ix_(perm, perm)])
-
-
-def _check_perm(perm, m):
-    if perm is None:
-        return np.arange(m)
-    perm = np.asarray(perm, dtype=int)
-    if sorted(perm.tolist()) != list(range(m)):
-        raise IndexOutOfRange(f"basis_perm is not a permutation of 0..{m - 1}")
-    return perm
+    return TargetForm(s, F)
 
 
 # ---------------------------------------------------------------------------
@@ -461,21 +453,24 @@ def _intertwining_residual_sq(X, n):
 class ConstraintSystem:
     """The feasibility system of one problem: a template plus its target values.
 
-    G is the template's target matrix with its rows in this system's basis
-    order and b_target the matching right-hand sides, so a q solves the
-    system when G q = b_target; F holds the target values f(Q_a, Q_b*) in
-    the canonical basis order, which matrix_residual checks X against. The
-    template and counts are shared by every system of size n.
+    b_target holds the right-hand sides of the template's target rows G,
+    so a q solves the system when G q = b_target; F holds the target values
+    f(Q_a, Q_b*), which matrix_residual checks X against. The template and
+    counts are shared by every system of size n.
     """
 
     n: int
     m: int
     s: float
     template: SystemTemplate = field(repr=False)
-    G: np.ndarray = field(repr=False)
     b_target: np.ndarray = field(repr=False)
     F: np.ndarray = field(repr=False)
     counts: Mapping
+
+    @property
+    def G(self):
+        """The template's target rows."""
+        return self.template.G
 
     @functools.cached_property
     def A(self):
@@ -515,32 +510,24 @@ class ConstraintSystem:
         return self.matrix_residual(hermitian_decode(coords, self.m ** 2))
 
     def residual_bound(self, tol):
-        """tol * max(1, ||b||): the one threshold on a residual."""
-        return tol * max(1.0, float(np.linalg.norm(self.b_target)))
+        """tol * ||b||: the one threshold on a residual, zero when b = 0."""
+        return tol * float(np.linalg.norm(self.b_target))
 
 
-def assemble(spec, s, basis_perm=None):
+def assemble(spec, s):
     """The feasibility system of a validated generator spec.
 
     Its target rows come one real and one imaginary row per pair of basis
-    elements, in the order of basis_perm.
+    elements.
     """
     n = spec.n
     if n > DEFAULT_SIZE_CAP:
         raise SizeCapExceeded(f"algebra size {n} exceeds cap {DEFAULT_SIZE_CAP}")
     tpl = system_template(n)
-    m = n * n
     F = target_form(spec, s).F
     # rows in (a, b, re/im) order
     b_t = np.stack([F.real, F.imag], axis=-1).reshape(-1)
-    G = tpl.G
-    if basis_perm is not None:
-        # the row for permuted pair (a, b) is the template row (perm[a], perm[b])
-        perm = _check_perm(basis_perm, m)
-        pair = (perm.reshape(-1, 1) * m + perm.reshape(1, -1)).reshape(-1)
-        rows = np.stack([2 * pair, 2 * pair + 1], axis=1).reshape(-1)
-        G, b_t = G[rows], b_t[rows]
-    return ConstraintSystem(n, m, float(s), tpl, G, b_t, F, tpl.counts)
+    return ConstraintSystem(n, n * n, float(s), tpl, b_t, F, tpl.counts)
 
 
 def dump_system(system, path):

@@ -14,7 +14,7 @@ a linear stage and a conic stage:
      The result is the min-norm q0, an orthonormal basis of the solution
      space (the right singular vectors past the rank) and a NOT_CONSISTENT
      flag when the least-squares residual ||G q0 - b|| exceeds
-     tol * max(1, ||b||). G's rows are the target equations over X,
+     tol * ||b||. G's rows are the target equations over X,
      written in q, so this is X's residual too.
 
   2. psd_search asks whether the affine set {Q0 + sum_k t_k N_k} holds a
@@ -39,11 +39,16 @@ a linear stage and a conic stage:
 
 The lift to X happens only where the contract sees X: the certificate
 (kept as the coordinates p of P, rebuilt as lift(P)), the witness vector,
-and witness_check, which takes any vector of X's space. All tolerances are
-relative to problem scale and recorded in the verdict; psd_tol is relative
-to max(1, ||q||). There is one threshold on a residual, the system's
-residual_bound(tol) = tol * max(1, ||b||): the consistency test, the
-certificate check and the CLI's verify all use it.
+and witness_check, which takes any vector of X's space.
+
+Every tolerance is relative to the problem itself, so c L gets the verdict
+of L for every c > 0 (L = d* d gives c L = (sqrt(c) d)* (sqrt(c) d)), and
+decide and the CLI's verify share one rule per threshold: a residual
+passes at <= tol * ||b|| (ConstraintSystem.residual_bound, an exact zero
+for b = 0); a least eigenvalue at >= -psd_tol * ||M||_F of its matrix M
+(psd_passes; ||Q||_F = ||q||); a witness at value < -witness_value * ||q0||
+with coupling <= witness_coupling (is_witness), a unit vector's coupling
+to unit directions, which carries no scale.
 """
 
 import functools
@@ -64,16 +69,16 @@ INDETERMINATE = "INDETERMINATE"
 
 EXIT_CODES = {FEASIBLE: 0, NOT_CONSISTENT: 10, NOT_PSD: 11, INDETERMINATE: 12}
 
-# min eigenvalue threshold for "positive": certificate spectra contain
+# least eigenvalue threshold, relative to ||M||_F: certificate spectra contain
 # exact zeros, so positivity is read as semidefiniteness with rounding slack
 DEFAULT_PSD_TOL = 1e-9
 
-# witness acceptance: form value must be safely negative while couplings to
-# every solution-space direction stay at rounding level
+# witness acceptance: form value below -1e-6 ||q0||, safely negative at the
+# problem's scale, while the unit witness's couplings stay at rounding level
 DEFAULT_WITNESS_VALUE_TOL = 1e-6
 DEFAULT_WITNESS_COUPLING_TOL = 1e-8
-# smoothing widths of the lambda_min maximisation, relative to
-# max(1, ||q0||), one L-BFGS run each
+# smoothing widths of the lambda_min maximisation, relative to ||q0||, one
+# L-BFGS run each
 MU_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4)
 # an L-BFGS run stops after LBFGS_MAX_ITER steps, once the gradient's largest
 # entry is at most LBFGS_GRAD_TOL, or when LINE_SEARCH_HALVINGS halvings of
@@ -128,14 +133,25 @@ class AffineSolutionSet:
         return self.basis_array.shape[0]
 
 
+def psd_passes(least, norm, psd_tol):
+    """The PSD rule, elementwise: a least eigenvalue passes at >= -psd_tol *
+    norm, norm being ||M||_F of its matrix M (||Q||_F = ||q||)."""
+    return least >= -psd_tol * norm
+
+
+def is_witness(value, coupling, q0_norm):
+    """The witness rule: the form's value is below -DEFAULT_WITNESS_VALUE_TOL
+    * ||q0|| and its coupling at most DEFAULT_WITNESS_COUPLING_TOL."""
+    return (value < -DEFAULT_WITNESS_VALUE_TOL * q0_norm
+            and coupling <= DEFAULT_WITNESS_COUPLING_TOL)
+
+
 def _target_svd(system, rank_tol):
     # (U, sv, Vt, rank, solution-space basis, diagnostics of the size),
-    # cached for the template's own G so that sweep samples, and the
-    # verdicts that report the margins, share them; permuted systems
-    # recompute
-    canonical = system.G is system.template.G
+    # cached per size so that sweep samples, and the verdicts that report
+    # the margins, share them
     key = (system.n, float(rank_tol))
-    if canonical and key in _TARGET_SVD_CACHE:
+    if key in _TARGET_SVD_CACHE:
         return _TARGET_SVD_CACHE[key]
     U, sv, Vt = np.linalg.svd(system.G, full_matrices=False)
     rank = int(_rank(sv, sv[0], rank_tol))
@@ -149,9 +165,7 @@ def _target_svd(system, rank_tol):
         "target_sv_max_dropped": float(sv[rank]) if rank < sv.size else 0.0,
         "system_counts": system.counts,
     })
-    out = (U, sv, Vt, rank, basis, shared)
-    if canonical:
-        _TARGET_SVD_CACHE[key] = out
+    out = _TARGET_SVD_CACHE[key] = (U, sv, Vt, rank, basis, shared)
     return out
 
 
@@ -177,7 +191,7 @@ def solve_affine(system, tol=DEFAULT_FEAS_TOL, rank_tol=DEFAULT_RANK_TOL):
 
     Returns an AffineSolutionSet; .consistent is False when the
     least-squares residual exceeds system.residual_bound(tol) =
-    tol * max(1, ||b||) (the Rouche-Capelli test in floating point).
+    tol * ||b|| (the Rouche-Capelli test in floating point).
     """
     Q0, residual, bound, svd = _solve_stacked([system], tol, rank_tol)
     return AffineSolutionSet(system, Q0[0], svd[4], residual[0],
@@ -216,15 +230,15 @@ def witness_hunt(sol, q_coords, eig=None):
     q is a point of the solution set, normally the end of the lambda_min
     maximisation. Each eigenvector u of Q(q) with a negative eigenvalue is
     tried in ascending order, first with its rounding-noise entries
-    dropped, then as it is. A candidate is accepted when its value is below
-    -DEFAULT_WITNESS_VALUE_TOL and its coupling at most
-    DEFAULT_WITNESS_COUPLING_TOL. Returns (u, value, coupling) or None; the
-    witness in X's space is T^{-1}(u (x) e_1), with the same value and
-    coupling. eig, when given, is Q(q)'s eigendecomposition.
+    dropped, then as it is. A candidate is accepted when it passes
+    is_witness at the set's scale ||q0||. Returns (u, value, coupling) or
+    None; the witness in X's space is T^{-1}(u (x) e_1), with the same
+    value and coupling. eig, when given, is Q(q)'s eigendecomposition.
     """
     w, V = eig or herm_eig(sol.system.template.matrix(q_coords))
-    scale = max(1.0, float(np.linalg.norm(q_coords)))
-    for idx in np.nonzero(w < -DEFAULT_PSD_TOL * scale)[0]:
+    q0_norm = np.linalg.norm(sol.q0_coords)
+    negative = ~psd_passes(w, np.linalg.norm(q_coords), DEFAULT_PSD_TOL)
+    for idx in np.nonzero(negative)[0]:
         u = V[:, idx]
         candidates = [u]
         # drop rounding-noise entries when the cleaned vector still works
@@ -234,14 +248,9 @@ def witness_hunt(sol, q_coords, eig=None):
             candidates.insert(0, cleaned / np.linalg.norm(cleaned))
         for c in candidates:
             value, coupling = _rank_one_form(sol, c)
-            if _is_witness(value, coupling):
+            if is_witness(value, coupling, q0_norm):
                 return c.copy(), value, coupling    # a view keeps V alive
     return None
-
-
-def _is_witness(value, coupling):
-    return (value < -DEFAULT_WITNESS_VALUE_TOL
-            and coupling <= DEFAULT_WITNESS_COUPLING_TOL)
 
 
 def _diagnostics(size_diagnostics, **own):
@@ -385,7 +394,7 @@ def _certify(sol, q_coords, eig, tol, psd_tol, tolerances, **own):
     system = sol.system
     tpl = system.template
     w, V = eig
-    if w[0] < -psd_tol * max(1.0, float(np.linalg.norm(q_coords))):
+    if not psd_passes(w[0], np.linalg.norm(q_coords), psd_tol):
         return None
     keep = w > w[-1] * w.size * np.finfo(float).eps
     F = V[:, keep] * np.sqrt(w[keep])
@@ -445,9 +454,10 @@ def _max_min_eig(sol, psd_tol, eig0):
     Minimises the smoothed -lambda_min of Q,
     mu log sum_i exp(-(lambda_i - lambda_1) / mu) - lambda_1, whose
     gradient in t is -B pairing(P) for the softmax eigenprojector
-    P = sum_j p_j u_j u_j* of Q. L-BFGS runs from t = 0; mu runs through
-    MU_SCHEDULE times max(1, ||q0||), each run starting where the last one
-    ended. Stops at the first point, Q0 included, whose least eigenvalue
+    P = sum_j p_j u_j u_j* of Q. L-BFGS runs from t = 0 with t, and the
+    objective, in units of ||q0||, so that c Q0 takes the steps of Q0; mu
+    runs through MU_SCHEDULE times ||q0||, each run starting where the last
+    one ended. Stops at the first point, Q0 included, whose least eigenvalue
     passes the certificate's test or whose least eigenvector is a witness
     (then it is a maximiser: the witness's form is the same all over the
     set and bounds lambda_min). eig0 is Q0's eigendecomposition, which
@@ -456,28 +466,28 @@ def _max_min_eig(sol, psd_tol, eig0):
     eigenvalue is Q0's and the last is q's.
     """
     q0, B, tpl = sol.q0_coords, sol.basis_array, sol.system.template
+    scale = np.linalg.norm(q0)
     least = []
 
     def smoothed(t, mu):
-        q = q0 + B.T @ t
+        q = q0 + scale * (B.T @ t)
         w, V = herm_eig(tpl.matrix(q)) if least else eig0
         least.append(float(w[0]))
-        if (w[0] >= -psd_tol * max(1.0, float(np.linalg.norm(q)))
-                or _is_witness(*_rank_one_form(sol, V[:, 0]))):
+        if (psd_passes(w[0], np.linalg.norm(q), psd_tol)
+                or is_witness(*_rank_one_form(sol, V[:, 0]), scale)):
             raise _Settled(q, (w, V))
         e = np.exp((w[0] - w) / mu)
         P = (V * (e / e.sum())) @ V.conj().T
-        return mu * np.log(e.sum()) - w[0], -(B @ tpl.pairing(P))
+        return (mu * np.log(e.sum()) - w[0]) / scale, -(B @ tpl.pairing(P))
 
     t = np.zeros(sol.dim)
     if sol.dim:
-        scale = max(1.0, float(np.linalg.norm(q0)))
         try:
             for mu in MU_SCHEDULE:
                 t = _lbfgs(smoothed, t, mu * scale)
         except _Settled as stop:
             return stop.args[0], least, stop.args[1]
-    q = q0 + B.T @ t
+    q = q0 + scale * (B.T @ t)
     eig = herm_eig(tpl.matrix(q)) if least else eig0
     least.append(float(eig[0][0]))
     return q, least, eig
@@ -540,8 +550,8 @@ def verdict_for(sol, tol=DEFAULT_FEAS_TOL, rank_tol=DEFAULT_RANK_TOL,
 
 
 def decide(spec, s, tol=DEFAULT_FEAS_TOL, rank_tol=DEFAULT_RANK_TOL,
-           psd_tol=DEFAULT_PSD_TOL, basis_perm=None):
+           psd_tol=DEFAULT_PSD_TOL):
     """Assemble, solve the linear stage, and run the PSD search."""
-    system = assemble(spec, s, basis_perm=basis_perm)
+    system = assemble(spec, s)
     sol = solve_affine(system, tol=tol, rank_tol=rank_tol)
     return verdict_for(sol, tol=tol, rank_tol=rank_tol, psd_tol=psd_tol)

@@ -234,17 +234,18 @@ def validate_spec(spec, tol=1e-8):
     while unmatched:
         i = unmatched.pop(0)
         ji = spec.jumps[i]
+        atol = 1e-12 * max(1, np.linalg.norm(ji.V))
         partner = None
         for k in unmatched:
             jk = spec.jumps[k]
-            if (np.allclose(jk.V, ji.V.conj().T, atol=1e-12 * max(1, np.linalg.norm(ji.V)))
+            if (np.allclose(jk.V, ji.V.conj().T, rtol=0, atol=atol)
                     and abs(jk.omega + ji.omega) <= 1e-8 * max(1.0, abs(ji.omega))
                     and abs(jk.weight - ji.weight) <= 1e-12 * max(1.0, abs(ji.weight))):
                 partner = k
                 break
         if partner is not None:
             unmatched.remove(partner)
-        elif np.allclose(ji.V, ji.V.conj().T, atol=1e-12 * max(1, np.linalg.norm(ji.V))) \
+        elif np.allclose(ji.V, ji.V.conj().T, rtol=0, atol=atol) \
                 and abs(ji.omega) <= 1e-8:
             continue  # self-adjoint jump pairs with itself
         else:

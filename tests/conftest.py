@@ -53,3 +53,21 @@ def random_spec():
         return make_spec(state, [(cmat(), rng.standard_normal(),
                                   rng.standard_normal()) for _ in range(jumps)])
     return build
+
+
+@pytest.fixture(scope="session")
+def relabel():
+    """Builder of a problem document with its levels renamed, level i
+    becoming perm[i]: D and every jump are conjugated by one permutation
+    matrix, which permutes the matrix-unit basis and nothing else."""
+    def as_json(M):
+        return [[[float(z.real), float(z.imag)] for z in row] for row in M]
+
+    def build(doc, perm):
+        problem = parse_problem(doc)
+        P = np.eye(problem.spec.n)[:, perm]
+        return {"n": problem.spec.n, "s": problem.s,
+                "density": as_json(P @ problem.spec.state.D @ P.T),
+                "jumps": [{"V": as_json(P @ j.V @ P.T), "omega": j.omega,
+                           "weight": j.weight} for j in problem.spec.jumps]}
+    return build

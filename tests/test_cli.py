@@ -315,6 +315,23 @@ def test_certificate_checks_use_the_consistency_bound(preset_problems, tmp_path,
     assert "certificate residual" in capsys.readouterr().out
 
 
+def test_verify_rejects_a_zero_certificate_of_a_tiny_generator(tmp_path, capsys):
+    # the residual bound scales with ||b||: X = 0 leaves a residual of ||b||
+    # however small the generator is
+    doc = {**TRACIAL_2X2, "jumps": [{**j, "weight": 1e-10} for j in TRACIAL_2X2["jumps"]]}
+    path, out = tmp_path / "tiny.json", tmp_path / "tiny.report.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    report["verdict"]["certificate"] = [
+        [[0.0, 0.0] for _ in row] for row in report["verdict"]["certificate"]]
+    report["fingerprint"] = fingerprint_of(report)
+    out.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 1
+    assert "certificate residual" in capsys.readouterr().out
+
+
 def test_verify_rejects_non_report(tmp_path, capsys):
     path = tmp_path / "x.json"
     path.write_text(json.dumps({"hello": 1}))

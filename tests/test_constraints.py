@@ -18,6 +18,7 @@ from qmsderiv.constraints import (ConstraintSystem, TensorElem,
 from qmsderiv.errors import IndexOutOfRange, SizeCapExceeded
 from qmsderiv.feasibility import decide, solve_affine
 from qmsderiv.linalg import hermitian_decode, hermitian_encode
+from qmsderiv.problems import parse_problem
 from qmsderiv.qms import DensityState, lindblad_apply, make_spec, s_inner
 from xspace import nullspace
 
@@ -443,14 +444,15 @@ def test_adjointability_roundtrip(preset_problems, hom_kernels):
                     assert abs(lhs - rhs) <= 1e-8 * scale
 
 
-def test_permuted_basis_same_consistency(gns_2x2, preset_problems):
-    rng = np.random.default_rng(12)
-    for pid in ("2x2-gns", "2x2-kms"):
-        spec = preset_problems[pid].spec
-        s = preset_problems[pid].s
-        perm = list(rng.permutation(spec.n ** 2))
-        base = solve_affine(assemble(spec, s))
-        shuffled = solve_affine(assemble(spec, s, basis_perm=perm))
+def test_permuted_basis_same_consistency(preset_table, preset_problems, relabel):
+    # renaming the levels permutes the matrix-unit basis
+    for pid, preset in preset_table.items():
+        p = preset_problems[pid]
+        renamed = parse_problem(relabel(preset.problem, np.roll(np.arange(p.spec.n), 1)))
+        base = assemble(p.spec, p.s)
+        shuffled = assemble(renamed.spec, renamed.s)
+        assert np.linalg.norm(shuffled.b) == pytest.approx(np.linalg.norm(base.b))
+        base, shuffled = solve_affine(base), solve_affine(shuffled)
         assert base.consistent == shuffled.consistent
         assert base.dim == shuffled.dim
 

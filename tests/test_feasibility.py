@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qmsderiv.cli import main
 from qmsderiv.constraints import assemble
 from qmsderiv.errors import DimensionMismatch
 from qmsderiv.feasibility import (AffineSolutionSet, EXIT_CODES, FEASIBLE,
@@ -66,6 +67,23 @@ def known_witness_vector():
 
 def known_witness_value():
     return -(E ** 2 + 2 * E * (PI - 1) + PI * (PI - 2)) / (1 + PI ** 2 + E ** 2)
+
+
+def tracial3_doc():
+    """A tracial n = 3 problem: two seeded jump pairs (V, V*) at omega = 0."""
+    rng = np.random.default_rng(5)
+    jumps = []
+    for _ in range(2):
+        V = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        jumps += [{"V": [[[z.real, z.imag] for z in row] for row in M], "omega": 0.0}
+                  for M in (V, V.conj().T)]
+    return {"n": 3, "density": {"diag": [1 / 3] * 3}, "jumps": jumps, "s": 0.0}
+
+
+def scaled_doc(doc, c):
+    """doc with its generator multiplied by c: every jump weight times c."""
+    return {**doc, "jumps": [{**j, "weight": c * j.get("weight", 1.0)}
+                             for j in doc["jumps"]]}
 
 
 def test_exit_codes_table():
@@ -213,6 +231,24 @@ def test_psd_search_climbs_from_a_shifted_base_point(solutions):
     assert verdict.witness_coupling <= 1e-8
 
 
+def test_psd_search_climbs_back_to_a_certificate():
+    # tracial3's solution set written from q0 + t B[0], with t large enough
+    # that Q is not PSD there: the maximisation has to climb back, and the
+    # point it reaches is certified over X
+    problem = parse_problem(tracial3_doc())
+    sol = solve_affine(assemble(problem.spec, problem.s))
+    B = sol.basis_array
+    shifted = AffineSolutionSet(sol.system, sol.q0_coords + 3.0 * B[0], B,
+                                sol.residual, sol.consistent, sol.diagnostics)
+    verdict = psd_search(shifted)
+    assert verdict.diagnostics["min_eig_first"] < -0.1
+    assert verdict.kind == FEASIBLE
+    assert verdict.diagnostics["stop"] == "search_certificate"
+    assert verdict.diagnostics["iterations"] > 1
+    system = sol.system
+    assert system.matrix_residual(verdict.certificate) <= system.residual_bound(1e-8)
+
+
 def test_psd_search_cone_gap_bounds_the_witness(verdicts):
     # weak duality: a unit u's value u* Q u is at least the largest
     # lambda_min of Q over the solution set, which the search reports as its
@@ -357,12 +393,18 @@ def test_psd_search_requires_consistency(solutions):
         psd_search(solutions["3x3-gns"])
 
 
-def test_zero_generator_feasible():
-    spec = make_spec(DensityState.tracial(2), [])
-    v = decide(spec, 0.0)
+def test_zero_generator_feasible(tmp_path):
+    # b = 0: X = 0 is the certificate, held to an exact zero residual bound
+    doc = {"n": 2, "density": {"diag": [0.5, 0.5]}, "jumps": [], "s": 0.0}
+    problem = parse_problem(doc)
+    v = decide(problem.spec, problem.s)
     assert v.kind == FEASIBLE
-    assert v.residual <= 1e-12
-    assert np.linalg.norm(np.asarray(v.certificate)) <= 1e-10
+    assert v.residual == v.diagnostics["consistency_bound"] == 0.0
+    assert not np.asarray(v.certificate).any()
+    path, out = tmp_path / "zero.json", tmp_path / "zero.report.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path), "--out", str(out)]) == 0
+    assert main(["verify", str(out)]) == 0
 
 
 def test_tracial_random_instances_feasible():
@@ -389,13 +431,40 @@ def test_scale_equivariance(preset_problems, verdicts):
     assert system.residual_of(hermitian_encode(X)) <= system.residual_bound(1e-8)
 
 
-def test_basis_permutation_equivariance(preset_problems, verdicts):
-    rng = np.random.default_rng(31)
-    for pid in ("2x2-gns", "2x2-kms", "3x3-gns"):
-        p = preset_problems[pid]
-        perm = list(rng.permutation(p.spec.n ** 2))
-        shuffled = decide(p.spec, p.s, basis_perm=perm)
-        assert shuffled.kind == verdicts[pid].kind
+def test_scaled_generators_keep_their_verdict(preset_table, tmp_path):
+    # L = d* d gives c L = (sqrt(c) d)* (sqrt(c) d): the verdict cannot
+    # depend on c > 0, and -c L, negative where L is not zero, is never d* d
+    kinds = {code: kind for kind, code in EXIT_CODES.items()}
+    docs = {pid: preset.problem for pid, preset in preset_table.items()}
+    docs["tracial3"] = tracial3_doc()
+
+    def check(name, doc):
+        path, out = tmp_path / f"{name}.json", tmp_path / f"{name}.report.json"
+        path.write_text(json.dumps(doc))
+        kind = kinds[main(["check", str(path), "--out", str(out)])]
+        if kind in (FEASIBLE, NOT_PSD):
+            assert main(["verify", str(out)]) == 0, name
+        return kind
+
+    for pid, doc in docs.items():
+        kind = check(pid, doc)
+        for c in (1e-12, 1e-8, 1e-4, 1e4, 1e8):
+            assert check(f"{pid}-{c:g}", scaled_doc(doc, c)) == kind, (pid, c)
+        if kind == FEASIBLE:
+            for c in (1.0, 1e-6, 1e-10):
+                assert check(f"{pid}-neg{c:g}", scaled_doc(doc, -c)) != FEASIBLE, (pid, c)
+
+
+def test_basis_permutation_equivariance(preset_table, verdicts, relabel,
+                                        tmp_path):
+    # renaming the levels permutes the matrix-unit basis: every preset keeps
+    # its verdict kind, and the renamed problem's evidence passes verify
+    for pid, preset in preset_table.items():
+        n = preset.problem["n"]
+        path, out = tmp_path / f"{pid}.json", tmp_path / f"{pid}.report.json"
+        path.write_text(json.dumps(relabel(preset.problem, np.roll(np.arange(n), 1))))
+        assert main(["check", str(path), "--out", str(out)]) == verdicts[pid].exit_code
+        assert main(["verify", str(out)]) == 0
 
 
 def test_verdict_serializes_to_json(verdicts):

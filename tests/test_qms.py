@@ -151,6 +151,17 @@ def test_validate_spec_flags_missing_adjoint():
     assert not report.ok
 
 
+@pytest.mark.parametrize("jumps", [
+    [(E12, 0.0), ((1 + 5e-6) * E21, 0.0)],    # partner off V* by 5e-6
+    [(E12 + (1 + 5e-6) * E21, 0.0)],          # V off Hermitian by 5e-6
+])
+def test_validate_spec_adjoint_test_is_absolute(jumps):
+    # within 1e-12 max(1, ||V||), not within numpy's default rtol of 1e-5
+    report = validate_spec(make_spec(DensityState.tracial(2), jumps))
+    assert not report.adjoint_closed
+    assert not report.ok
+
+
 def test_validate_spec_flags_non_eigenvector():
     state = spec_2x2().state
     V = E11 + E12
