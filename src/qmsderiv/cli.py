@@ -207,10 +207,9 @@ def cmd_sweep(args):
     threshold = cfg["agree_threshold"]
     collected = []
     try:
-        records = sweep(
-            count, seed, project=cfg["project"], pin=cfg["pin"], s=cfg["s"],
-            tol=tol, predicate_tol=cfg["predicate_tol"],
-            on_record=collected.append)
+        sweep(count, seed, project=cfg["project"], pin=cfg["pin"], s=cfg["s"],
+              tol=tol, predicate_tol=cfg["predicate_tol"],
+              on_record=collected.append)
     except ToolError as exc:
         # an unusable pin fails before any sample is drawn
         print(f"input error: {exc}", file=sys.stderr)
@@ -221,6 +220,8 @@ def cmd_sweep(args):
             print(f"interrupted; {len(collected)} records flushed to {args.out}",
                   file=sys.stderr)
         return 130
+    # on_record has seen every record; the returned ones would redraw them
+    records = collected
     if args.out:
         _write_csv(args.out, records)
     else:

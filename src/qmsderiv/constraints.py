@@ -52,6 +52,7 @@ verify. It scales with the generator, as the equations do, so c L and L
 pass or fail together for every c > 0; for b = 0 it is an exact zero.
 """
 import functools
+import math
 import types
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -211,16 +212,38 @@ def target_form(spec, s):
     (D^s kron (D^{1-s})^T) S, with S the generator matrix, is the row-major
     vec of that product; so F is read off one m x m product.
     """
+    return TargetForm(s, _target_values(_state_factor(spec.state, s),
+                                        generator_matrix(spec)))
+
+
+def _state_factor(state, s):
+    """D^s kron (D^{1-s})^T, the m x m matrix that target_form applies to
+    the generator matrix; it depends only on the state and s."""
     if not 0.0 <= s <= 1.0:
         raise DimensionMismatch(f"inner-product parameter s={s} outside [0, 1]")
-    n = spec.n
-    m = n * n
-    # D^s kron (D^{1-s})^T, as in qms.generator_matrix
-    K = np.einsum("ik,lj->ijkl", spec.state.power(s), spec.state.power(1.0 - s))
-    T = K.reshape(m, m) @ generator_matrix(spec)
+    m = state.n * state.n
+    # row-major vec, as in qms.generator_matrix
+    K = np.einsum("ik,lj->ijkl", state.power(s), state.power(1.0 - s))
+    return K.reshape(m, m)
+
+
+def _target_values(K, S):
+    """F of target_form from the state factor K and the generator matrix S."""
+    m = S.shape[0]
+    n = math.isqrt(m)
+    T = K @ S
     # F[a, k, l] = T[(l, k), a]
-    F = T.reshape(n, n, m).transpose(2, 1, 0).reshape(m, m)
-    return TargetForm(s, F)
+    return T.reshape(n, n, m).transpose(2, 1, 0).reshape(m, m)
+
+
+def _target_rhs(F):
+    """b_target: the real and imaginary part of each F[a, b], in the order
+    of the template's target rows (a, b, re/im).
+
+    A C-ordered complex array holds exactly these parts, interleaved, so
+    b_target is F's memory read as floats (a view when F is contiguous).
+    """
+    return np.ascontiguousarray(F).view(np.float64).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +534,13 @@ class ConstraintSystem:
 
     def residual_bound(self, tol):
         """tol * ||b||: the one threshold on a residual, zero when b = 0."""
-        return tol * float(np.linalg.norm(self.b_target))
+        return _residual_bound(self.b_target, tol)
+
+
+def _residual_bound(b, tol):
+    """ConstraintSystem.residual_bound for the real right-hand side b;
+    sqrt(b . b) is how np.linalg.norm takes it, without its checks."""
+    return tol * math.sqrt(b.dot(b))
 
 
 def assemble(spec, s):
@@ -525,9 +554,8 @@ def assemble(spec, s):
         raise SizeCapExceeded(f"algebra size {n} exceeds cap {DEFAULT_SIZE_CAP}")
     tpl = system_template(n)
     F = target_form(spec, s).F
-    # rows in (a, b, re/im) order
-    b_t = np.stack([F.real, F.imag], axis=-1).reshape(-1)
-    return ConstraintSystem(n, n * n, float(s), tpl, b_t, F, tpl.counts)
+    return ConstraintSystem(n, n * n, float(s), tpl, _target_rhs(F), F,
+                            tpl.counts)
 
 
 def dump_system(system, path):

@@ -169,21 +169,18 @@ def _target_svd(system, rank_tol):
     return out
 
 
-def _solve_stacked(systems, tol, rank_tol):
-    """Min-norm solutions of systems that share one template, one per row.
+def _solve_stacked(system, B, rank_tol):
+    """Min-norm solutions of G q = b, one per row b of B.
 
-    Row j of Q0 solves G q = b_t of systems[j] through the cached SVD,
-    q0 = Vt^T diag(1/sv) U^T b_t, all rows in one product; residual[j] is
-    ||G q0 - b_t|| and bound[j] is systems[j].residual_bound(tol). Returns
-    (Q0, residual, bound, svd) with svd = _target_svd's tuple.
+    system is a ConstraintSystem or its template: only its size, G and
+    counts are read. Row j of Q0 is q0 = Vt^T diag(1/sv) U^T B[j] through the cached
+    SVD, all rows in one product, and residual[j] is ||G q0 - B[j]||.
+    Returns (Q0, residual, svd) with svd = _target_svd's tuple.
     """
-    system = systems[0]
     svd = U, sv, Vt, rank, _, _ = _target_svd(system, rank_tol)
-    B = np.array([s.b_target for s in systems])
     Q0 = (B @ U[:, :rank] / sv[:rank]) @ Vt[:rank]
     residual = np.linalg.norm(Q0 @ system.G.T - B, axis=1)
-    bound = np.array([s.residual_bound(tol) for s in systems])
-    return Q0, residual, bound, svd
+    return Q0, residual, svd
 
 
 def solve_affine(system, tol=DEFAULT_FEAS_TOL, rank_tol=DEFAULT_RANK_TOL):
@@ -193,9 +190,10 @@ def solve_affine(system, tol=DEFAULT_FEAS_TOL, rank_tol=DEFAULT_RANK_TOL):
     least-squares residual exceeds system.residual_bound(tol) =
     tol * ||b|| (the Rouche-Capelli test in floating point).
     """
-    Q0, residual, bound, svd = _solve_stacked([system], tol, rank_tol)
+    Q0, residual, svd = _solve_stacked(system, system.b_target[None], rank_tol)
+    bound = system.residual_bound(tol)
     return AffineSolutionSet(system, Q0[0], svd[4], residual[0],
-                             residual[0] <= bound[0], svd[5], float(bound[0]))
+                             residual[0] <= bound, svd[5], bound)
 
 
 def witness_check(sol, v):

@@ -18,15 +18,17 @@ evaluates that functional, projects Y matrices onto its zero hyperplane,
 and runs randomized sweeps comparing the closed form against the assembled
 system's actual consistency, record by record.
 
-A LambdaPoint computes its state, Bohr frequencies and predicate
-coefficients once, on first use, and a pinned sweep shares one point among
-all its samples; each sample still builds and validates its own Y, jumps and
-generator spec. Every sample is assembled against the cached per-size
-template, so a sample adds only its target right-hand side, read off the
-generator's matrix. The samples share the SVD of the reduced target matrix,
-so a sweep solves them a chunk at a time with one product over the stacked
-right-hand sides, and keeps its results as columns (SweepRecords) rather
-than as objects.
+A LambdaPoint computes its state, Bohr frequencies, factors e^{-w_ij/2} and
+predicate coefficients once, on first use. A sweep has one sample path: it
+builds a point's factors (D^s kron (D^{1-s})^T and e^{-w_ij/2}) once per
+point, so once for a pinned sweep and once a sample otherwise, and reads
+each sample's target right-hand side off the generator's matrix with the
+helpers that assemble uses, without building a Y, jumps or a generator spec.
+The samples share the cached per-size template and the SVD of its target
+matrix, so a sweep solves them a chunk at a time with one product over the
+stacked right-hand sides. Its result (SweepRecords) keeps only what the
+sweep computed, about 9 bytes a sample, and re-derives each sample's point,
+Y and predicate from the seed.
 """
 
 import itertools
@@ -38,14 +40,19 @@ from functools import cached_property
 
 import numpy as np
 
-from .constraints import assemble
+from .constraints import (_residual_bound, _state_factor, _target_rhs,
+                          _target_values, system_template)
 from .errors import DimensionMismatch, ToolError
 from .feasibility import _solve_stacked
 from .linalg import DEFAULT_FEAS_TOL, DEFAULT_RANK_TOL
-from .qms import (DensityState, Jump, LindbladSpec, generator_matrix,
-                  make_spec)
+from .qms import (DensityState, Jump, LindbladSpec, _generator_matrix,
+                  generator_matrix, make_spec)
 
 DEFAULT_PREDICATE_TOL = 1e-10
+
+# flat positions of YMatrix.six()'s entries in Y, and of Y's in the six
+_SIX = np.array([0, 1, 2, 4, 5, 8])
+_FROM_SIX = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
 @dataclass(frozen=True)
@@ -81,8 +88,7 @@ class YMatrix:
 
     def six(self):
         """The independent entries as (y11, y12, y13, y22, y23, y33)."""
-        Y = self.entries
-        return np.array([Y[0, 0], Y[0, 1], Y[0, 2], Y[1, 1], Y[1, 2], Y[2, 2]])
+        return self.entries.reshape(-1)[_SIX]
 
     @classmethod
     def from_six(cls, y, allow_negative=False):
@@ -95,9 +101,9 @@ class YMatrix:
 class LambdaPoint:
     """State parameters (l2, l3), with l1 fixed to 1.
 
-    The state, the Bohr frequencies and the predicate coefficients are
-    computed once, on first use, and kept with the point. Each l must be
-    positive with a square inside the float range.
+    The state, the Bohr frequencies, their factors e^{-w_ij/2} and the
+    predicate coefficients are computed once, on first use, and kept with
+    the point. Each l must be positive with a square inside the float range.
     """
 
     lambda2: float
@@ -126,6 +132,14 @@ class LambdaPoint:
         lam = np.array([1.0, self.lambda2, self.lambda3])
         return tuple(tuple(float(-2.0 * (np.log(lam[i]) - np.log(lam[j])))
                            for j in range(3)) for i in range(3))
+
+    @cached_property
+    def bohr_factors(self):
+        """e^{-w_ij/2} as a read-only 3x3 array, each entry computed as the
+        generator of a jump with frequency w_ij computes it."""
+        E = np.array([[np.exp(-0.5 * w) for w in row] for row in self.omegas])
+        E.flags.writeable = False
+        return E
 
     @cached_property
     def coefficients(self):
@@ -207,9 +221,13 @@ def solvable_predicate(p, Y, tol=DEFAULT_PREDICATE_TOL):
 
 
 def _predicate(c, y, tol):
-    """(predicate_lhs, solvable_predicate) for coefficients c and entries y."""
+    """(predicate_lhs, solvable_predicate) for coefficients c and entries y.
+
+    The value is judged against tol * sum |c_i y_i|, with no floor: the
+    functional is linear in Y, so Y and k Y get the same flag for k > 0.
+    """
     lhs = float(c @ y)
-    return lhs, abs(lhs) <= tol * max(1.0, float(np.abs(c * y).sum()))
+    return lhs, abs(lhs) <= tol * float(np.abs(c * y).sum())
 
 
 def project_to_hyperplane(p, Y):
@@ -219,13 +237,17 @@ def project_to_hyperplane(p, Y):
     allow_negative set. When the coefficient vector vanishes (tracial-like
     points) Y is already in the zero set and is returned unchanged.
     """
-    c = predicate_coefficients(p)
+    return YMatrix(_project(predicate_coefficients(p), Y.entries),
+                   allow_negative=True)
+
+
+def _project(c, Y):
+    """project_to_hyperplane on the entries of Y, for coefficients c."""
     cc = float(c @ c)
-    y = Y.six()
     if cc == 0.0:
-        return YMatrix(Y.entries, allow_negative=True)
-    y = y - (float(c @ y) / cc) * c
-    return YMatrix.from_six(y, allow_negative=True)
+        return Y
+    y = Y.reshape(-1)[_SIX]
+    return (y - (float(c @ y) / cc) * c)[_FROM_SIX]
 
 
 @dataclass
@@ -271,23 +293,29 @@ def sample_inputs(count, seed, project=False, pin=None):
     a fresh point. Projection onto the predicate hyperplane happens after
     drawing Y.
     """
+    return ((k, p, YMatrix(Y, allow_negative=project))
+            for k, p, Y in _draw_samples(count, seed, project, pin))
+
+
+def _draw_samples(count, seed, project, pin):
+    """The stream of sample_inputs with each Y as its symmetric entries
+    array, which YMatrix keeps as it is; the pin is made usable at once."""
     point = None
     if pin is not None:
         point = LambdaPoint(float(pin[0]), float(pin[1])).usable()
-    return _draw_samples(count, seed, project, point)
+    return _draws(count, np.random.default_rng(seed), project, point)
 
 
-def _draw_samples(count, seed, project, point):
-    rng = np.random.default_rng(seed)
+def _draws(count, rng, project, point):
     for k in range(count):
         p = point
         if p is None:
             l2, l3 = np.exp(rng.uniform(-2.0, 2.0, size=2))
             p = LambdaPoint(float(l2), float(l3))
         R = rng.uniform(0.0, 1.0, size=(3, 3))
-        Y = YMatrix(0.5 * (R + R.T))
+        Y = 0.5 * (R + R.T)
         if project:
-            Y = project_to_hyperplane(p, Y)
+            Y = _project(p.coefficients, Y)
         yield k, p, Y
 
 
@@ -296,40 +324,56 @@ def _draw_samples(count, seed, project, point):
 SWEEP_CHUNK = 16
 
 
-class SweepRecords(Sequence):
-    """A sweep's results as columns, one entry per sample.
+def _sample_rhs(K, E, Y):
+    """b_target of assemble(build_LY(p, Y), s) from the point's factors
+    K = D^s kron (D^{1-s})^T and E = e^{-w_ij/2}, with the same arithmetic."""
+    nonzero = Y != 0.0      # build_LY makes no jump for a zero weight
+    S = _generator_matrix(Y[nonzero] * E[nonzero], _UNITS[nonzero])
+    return _target_rhs(_target_values(K, S))
 
-    Indexing builds the sample's SweepRecord. values holds a sample's
-    floats (the six Y entries, the predicate value and the residual, then
-    lambda2 and lambda3 unless the sweep was pinned) and flags its bools
-    (predicate, consistent); a pinned sweep keeps its (lambda2, lambda3)
-    once, as pin. A pinned sample keeps 66 bytes, an unpinned one 82;
-    errors maps a failed sample's index to its message. Y allows negative
-    entries exactly when the sweep was projected.
+
+class SweepRecords(Sequence):
+    """A sweep's results, one entry per sample.
+
+    Only what the sweep computed is kept: each sample's residual and
+    consistency flag (9 bytes a sample) and errors, which maps a failed
+    sample's index to its message. The sample's point, Y, predicate value
+    and predicate flag are re-derived from the sweep's arguments through
+    sample_inputs, so iterating walks the sample stream once and
+    records[k] walks it to k, in O(k). Y allows negative entries exactly
+    when the sweep was projected.
     """
 
-    __slots__ = ("values", "flags", "pin", "errors", "allow_negative")
+    __slots__ = ("count", "seed", "project", "pin", "predicate_tol",
+                 "residual", "consistent", "errors")
 
-    def __init__(self, count, allow_negative, pin=None):
-        self.values = np.full((count, 8 if pin else 10), np.nan)
-        self.flags = np.zeros((count, 2), dtype=bool)
-        self.pin = pin
+    def __init__(self, count, seed, project, pin, predicate_tol):
+        self.count, self.seed, self.project = count, seed, project
+        self.pin, self.predicate_tol = pin, predicate_tol
+        self.residual = np.full(count, np.nan)
+        self.consistent = np.zeros(count, dtype=bool)
         self.errors = {}
-        self.allow_negative = allow_negative
 
     def __len__(self):
-        return len(self.flags)
+        return self.count
+
+    def __iter__(self):
+        for k, p, Y in sample_inputs(self.count, self.seed, self.project,
+                                     self.pin):
+            yield self.record(k, p, Y)
 
     def __getitem__(self, k):
-        k = range(len(self.flags))[operator.index(k)]
-        v = self.values[k].tolist()
-        predicate, consistent = self.flags[k].tolist()
-        error = self.errors.get(k)
-        return SweepRecord(
-            k, LambdaPoint(*(self.pin or v[8:])),
-            YMatrix.from_six(v[:6], allow_negative=self.allow_negative),
-            v[6], predicate, consistent, v[7],
-            error is None and predicate == consistent, error)
+        k = range(self.count)[operator.index(k)]
+        return next(itertools.islice(self, k, None))
+
+    def record(self, k, p, Y):
+        """The SweepRecord of sample k, drawn as (k, p, Y)."""
+        predicate_lhs, predicate = _predicate(p.coefficients, Y.six(),
+                                              self.predicate_tol)
+        consistent, error = bool(self.consistent[k]), self.errors.get(k)
+        return SweepRecord(k, p, Y, predicate_lhs, predicate, consistent,
+                           float(self.residual[k]),
+                           error is None and predicate == consistent, error)
 
 
 def sweep(count, seed, project=False, pin=None, s=0.0,
@@ -337,47 +381,50 @@ def sweep(count, seed, project=False, pin=None, s=0.0,
           predicate_tol=DEFAULT_PREDICATE_TOL, threads=1, on_record=None):
     """Compare the closed-form predicate against linear consistency.
 
-    Returns SweepRecords, a sequence ordered by sample index. A pinned
+    Returns SweepRecords, a sequence ordered by sample index; seed is an
+    integer, from which the records re-derive their samples. A pinned
     sweep builds its one point before drawing any sample, and an unusable
-    pin raises a ToolError. Each sample is assembled like any other
-    problem; the constraint blocks come from the per-size template cache,
-    so only its target right-hand side is new. The samples of each chunk of
+    pin raises a ToolError. Every sample takes one path: the factors of its
+    point are built when the point changes (once for a pinned sweep), and
+    its target right-hand side is the one assemble(build_LY(p, Y), s)
+    gives, against the per-size template. The samples of each chunk of
     SWEEP_CHUNK are then solved together by one product over their stacked
-    right-hand sides, each keeping its own residual and consistency bound,
-    and on_record, when given, is called with each record of the chunk.
-    Per-sample failures are kept as the record's error and the sweep
-    continues. threads is accepted for compatibility and ignored: samples
-    run in one thread.
+    right-hand sides, each keeping its own residual and consistency bound
+    tol * ||b||, and on_record, when given, is called with each record of
+    the chunk, built from the drawn sample. Per-sample failures are kept as
+    the record's error and the sweep continues. threads is accepted for
+    compatibility and ignored: samples run in one thread.
     """
-    samples = sample_inputs(count, seed, project=project, pin=pin)
-    out = SweepRecords(count, allow_negative=project,
-                       pin=None if pin is None else tuple(map(float, pin)))
-    values, flags = out.values, out.flags
-    for start in range(0, count, SWEEP_CHUNK):
-        chunk, systems = [], []
-        for k, p, Y in itertools.islice(samples, SWEEP_CHUNK):
-            row, y = values[k], Y.six()
-            row[:6] = y
-            if pin is None:
-                row[8:] = p.lambda2, p.lambda3
+    samples = _draw_samples(count, seed, project, pin)
+    out = SweepRecords(count, seed, project,
+                       None if pin is None else tuple(map(float, pin)),
+                       predicate_tol)
+    template = system_template(3)
+    point = factors = None
+    while chunk := list(itertools.islice(samples, SWEEP_CHUNK)):
+        solved, rhs = [], []
+        for k, p, Y in chunk:
             try:
-                row[6], flags[k, 0] = _predicate(p.coefficients, y,
-                                                 predicate_tol)
-                systems.append(assemble(build_LY(p, Y), s))
-                chunk.append(k)
+                if p is not point:
+                    factors = _state_factor(p.state(), s), p.bohr_factors
+                    point = p
+                rhs.append(_sample_rhs(*factors, Y))
+                solved.append(k)
             except ToolError as exc:
                 out.errors[k] = f"{type(exc).__name__}: {exc}"
-        if chunk:
+        if solved:
             try:
-                _, residual, bound, _ = _solve_stacked(systems, tol, rank_tol)
-                values[chunk, 7] = residual
-                flags[chunk, 1] = residual <= bound
+                _, residual, _ = _solve_stacked(template, np.array(rhs),
+                                                rank_tol)
+                bound = np.array([_residual_bound(b, tol) for b in rhs])
+                out.residual[solved] = residual
+                out.consistent[solved] = residual <= bound
             except ToolError as exc:
                 out.errors.update(
-                    (k, f"{type(exc).__name__}: {exc}") for k in chunk)
+                    (k, f"{type(exc).__name__}: {exc}") for k in solved)
         if on_record:
-            for k in range(start, min(start + SWEEP_CHUNK, count)):
-                on_record(out[k])
+            for k, p, Y in chunk:
+                on_record(out.record(k, p, YMatrix(Y, allow_negative=project)))
     return out
 
 

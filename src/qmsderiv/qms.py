@@ -178,11 +178,19 @@ def generator_matrix(spec):
     n = spec.n
     V = np.array([j.V for j in spec.jumps], dtype=complex).reshape(-1, n, n)
     c = np.array([j.weight * np.exp(-0.5 * j.omega) for j in spec.jumps])
-    G = np.einsum("p,pri,prk->ik", c, V.conj(), V)
+    return _generator_matrix(c, V)
+
+
+def _generator_matrix(c, V):
+    """generator_matrix of the jumps V[p] (a p x n x n stack) with
+    coefficients c[p] = w_p e^{-omega_p/2}."""
+    n = V.shape[-1]
+    Vc = V.conj()
+    G = np.einsum("p,pri,prk->ik", c, Vc, V)
     eye = np.eye(n)
     # S[i, j, k, l] is the coefficient of A[k, l] in L(A)[i, j]
     S = (np.einsum("ik,jl->ijkl", G, eye) + np.einsum("ik,lj->ijkl", eye, G)
-         - 2.0 * np.einsum("p,pki,plj->ijkl", c, V.conj(), V))
+         - 2.0 * np.einsum("p,pki,plj->ijkl", c, Vc, V))
     return S.reshape(n * n, n * n)
 
 
@@ -211,12 +219,15 @@ def validate_spec(spec, tol=1e-8):
 
     Each jump must satisfy ||D V D^{-1} - e^{-omega} V||_F <= tol * ||V||_F, and
     the multiset {(V_j, omega_j, w_j)} must be invariant under
-    (V, omega, w) -> (V*, -omega, w). Failures are reported, not raised.
+    (V, omega, w) -> (V*, -omega, w): two jumps are partners when their V
+    agree entrywise within 1e-12 times the larger ||V||_F, their weights
+    within 1e-12 times the larger |w|, and their omegas within 1e-8.
+    Failures are reported, not raised.
     """
     messages = []
     residuals = []
-    for idx, j in enumerate(spec.jumps):
-        nrm = np.linalg.norm(j.V)
+    norms = [np.linalg.norm(j.V) for j in spec.jumps]
+    for idx, (j, nrm) in enumerate(zip(spec.jumps, norms)):
         if nrm == 0:
             residuals.append(0.0)
             continue
@@ -234,18 +245,22 @@ def validate_spec(spec, tol=1e-8):
     while unmatched:
         i = unmatched.pop(0)
         ji = spec.jumps[i]
-        atol = 1e-12 * max(1, np.linalg.norm(ji.V))
         partner = None
+        # V and the weight are compared at the scale of the pair itself;
+        # omega is the log of a ratio of D's eigenvalues and carries no
+        # scale, so its tolerance is absolute
         for k in unmatched:
             jk = spec.jumps[k]
-            if (np.allclose(jk.V, ji.V.conj().T, rtol=0, atol=atol)
-                    and abs(jk.omega + ji.omega) <= 1e-8 * max(1.0, abs(ji.omega))
-                    and abs(jk.weight - ji.weight) <= 1e-12 * max(1.0, abs(ji.weight))):
+            if (np.allclose(jk.V, ji.V.conj().T, rtol=0,
+                            atol=1e-12 * max(norms[i], norms[k]))
+                    and abs(jk.omega + ji.omega) <= 1e-8
+                    and abs(jk.weight - ji.weight)
+                    <= 1e-12 * max(abs(ji.weight), abs(jk.weight))):
                 partner = k
                 break
         if partner is not None:
             unmatched.remove(partner)
-        elif np.allclose(ji.V, ji.V.conj().T, rtol=0, atol=atol) \
+        elif np.allclose(ji.V, ji.V.conj().T, rtol=0, atol=1e-12 * norms[i]) \
                 and abs(ji.omega) <= 1e-8:
             continue  # self-adjoint jump pairs with itself
         else:

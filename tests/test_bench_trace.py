@@ -6,7 +6,6 @@ import sys
 from pathlib import Path
 
 from qmsderiv.constraints import assemble
-from qmsderiv.parametric import build_LY, sample_inputs
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -31,8 +30,9 @@ def test_assemble_spans_carry_hom_rows_and_nnz(preset_problems):
     run = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, timeout=300)
     assert run.returncode == 0, run.stderr
+    # the decide assembles its one system; the sweep reads its right-hand
+    # sides off the template and assembles none
     problem = preset_problems["2x2-gns"]
-    systems = [assemble(problem.spec, problem.s)]
-    systems += [assemble(build_LY(p, Y), 0.0) for _, p, Y in sample_inputs(2, 0)]
+    system = assemble(problem.spec, problem.s)
     assert json.loads(run.stdout) == [
-        {"hom_rows": s.hom_row_count, "nnz": s.A.nnz} for s in systems]
+        {"hom_rows": system.hom_row_count, "nnz": system.A.nnz}]

@@ -8,11 +8,13 @@ from collections.abc import Sequence
 import numpy as np
 import pytest
 
+import qmsderiv.parametric as parametric
 import qmsderiv.qms as qms
-from qmsderiv.constraints import assemble
+from qmsderiv.constraints import _state_factor, assemble
 from qmsderiv.errors import DimensionMismatch, ToolError
 from qmsderiv.feasibility import solve_affine
-from qmsderiv.parametric import (CSV_COLUMNS, LambdaPoint, YMatrix,
+from qmsderiv.parametric import (CSV_COLUMNS, DEFAULT_PREDICATE_TOL,
+                                 LambdaPoint, YMatrix, _predicate, _sample_rhs,
                                  agreement_rate, build_LY,
                                  diag_jump_identity, predicate_coefficients,
                                  predicate_lhs, project_to_hyperplane,
@@ -137,6 +139,24 @@ def test_predicate_scale_invariance():
     big = YMatrix(Y.entries * 1e6, allow_negative=True)
     assert solvable_predicate(p, Y)
     assert solvable_predicate(p, big)
+
+
+def test_predicate_has_no_floor():
+    # a tiny Y is judged at its own scale, not against an absolute floor
+    lhs, flag = _predicate(np.array([1.0, 2.0]), np.array([1e-10, 1e-10]), 1e-9)
+    assert lhs == pytest.approx(3e-10, rel=1e-15)
+    assert flag is False
+
+
+@pytest.mark.parametrize("project", [False, True])
+def test_predicate_flag_is_scale_free(project):
+    # the functional is linear in Y, so c.y and c.(k y) get the same flag
+    for _, p, Y in sample_inputs(20, 11, project=project):
+        c, y = p.coefficients, Y.six()
+        flag = _predicate(c, y, DEFAULT_PREDICATE_TOL)[1]
+        assert flag is project
+        for k in 10.0 ** np.arange(-12, 9):
+            assert _predicate(c, k * y, DEFAULT_PREDICATE_TOL)[1] is flag
 
 
 def test_projection_lands_on_hyperplane_and_is_idempotent():
@@ -280,6 +300,69 @@ def test_sweep_records_are_a_sequence():
     assert agreement_rate(empty) == 1.0
 
 
+def _record_fields(r):
+    return (r.sample_id, r.p, r.Y.six().tobytes(), r.Y.allow_negative,
+            r.predicate_lhs, r.predicate, r.consistent, r.residual, r.agree,
+            r.error)
+
+
+@pytest.mark.parametrize("kw", [{"seed": 4},
+                                {"seed": 4, "pin": (0.3, 2.5), "project": True}])
+def test_sweep_records_index_iteration_and_on_record_agree(kw):
+    seen = []
+    records = sweep(20, on_record=seen.append, **kw)
+    walked = [_record_fields(r) for r in records]
+    assert [_record_fields(r) for r in seen] == walked
+    assert [_record_fields(records[k]) for k in range(20)] == walked
+    assert _record_fields(records[-3]) == walked[17]
+
+
+def test_sweep_records_walk_the_stream_once(monkeypatch):
+    records = sweep(20, seed=4, pin=(0.3, 2.5))
+    calls = []
+    real = parametric.sample_inputs
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(parametric, "sample_inputs", counted)
+    assert len(list(records)) == 20 and len(calls) == 1
+    assert records[7].sample_id == 7 and len(calls) == 2
+
+
+@pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("kw", [{"pin": (PI, E ** PI)},
+                                {"pin": (0.3, 2.5), "project": True},
+                                {}, {"project": True}])
+def test_sweep_rhs_equals_assemble_bit_for_bit(monkeypatch, kw, s):
+    stacked = []
+    real = parametric._solve_stacked
+
+    def spy(system, B, rank_tol):
+        stacked.append(B.copy())
+        return real(system, B, rank_tol)
+
+    monkeypatch.setattr(parametric, "_solve_stacked", spy)
+    records = sweep(20, seed=5, s=s, **kw)
+    B = np.concatenate(stacked)
+    assert len(stacked) == 2 and len(B) == 20
+    for row, r in zip(B, records):
+        assert row.tobytes() == assemble(build_LY(r.p, r.Y), s).b_target.tobytes()
+
+
+@pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("six", [[0.0, 0.2, 0.3, 0.4, 0.5, 0.6],
+                                 [0.1, 0.0, 0.3, 0.4, 0.0, 0.6],
+                                 [-0.4, 0.2, 0.0, 0.7, -0.1, 0.0],
+                                 [0.0] * 6])
+def test_sample_rhs_skips_zero_weights_as_build_LY_does(six, s):
+    p = LambdaPoint(0.3, 2.5)
+    Y = YMatrix.from_six(six, allow_negative=True)
+    rhs = _sample_rhs(_state_factor(p.state(), s), p.bohr_factors, Y.entries)
+    assert rhs.tobytes() == assemble(build_LY(p, Y), s).b_target.tobytes()
+
+
 def _kept_bytes_per_sample(count, **kw):
     tracemalloc.start()
     try:
@@ -293,24 +376,25 @@ def _kept_bytes_per_sample(count, **kw):
 
 
 def test_sweep_memory_is_flat():
-    # the results are columns: a pinned sweep keeps its (lambda2, lambda3)
-    # once and 66 bytes a sample (eight floats, two bools), and solving a
-    # chunk at a time keeps the transient memory small
+    # the records keep only what the sweep computed, 9 bytes a sample (a
+    # residual and a consistency flag), and solving a chunk at a time keeps
+    # the transient memory small
     pin = (PI, E ** PI)
     sweep(2, seed=0, pin=pin)
     kept, transient = _kept_bytes_per_sample(2000, seed=1, pin=pin)
-    assert kept <= 70
+    assert kept <= 10
     assert transient <= 1.5e6
 
 
 @pytest.mark.parametrize("project", [False, True])
 def test_short_pinned_sweep_keeps_little(project):
     # a 50-sample call, as the benchmark makes them: the fixed cost of the
-    # columns is shared by few samples
+    # records (their arguments, two arrays and the errors map) is shared by
+    # few samples
     pin = (PI, E ** PI)
     sweep(2, seed=0, pin=pin)
     kept, _ = _kept_bytes_per_sample(50, seed=1, pin=pin, project=project)
-    assert kept <= 75
+    assert kept <= 15
 
 
 def _columns_digest(records):

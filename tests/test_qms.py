@@ -156,10 +156,28 @@ def test_validate_spec_flags_missing_adjoint():
     [(E12 + (1 + 5e-6) * E21, 0.0)],          # V off Hermitian by 5e-6
 ])
 def test_validate_spec_adjoint_test_is_absolute(jumps):
-    # within 1e-12 max(1, ||V||), not within numpy's default rtol of 1e-5
+    # within 1e-12 ||V||, not within numpy's default rtol of 1e-5
     report = validate_spec(make_spec(DensityState.tracial(2), jumps))
     assert not report.adjoint_closed
     assert not report.ok
+
+
+@pytest.mark.parametrize("jumps", [
+    [(E12, 0.0, 1e-13), (E21, 0.0, 5e-13)],       # weights off by a factor 5
+    [(1e-13 * E12, 0.0), (5e-13 * E21, 0.0)],     # V off V* by a factor 5
+    [(E12, 20.0), (E21, -20.0 + 5e-8)],           # omegas off by 5e-8
+])
+def test_validate_spec_partner_test_scales_with_the_pair(jumps):
+    report = validate_spec(make_spec(DensityState.tracial(2), jumps))
+    assert not report.adjoint_closed
+    assert not report.ok
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1.0, 1e13])
+def test_validate_spec_accepts_an_adjoint_pair_at_any_scale(scale):
+    state = DensityState.tracial(2)
+    jumps = [(scale * E12, 0.0, scale), (scale * E21, 0.0, scale)]
+    assert validate_spec(make_spec(state, jumps)).adjoint_closed
 
 
 def test_validate_spec_flags_non_eigenvector():
