@@ -354,6 +354,25 @@ class SystemTemplate:
         return np.concatenate([hermitian_coords(W1 @ W1.conj().T),
                                hermitian_coords(W2 @ W2.conj().T)])
 
+    def conjugate(self, q):
+        """The transposition-conjugation J: Q1 -> P conj(Q1) P^T and
+        Q2 -> conj(Q2), P the permutation K_j -> K_j^T of the traceless
+        basis. On q it is a signed permutation, an involution."""
+        perm, sign = self._conjugation
+        return sign * q[perm]
+
+    @functools.cached_property
+    def _conjugation(self):
+        # (perm, sign) with J q = sign * q[perm], read off J's columns
+        d = self.n * self.n - 1
+        K = _traceless_basis(self.n)
+        P = np.eye(d + self.n)
+        P[:d, :d] = np.rint(K.reshape(d, -1) @ K.transpose(0, 2, 1).reshape(d, -1).T)
+        J = np.array([self.pairing(P @ self.matrix(e).conj() @ P.T)
+                      for e in np.eye(self.unknowns)]).T
+        perm = np.argmax(np.abs(J), axis=1)
+        return perm, J[np.arange(perm.size), perm]
+
 
 def _target_rows(T, V, n):
     """G: row 2 (a m + b) + r is part r (real, imaginary) of

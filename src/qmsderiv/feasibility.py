@@ -18,24 +18,35 @@ a linear stage and a conic stage:
      written in q, so this is X's residual too.
 
   2. psd_search asks whether the affine set {Q0 + sum_k t_k N_k} holds a
-     PSD point. It certifies Q0 itself when it can; otherwise it maximises
-     lambda_min(Q0 + sum_k t_k N_k) over t, the one optimisation whose
-     theorem of alternatives answers both sides of the question (Boyd and
-     Vandenberghe, Convex Optimization, 5.9; Overton 1992). A point with no
-     negative eigenvalue is a certificate; at a negative maximum some
-     trace-one PSD P on the least eigenspace is orthogonal to every N_k and
-     pairs with Q0 to that negative value. The reported negative evidence
-     is rank one: an eigenvector u of the point's Q whose quadratic form is
-     constant over the whole solution set (couplings to every basis
-     direction at rounding level) and negative, lifted to X's space as
-     v = T^{-1}(u (x) e_1), for which v* X v = u* Q u on every solution. A
-     point whose least eigenvector is one is a maximiser, and the search
-     stops there. A candidate certificate is Q's PSD part P (its
-     eigenpairs above rounding level), lifted to X = lift(P) and
-     re-verified against the intertwining and target equations over X
-     before being reported, so a FEASIBLE verdict never depends on solver
-     internals. With neither a certificate nor a witness the verdict is
-     INDETERMINATE, with the maximised lambda_min as its cone gap.
+     PSD point, and decides it at Q0 alone. The transposition-conjugation
+     J (Q1 -> P conj(Q1) P^T, Q2 -> conj(Q2), P the permutation K_j ->
+     K_j^T of the traceless basis; SystemTemplate.conjugate) is an
+     antiunitary congruence, so lambda_min(JQ) = lambda_min(Q), and a
+     signed permutation of q. The kernel of G is J-odd (JN = -N for every
+     direction N, tested for every supported size). When the guard
+     G Jq0 = b holds, Jq0 is a solution orthogonal to the kernel, so
+     Jq0 = q0 and J maps Q0 + N to Q0 - N; lambda_min is concave, so
+     lambda_min(Q0) >= (lambda_min(Q0 + N) + lambda_min(Q0 - N)) / 2 =
+     lambda_min(Q0 + N). Q0 then maximises the least eigenvalue over the
+     set (symmetry reduction, Gatermann and Parrilo 2004), and Q0 being PSD
+     or not decides the question. A simple negative least eigenvalue of an
+     even Q0 has a J-real eigenvector u, whose form u* N u = -u* N u
+     vanishes on every kernel direction: a witness, with the same value
+     u* Q u over the whole solution set. Lifted to X's space it is
+     v = T^{-1}(u (x) e_1), with v* X v = u* Q u on every solution.
+     A candidate certificate is Q0's PSD part P (its eigenpairs above
+     rounding level), lifted to X = lift(P) and re-verified against the
+     intertwining and target equations over X before being reported, so a
+     FEASIBLE verdict never depends on solver internals, and a witness is
+     accepted on its own coupling: neither needs the guard. With neither
+     the verdict is INDETERMINATE, with Q0's least eigenvalue as its cone
+     gap and the guard's residual ||G Jq0 - b|| as symmetry_residual; at
+     most consistency_bound, Q0 is provably the maximiser.
+
+     That q0 is J-even is checked per undecided run, not proved. The
+     conjecture is that it follows from L being *-preserving and KMS
+     symmetric; data that no generator gives (b = G q for a random PSD q)
+     break it.
 
 The lift to X happens only where the contract sees X: the certificate
 (kept as the coordinates p of P, rebuilt as lift(P)), the witness vector,
@@ -77,17 +88,6 @@ DEFAULT_PSD_TOL = 1e-9
 # problem's scale, while the unit witness's couplings stay at rounding level
 DEFAULT_WITNESS_VALUE_TOL = 1e-6
 DEFAULT_WITNESS_COUPLING_TOL = 1e-8
-# smoothing widths of the lambda_min maximisation, relative to ||q0||, one
-# L-BFGS run each
-MU_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4)
-# an L-BFGS run stops after LBFGS_MAX_ITER steps, once the gradient's largest
-# entry is at most LBFGS_GRAD_TOL, or when LINE_SEARCH_HALVINGS halvings of
-# the step find no sufficient decrease; the gradient entries are couplings
-# <P, N_k> of a trace-one P to unit-norm N_k, so the tolerance is absolute
-LBFGS_MAX_ITER = 200
-LBFGS_MEMORY = 10
-LBFGS_GRAD_TOL = 1e-12
-LINE_SEARCH_HALVINGS = 20
 
 _TARGET_SVD_CACHE = {}
 
@@ -102,7 +102,9 @@ class AffineSolutionSet:
 
     Coordinates are the bimodule coordinates q (module docstring):
     q0_coords is the min-norm solution of the target rows, and the rows of
-    basis_array, orthonormal, span the solution space. residual is
+    basis_array, orthonormal, span the solution space. psd_search decides
+    at q0_coords alone, so a set built by hand must carry the min-norm
+    solution there, not another point of the set. residual is
     ||G q0 - b||; consistent means it is at most consistency_bound, the
     system's residual_bound(tol). size_diagnostics is the read-only mapping
     that every set of the size shares.
@@ -225,10 +227,10 @@ def _rank_one_form(sol, u):
 def witness_hunt(sol, q_coords, eig=None):
     """Look for an infeasibility witness among the eigenvectors of Q(q).
 
-    q is a point of the solution set, normally the end of the lambda_min
-    maximisation. Each eigenvector u of Q(q) with a negative eigenvalue is
-    tried in ascending order, first with its rounding-noise entries
-    dropped, then as it is. A candidate is accepted when it passes
+    q is a point of the solution set; psd_search passes q0, the lambda_min
+    maximiser when the guard holds (module docstring). Each eigenvector u
+    of Q(q) with a negative eigenvalue is tried in ascending order, first
+    with its rounding-noise entries dropped, then as it is. A candidate is accepted when it passes
     is_witness at the set's scale ||q0||. Returns (u, value, coupling) or
     None; the witness in X's space is T^{-1}(u (x) e_1), with the same
     value and coupling. eig, when given, is Q(q)'s eigendecomposition.
@@ -285,9 +287,8 @@ class FeasibilityVerdict:
     least_squares_residual: float = None
     consistency_bound: float = None
     stop: str = None
-    iterations: int = None
-    min_eig_first: float = None
     cone_gap: float = None
+    symmetry_residual: float = None
     certificate_min_eig: float = None
 
     @property
@@ -295,8 +296,8 @@ class FeasibilityVerdict:
         return _diagnostics(
             self.size_diagnostics, residual=self.least_squares_residual,
             consistency_bound=self.consistency_bound, stop=self.stop,
-            iterations=self.iterations, min_eig_first=self.min_eig_first,
-            cone_gap=self.cone_gap, certificate_min_eig=self.certificate_min_eig)
+            cone_gap=self.cone_gap, symmetry_residual=self.symmetry_residual,
+            certificate_min_eig=self.certificate_min_eig)
 
     @property
     def certificate(self):
@@ -404,135 +405,38 @@ def _certify(sol, q_coords, eig, tol, psd_tol, tolerances, **own):
                     certificate_coords=p, certificate_min_eig=float(w[0]), **own)
 
 
-def _lbfgs(fun, t, *args):
-    """Minimise fun(t, *args) -> (value, gradient) by L-BFGS from t.
-
-    Directions come from the two-loop recursion over the last LBFGS_MEMORY
-    steps (pairs with s.y <= 0 are skipped, so each direction descends);
-    the step is the first of 1, 1/2, 1/4, ... with Armijo decrease.
-    """
-    f, g = fun(t, *args)
-    pairs = []
-    for _ in range(LBFGS_MAX_ITER):
-        if np.max(np.abs(g)) <= LBFGS_GRAD_TOL:
-            break
-        d = -g
-        alphas = []
-        for s, y in reversed(pairs):
-            alphas.append((s @ d) / (s @ y))
-            d = d - alphas[-1] * y
-        if pairs:
-            s, y = pairs[-1]
-            d = d * ((s @ y) / (y @ y))
-        for (s, y), alpha in zip(pairs, reversed(alphas)):
-            d = d + (alpha - (y @ d) / (s @ y)) * s
-        slope = g @ d
-        step = 1.0
-        for _ in range(LINE_SEARCH_HALVINGS):
-            f_new, g_new = fun(t + step * d, *args)
-            if f_new <= f + 1e-4 * step * slope:
-                break
-            step *= 0.5
-        else:
-            break
-        s, y = step * d, g_new - g
-        if s @ y > 0:
-            pairs = (pairs + [(s, y)])[-LBFGS_MEMORY:]
-        t, f, g = t + s, f_new, g_new
-    return t
-
-
-class _Settled(Exception):
-    """Raised with the point reached when that point decides the question."""
-
-
-def _max_min_eig(sol, psd_tol, eig0):
-    """Maximise lambda_min(Q0 + sum_k t_k N_k) over t.
-
-    Minimises the smoothed -lambda_min of Q,
-    mu log sum_i exp(-(lambda_i - lambda_1) / mu) - lambda_1, whose
-    gradient in t is -B pairing(P) for the softmax eigenprojector
-    P = sum_j p_j u_j u_j* of Q. L-BFGS runs from t = 0 with t, and the
-    objective, in units of ||q0||, so that c Q0 takes the steps of Q0; mu
-    runs through MU_SCHEDULE times ||q0||, each run starting where the last
-    one ended. Stops at the first point, Q0 included, whose least eigenvalue
-    passes the certificate's test or whose least eigenvector is a witness
-    (then it is a maximiser: the witness's form is the same all over the
-    set and bounds lambda_min). eig0 is Q0's eigendecomposition, which
-    stands for the first eigensolve, at t = 0. Returns (q, least
-    eigenvalue of every eigensolve, Q(q)'s eigendecomposition); the first
-    eigenvalue is Q0's and the last is q's.
-    """
-    q0, B, tpl = sol.q0_coords, sol.basis_array, sol.system.template
-    scale = np.linalg.norm(q0)
-    least = []
-
-    def smoothed(t, mu):
-        q = q0 + scale * (B.T @ t)
-        w, V = herm_eig(tpl.matrix(q)) if least else eig0
-        least.append(float(w[0]))
-        if (psd_passes(w[0], np.linalg.norm(q), psd_tol)
-                or is_witness(*_rank_one_form(sol, V[:, 0]), scale)):
-            raise _Settled(q, (w, V))
-        e = np.exp((w[0] - w) / mu)
-        P = (V * (e / e.sum())) @ V.conj().T
-        return (mu * np.log(e.sum()) - w[0]) / scale, -(B @ tpl.pairing(P))
-
-    t = np.zeros(sol.dim)
-    if sol.dim:
-        try:
-            for mu in MU_SCHEDULE:
-                t = _lbfgs(smoothed, t, mu * scale)
-        except _Settled as stop:
-            return stop.args[0], least, stop.args[1]
-    q = q0 + scale * (B.T @ t)
-    eig = herm_eig(tpl.matrix(q)) if least else eig0
-    least.append(float(eig[0][0]))
-    return q, least, eig
-
-
 def psd_search(sol, tol=DEFAULT_FEAS_TOL, psd_tol=DEFAULT_PSD_TOL,
                rank_tol=DEFAULT_RANK_TOL):
-    """Decide whether the affine solution set holds a PSD element.
+    """Decide whether the affine solution set holds a PSD element, at q0.
 
-    Certifies q0 itself when it passes; otherwise maximises the least
-    eigenvalue over the set (_max_min_eig), certifies the point reached,
-    and looks for a witness among its eigenvectors. Every candidate
-    certificate is re-verified against the equations over X; with neither
-    a certificate nor a witness the verdict is INDETERMINATE. Diagnostics:
-    stop (why the conic stage ended: x0_certificate, x0_witness,
-    search_certificate, search_witness, or budget when it decided nothing),
-    and once the maximisation ran iterations (its eigensolves),
-    min_eig_first (Q0's least eigenvalue) and cone_gap (the least
-    eigenvalue at the point reached, signed).
+    Certifies q0 when Q0 passes (stop x0_certificate); otherwise looks for a
+    witness among Q0's eigenvectors (stop x0_witness). With neither the
+    verdict is INDETERMINATE (stop x0_undecided) and carries
+    symmetry_residual = ||G Jq0 - b||: at most consistency_bound, q0 is
+    provably the lambda_min maximiser (module docstring). cone_gap is Q0's
+    least eigenvalue, signed, whenever Q0 is not certified.
     """
     if not sol.consistent:
         raise DimensionMismatch("psd_search requires a consistent solution set")
     tolerances = _tolerances(tol, rank_tol, psd_tol)
-    q0 = sol.q0_coords
-    eig0 = herm_eig(sol.system.template.matrix(q0))
+    q0, tpl = sol.q0_coords, sol.system.template
+    eig0 = herm_eig(tpl.matrix(q0))
     verdict = _certify(sol, q0, eig0, tol, psd_tol, tolerances,
                        stop="x0_certificate")
     if verdict is not None:
         return verdict
-
-    q, least, eig = _max_min_eig(sol, psd_tol, eig0)
-    search = {"iterations": len(least), "min_eig_first": least[0],
-              "cone_gap": least[-1]}
-    # a search that ended at Q0 has nothing to certify beyond the first try
-    if len(least) > 1:
-        verdict = _certify(sol, q, eig, tol, psd_tol, tolerances,
-                           stop="search_certificate", **search)
-        if verdict is not None:
-            return verdict
-    hunt = witness_hunt(sol, q, eig)
+    cone_gap = float(eig0[0][0])
+    hunt = witness_hunt(sol, q0, eig0)
     if hunt is not None:
         u, value, coupling = hunt
-        stop = "x0_witness" if len(least) == 1 else "search_witness"
-        return _verdict(sol, NOT_PSD, tolerances, template=sol.system.template,
+        return _verdict(sol, NOT_PSD, tolerances, template=tpl,
                         reduced_witness=u, witness_value=value,
-                        witness_coupling=coupling, stop=stop, **search)
-    return _verdict(sol, INDETERMINATE, tolerances, stop="budget", **search)
+                        witness_coupling=coupling, stop="x0_witness",
+                        cone_gap=cone_gap)
+    symmetry = float(np.linalg.norm(sol.system.G @ tpl.conjugate(q0)
+                                    - sol.system.b_target))
+    return _verdict(sol, INDETERMINATE, tolerances, stop="x0_undecided",
+                    cone_gap=cone_gap, symmetry_residual=symmetry)
 
 
 def verdict_for(sol, tol=DEFAULT_FEAS_TOL, rank_tol=DEFAULT_RANK_TOL,

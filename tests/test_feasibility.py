@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 
 from qmsderiv.cli import main
-from qmsderiv.constraints import assemble
+from qmsderiv.constraints import DEFAULT_SIZE_CAP, assemble
 from qmsderiv.errors import DimensionMismatch
 from qmsderiv.feasibility import (AffineSolutionSet, EXIT_CODES, FEASIBLE,
                                   INDETERMINATE, NOT_CONSISTENT, NOT_PSD,
-                                  decide, psd_search, solve_affine,
-                                  witness_check, witness_hunt)
+                                  decide, is_witness, psd_search, solve_affine,
+                                  verdict_for, witness_check, witness_hunt)
 from qmsderiv.linalg import herm_eig, hermitian_encode
 from qmsderiv.problems import parse_problem
 from qmsderiv.qms import DensityState, make_spec
@@ -30,6 +30,8 @@ E = math.e
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import checker  # noqa: E402
 import gen  # noqa: E402
+from generic import generic_corpus  # noqa: E402
+from test_cli import chain_problem  # noqa: E402
 
 GNS_2X2_SPECTRUM = [1.96, 1.96, 0.96, 0.96, 0.64, 0.64, 0.31, 0.31,
                     0.07, 0.07, 0.07, 0.07, 0, 0, 0, 0]
@@ -203,8 +205,7 @@ def test_nullspace_dims_frozen(solutions):
 
 
 def test_psd_search_independent_of_basis_choice(solutions):
-    # the maximised lambda_min depends on the solution set, not on its basis;
-    # the path to it, and so the eigensolve count, may differ
+    # the decision at q0 depends on the solution set, not on its basis
     sol = solutions["3x3-kms"]
     Q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((sol.dim,) * 2))
     rotated = AffineSolutionSet(sol.system, sol.q0_coords, Q @ sol.basis_array,
@@ -215,38 +216,123 @@ def test_psd_search_independent_of_basis_choice(solutions):
                - base.diagnostics["cone_gap"]) <= 1e-6
 
 
-def test_psd_search_climbs_from_a_shifted_base_point(solutions):
-    # the same affine set written from another point: the maximisation has
-    # to climb back to the optimum, and the witness at its end still holds
-    sol = solutions["3x3-kms"]
-    B = sol.basis_array
-    shifted = AffineSolutionSet(sol.system, sol.q0_coords + 0.5 * (B[0] + B[1]),
-                                B, sol.residual, sol.consistent, sol.diagnostics)
-    verdict = psd_search(shifted)
-    gap = psd_search(sol).diagnostics["cone_gap"]
-    assert verdict.kind == NOT_PSD
-    assert verdict.diagnostics["stop"] == "search_witness"
-    assert verdict.diagnostics["min_eig_first"] < gap - 0.01
-    assert abs(verdict.diagnostics["cone_gap"] - gap) <= 1e-6
-    assert verdict.witness_coupling <= 1e-8
+def test_no_point_of_the_set_beats_q0():
+    # the fact that lets psd_search decide at q0: on generator data q0 is
+    # J-even, so no point q0 + B^T t has a larger least eigenvalue
+    rng = np.random.default_rng(16)
+    for doc in (gen.presets()[3].doc, gen.pinned_kms().doc, tracial3_doc()):
+        problem = parse_problem(doc)
+        sol = solve_affine(assemble(problem.spec, problem.s))
+        tpl, q0, B = sol.system.template, sol.q0_coords, sol.basis_array
+        scale = np.linalg.norm(q0)
+        top = herm_eig(tpl.matrix(q0))[0][0] + 1e-12 * scale
+        for radius in (1e-6, 1e-3, 0.1, 1.0, 10.0):
+            for _ in range(40):
+                t = rng.standard_normal(sol.dim)
+                q = q0 + (radius * scale / np.linalg.norm(t)) * (B.T @ t)
+                assert herm_eig(tpl.matrix(q))[0][0] <= top, (doc["n"], radius)
 
 
-def test_psd_search_climbs_back_to_a_certificate():
-    # tracial3's solution set written from q0 + t B[0], with t large enough
-    # that Q is not PSD there: the maximisation has to climb back, and the
-    # point it reaches is certified over X
-    problem = parse_problem(tracial3_doc())
-    sol = solve_affine(assemble(problem.spec, problem.s))
-    B = sol.basis_array
-    shifted = AffineSolutionSet(sol.system, sol.q0_coords + 3.0 * B[0], B,
-                                sol.residual, sol.consistent, sol.diagnostics)
-    verdict = psd_search(shifted)
-    assert verdict.diagnostics["min_eig_first"] < -0.1
-    assert verdict.kind == FEASIBLE
-    assert verdict.diagnostics["stop"] == "search_certificate"
-    assert verdict.diagnostics["iterations"] > 1
+def solved(doc):
+    problem = parse_problem(doc)
+    return solve_affine(assemble(problem.spec, problem.s))
+
+
+def guard_residual(sol):
+    """||G Jq0 - b||, J the template's transposition-conjugation."""
     system = sol.system
-    assert system.matrix_residual(verdict.certificate) <= system.residual_bound(1e-8)
+    return np.linalg.norm(system.G @ system.template.conjugate(sol.q0_coords)
+                          - system.b_target)
+
+
+@pytest.mark.parametrize("n", range(2, DEFAULT_SIZE_CAP + 1))
+def test_conjugation_is_a_signed_permutation_and_the_kernel_is_odd(n):
+    sol = solved(chain_problem(n))
+    tpl = sol.system.template
+    J = np.array([tpl.conjugate(e) for e in np.eye(tpl.unknowns)]).T
+    assert set(np.unique(J)) <= {-1.0, 0.0, 1.0}
+    assert (np.count_nonzero(J, axis=0) == 1).all()
+    assert (np.count_nonzero(J, axis=1) == 1).all()
+    np.testing.assert_array_equal(J @ J, np.eye(tpl.unknowns))
+    # an antiunitary congruence: Q2 -> conj(Q2), and Q's spectrum is kept
+    q = np.random.default_rng(n).standard_normal(tpl.unknowns)
+    Q, JQ = tpl.matrix(q), tpl.matrix(tpl.conjugate(q))
+    np.testing.assert_array_equal(JQ[-n:, -n:], Q[-n:, -n:].conj())
+    np.testing.assert_allclose(np.linalg.eigvalsh(JQ), np.linalg.eigvalsh(Q),
+                               atol=1e-12)
+    for N in sol.basis_array:
+        assert np.linalg.norm(tpl.conjugate(N) + N) <= 1e-13
+
+
+@pytest.mark.parametrize("doc", [
+    gen.presets()[3].doc, gen.pinned_kms().doc, tracial3_doc(), chain_problem(4)],
+    ids=["3x3-kms", "pinned", "tracial3", "chain4"])
+def test_q0_is_even_on_generator_data(doc):
+    sol = solved(doc)
+    q0 = sol.q0_coords
+    assert sol.dim > 0
+    assert (np.linalg.norm(sol.system.template.conjugate(q0) - q0)
+            <= 1e-12 * np.linalg.norm(q0))
+    assert guard_residual(sol) <= sol.consistency_bound
+
+
+@pytest.fixture(scope="module")
+def generic_decisions():
+    # seed 1 gives 110 FEASIBLE, 129 NOT_CONSISTENT, 59 NOT_PSD and
+    # 2 INDETERMINATE, both at n = 3 with a degenerate density
+    out = []
+    for case in generic_corpus(1):
+        sol = solved(case.doc)
+        out.append((case.name, sol, verdict_for(sol)))
+    return out
+
+
+def test_generic_corpus_is_undecided_only_where_the_guard_fails(
+        generic_decisions):
+    kinds = [v.kind for _, _, v in generic_decisions]
+    assert set(kinds) == {FEASIBLE, NOT_CONSISTENT, NOT_PSD, INDETERMINATE}
+    assert kinds.count(INDETERMINATE) == 2
+    for name, sol, verdict in generic_decisions:
+        if not sol.consistent:
+            continue
+        guard = guard_residual(sol)
+        if sol.dim == 0 or guard <= sol.consistency_bound:
+            assert verdict.kind != INDETERMINATE, name
+        if verdict.kind == INDETERMINATE:
+            diag = verdict.diagnostics
+            assert diag["stop"] == "x0_undecided", name
+            assert diag["symmetry_residual"] > diag["consistency_bound"], name
+            assert abs(diag["symmetry_residual"] - guard) <= 1e-12 * guard, name
+
+
+def test_generic_corpus_evidence_passes_its_checks(generic_decisions):
+    for name, sol, verdict in generic_decisions:
+        system = sol.system
+        if verdict.kind == FEASIBLE:
+            assert (system.matrix_residual(verdict.certificate)
+                    <= system.residual_bound(1e-8)), name
+        elif verdict.kind == NOT_PSD:
+            value, coupling = witness_check(sol, verdict.witness_vector)
+            assert is_witness(value, coupling, np.linalg.norm(sol.q0_coords)), name
+
+
+def test_degenerate_density_is_undecided_and_says_why():
+    # density proportional to diag(1, 1, 3.5), the pair E12 / E21 at
+    # omega = 0 and s = 0: q0 is not J-even, so it need not maximise
+    # lambda_min, and no eigenvector of Q0 is a witness
+    d = np.array([1.0, 1.0, 3.5]) / 5.5
+    E12 = np.zeros((3, 3), dtype=complex)
+    E12[0, 1] = 1.0
+    doc = gen.problem_doc(np.diag(d).astype(complex),
+                          [(E12, 0.0, 1.0), (E12.T.copy(), 0.0, 1.0)], 0.0)
+    problem = parse_problem(doc)
+    report = decide(problem.spec, problem.s).as_dict()
+    diag = report["diagnostics"]
+    assert report["kind"] == INDETERMINATE
+    assert diag["stop"] == "x0_undecided"
+    assert abs(diag["cone_gap"] - (-0.07576)) <= 1e-5
+    assert diag["symmetry_residual"] > 1e6 * diag["consistency_bound"]
+    assert "certificate" not in report and "witness" not in report
 
 
 def test_psd_search_cone_gap_bounds_the_witness(verdicts):
@@ -268,12 +354,10 @@ def test_psd_search_cone_gap_bounds_the_witness(verdicts):
 
 
 def test_psd_search_stops_at_a_witness(verdicts):
-    # the least eigenvector of X0 is already a witness at 3x3-kms, so X0 is a
-    # maximiser and the search ends after its first eigensolve
+    # the least eigenvector of Q0 is a witness at 3x3-kms
     v = verdicts["3x3-kms"]
-    assert v.diagnostics["iterations"] == 1
     assert v.diagnostics["stop"] == "x0_witness"
-    assert v.diagnostics["cone_gap"] == v.diagnostics["min_eig_first"]
+    assert "symmetry_residual" not in v.diagnostics
     assert v.witness_coupling <= 1e-8
 
 
@@ -286,8 +370,8 @@ def test_stop_reasons_of_the_presets(verdicts):
 
 def test_decide_takes_one_eigendecomposition_when_q0_settles(
         preset_problems, monkeypatch):
-    # Q0's eigendecomposition serves both the certificate try at q0 and the
-    # search's first step, and a search that ends at q0 is not re-certified
+    # Q0's eigendecomposition serves both the certificate try and the
+    # witness hunt
     import qmsderiv.feasibility as feasibility
     calls = []
 
@@ -300,7 +384,6 @@ def test_decide_takes_one_eigendecomposition_when_q0_settles(
     verdict = decide(problem.spec, problem.s)
     assert verdict.kind == NOT_PSD
     assert verdict.diagnostics["stop"] == "x0_witness"
-    assert verdict.diagnostics["iterations"] == 1
     assert len(calls) == 1
 
 
@@ -311,7 +394,6 @@ def test_pinned_problem_is_not_psd_after_one_eigensolve():
     problem = parse_problem(case.doc)
     verdict = decide(problem.spec, problem.s)
     assert verdict.kind == NOT_PSD
-    assert verdict.diagnostics["iterations"] == 1
     assert verdict.diagnostics["stop"] == "x0_witness"
     assert verdict.witness_value < -0.05
     system = checker.System(case.doc, checker.action_matrices(3))
@@ -497,7 +579,7 @@ def test_solve_affine_diagnostics(solutions):
 def test_decisions_do_not_import_scipy_optimize(tmp_path):
     # importing scipy.sparse costs about 0.26 s and 22 MB, scipy.optimize
     # 0.2-0.3 s and 16 MB, more than a cold 2x2 decision: the program runs
-    # on numpy alone, with its own CSR layer and L-BFGS
+    # on numpy alone, with its own CSR layer
     code = textwrap.dedent("""
         import sys
         import qmsderiv
