@@ -103,8 +103,8 @@ class AffineSolutionSet:
     Coordinates are the bimodule coordinates q (module docstring):
     q0_coords is the min-norm solution of the target rows, and the rows of
     basis_array, orthonormal, span the solution space. psd_search decides
-    at q0_coords alone, so a set built by hand must carry the min-norm
-    solution there, not another point of the set. residual is
+    at q0_coords alone, so a set given by another of its points is moved
+    to the min-norm one: q0 - B^T B q0. residual is
     ||G q0 - b||; consistent means it is at most consistency_bound, the
     system's residual_bound(tol). size_diagnostics is the read-only mapping
     that every set of the size shares.
@@ -113,8 +113,10 @@ class AffineSolutionSet:
     def __init__(self, system, q0, basis_array, residual, consistent,
                  size_diagnostics, consistency_bound=None):
         self.system = system
-        self.q0_coords = np.asarray(q0, dtype=float)
-        self.basis_array = np.asarray(basis_array, dtype=float)
+        q0 = np.asarray(q0, dtype=float)
+        B = np.asarray(basis_array, dtype=float)
+        self.q0_coords = q0 - B.T @ (B @ q0) if len(B) else q0
+        self.basis_array = B
         self.residual = float(residual)
         self.consistent = bool(consistent)
         self.size_diagnostics = size_diagnostics

@@ -216,6 +216,42 @@ def test_psd_search_independent_of_basis_choice(solutions):
                - base.diagnostics["cone_gap"]) <= 1e-6
 
 
+def test_psd_search_climbs_from_a_shifted_base_point(solutions):
+    # the same affine set written from another point: the set moves back to
+    # its min-norm q0, and the verdict and witness are those of the original
+    sol = solutions["3x3-kms"]
+    B = sol.basis_array
+    point = sol.q0_coords + 0.5 * (B[0] + B[1])
+    shifted = AffineSolutionSet(sol.system, point, B, sol.residual,
+                                sol.consistent, sol.diagnostics)
+    gap = psd_search(sol).diagnostics["cone_gap"]
+    assert herm_eig(sol.system.template.matrix(point))[0][0] < gap - 0.01
+    np.testing.assert_allclose(shifted.q0_coords, sol.q0_coords, atol=1e-12)
+    verdict = psd_search(shifted)
+    assert verdict.kind == NOT_PSD
+    assert verdict.diagnostics["stop"] == "x0_witness"
+    assert abs(verdict.diagnostics["cone_gap"] - gap) <= 1e-6
+    assert verdict.witness_coupling <= 1e-8
+
+
+def test_psd_search_climbs_back_to_a_certificate():
+    # tracial3's solution set written from q0 + t B[0], with t large enough
+    # that Q is not PSD there: the set moves back to its min-norm q0, which
+    # is certified over X
+    problem = parse_problem(tracial3_doc())
+    sol = solve_affine(assemble(problem.spec, problem.s))
+    B = sol.basis_array
+    point = sol.q0_coords + 3.0 * B[0]
+    shifted = AffineSolutionSet(sol.system, point, B, sol.residual,
+                                sol.consistent, sol.diagnostics)
+    assert herm_eig(sol.system.template.matrix(point))[0][0] < -0.1
+    verdict = psd_search(shifted)
+    assert verdict.kind == FEASIBLE
+    assert verdict.diagnostics["stop"] == "x0_certificate"
+    system = sol.system
+    assert system.matrix_residual(verdict.certificate) <= system.residual_bound(1e-8)
+
+
 def test_no_point_of_the_set_beats_q0():
     # the fact that lets psd_search decide at q0: on generator data q0 is
     # J-even, so no point q0 + B^T t has a larger least eigenvalue
