@@ -115,8 +115,6 @@ def run_pipeline(problem, args):
     opts = dict(problem.options)
     s = problem.s if args.s is None else args.s
     tol = tol_override(args, opts.get("tol", DEFAULT_FEAS_TOL))
-    rank_tol = opts.get("rank_tol", DEFAULT_RANK_TOL)
-    psd_tol = opts.get("psd_tol", DEFAULT_PSD_TOL)
 
     timings = {}
     t = time.perf_counter()
@@ -132,19 +130,19 @@ def run_pipeline(problem, args):
         dump_system(system, args.dump_system)
 
     t = time.perf_counter()
-    sol = solve_affine(system, tol=tol, rank_tol=rank_tol)
+    sol = solve_affine(system, tol=tol)
     timings["solve"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    verdict = verdict_for(sol, tol=tol, rank_tol=rank_tol, psd_tol=psd_tol)
+    verdict = verdict_for(sol)
     timings["psd_search"] = time.perf_counter() - t
 
     command = {
         "kind": args.command,
         "s": s,
         "tol": tol,
-        "rank_tol": rank_tol,
-        "psd_tol": psd_tol,
+        "rank_tol": DEFAULT_RANK_TOL,
+        "psd_tol": DEFAULT_PSD_TOL,
     }
     report = build_report(problem, validation, system, sol, verdict,
                           timings, command)
@@ -262,11 +260,8 @@ def cmd_verify(args):
 
     verdict = report["verdict"]
     kind = verdict.get("kind")
-    tols = verdict.get("tolerances", {})
     if tol is None:
-        tol = tols.get("feasibility", DEFAULT_FEAS_TOL)
-    rank_tol = tols.get("rank", DEFAULT_RANK_TOL)
-    psd_tol = tols.get("psd", DEFAULT_PSD_TOL)
+        tol = verdict.get("tolerances", {}).get("feasibility", DEFAULT_FEAS_TOL)
     s = report.get("command", {}).get("s", problem.s)
 
     system = assemble(problem.spec, s)
@@ -299,20 +294,20 @@ def cmd_verify(args):
             return fail(f"certificate residual {residual:.3e} exceeds "
                         f"{bound:.3e}")
         w, _ = herm_eig(X)
-        if not psd_passes(w[0], norm_x, psd_tol):
+        if not psd_passes(w[0], norm_x):
             return fail(f"certificate min eigenvalue {w[0]:.3e} below "
-                        f"-{psd_tol * norm_x:.3e}")
+                        f"-{DEFAULT_PSD_TOL * norm_x:.3e}")
         print(f"verified: certificate residual {residual:.3e}, "
               f"min eig {w[0]:.3e}")
         return 0
 
-    sol = solve_affine(system, tol=tol, rank_tol=rank_tol)
+    sol = solve_affine(system, tol=tol)
     if kind == NOT_CONSISTENT:
         if sol.consistent:
             return fail("system is consistent after all "
                         f"(residual {sol.residual:.3e})")
         print(f"verified: least-squares residual {sol.residual:.3e} exceeds "
-              f"{sol.diagnostics['consistency_bound']:.3e}")
+              f"{sol.consistency_bound:.3e}")
         return 0
     if kind == NOT_PSD:
         if not sol.consistent:

@@ -216,11 +216,15 @@ def target_form(spec, s):
                                         generator_matrix(spec)))
 
 
+def _check_s(s):
+    if not 0.0 <= s <= 1.0:     # False for NaN too
+        raise DimensionMismatch(f"inner-product parameter s={s} outside [0, 1]")
+
+
 def _state_factor(state, s):
     """D^s kron (D^{1-s})^T, the m x m matrix that target_form applies to
     the generator matrix; it depends only on the state and s."""
-    if not 0.0 <= s <= 1.0:
-        raise DimensionMismatch(f"inner-product parameter s={s} outside [0, 1]")
+    _check_s(s)
     m = state.n * state.n
     # row-major vec, as in qms.generator_matrix
     K = np.einsum("ik,lj->ijkl", state.power(s), state.power(1.0 - s))

@@ -9,12 +9,14 @@ eigenvalues read in q are those of Q, not of X. The pipeline is split into
 a linear stage and a conic stage:
 
   1. solve_affine solves the target rows G q = b. G depends only on the
-     algebra size, so its SVD is computed once per size and cached; the
-     rank cut keeps singular values above rank_tol times the largest one.
-     The result is the min-norm q0, an orthonormal basis of the solution
-     space (the right singular vectors past the rank) and a NOT_CONSISTENT
-     flag when the least-squares residual ||G q0 - b|| exceeds
-     tol * ||b||. G's rows are the target equations over X,
+     algebra size, so its SVD is computed once per size and cached. Its
+     rank cut is fixed at DEFAULT_RANK_TOL times the largest singular
+     value: at every supported size the kept ones lie above 1e-2 and the
+     dropped ones below 1e-14 of it (tested). The result is the min-norm
+     q0, an orthonormal basis of the solution space (the right singular
+     vectors past the rank) and a NOT_CONSISTENT flag when ||G q0 - b||
+     exceeds the set's consistency_bound tol * ||b||, tol being the one
+     tolerance a caller sets. G's rows are the target equations over X,
      written in q, so this is X's residual too.
 
   2. psd_search asks whether the affine set {Q0 + sum_k t_k N_k} holds a
@@ -56,10 +58,10 @@ Every tolerance is relative to the problem itself, so c L gets the verdict
 of L for every c > 0 (L = d* d gives c L = (sqrt(c) d)* (sqrt(c) d)), and
 decide and the CLI's verify share one rule per threshold: a residual
 passes at <= tol * ||b|| (ConstraintSystem.residual_bound, an exact zero
-for b = 0); a least eigenvalue at >= -psd_tol * ||M||_F of its matrix M
-(psd_passes; ||Q||_F = ||q||); a witness at value < -witness_value * ||q0||
-with coupling <= witness_coupling (is_witness), a unit vector's coupling
-to unit directions, which carries no scale.
+for b = 0); a least eigenvalue at >= -DEFAULT_PSD_TOL * ||M||_F of its
+matrix M (psd_passes; ||Q||_F = ||q||); a witness at value <
+-witness_value * ||q0|| with coupling <= witness_coupling (is_witness), a
+unit vector's coupling to unit directions, which carries no scale.
 """
 
 import functools
@@ -111,7 +113,7 @@ class AffineSolutionSet:
     """
 
     def __init__(self, system, q0, basis_array, residual, consistent,
-                 size_diagnostics, consistency_bound=None):
+                 size_diagnostics, tol=DEFAULT_FEAS_TOL):
         self.system = system
         q0 = np.asarray(q0, dtype=float)
         B = np.asarray(basis_array, dtype=float)
@@ -120,7 +122,8 @@ class AffineSolutionSet:
         self.residual = float(residual)
         self.consistent = bool(consistent)
         self.size_diagnostics = size_diagnostics
-        self.consistency_bound = consistency_bound
+        self.tol = tol
+        self.consistency_bound = system.residual_bound(tol)
 
     @property
     def diagnostics(self):
@@ -137,10 +140,10 @@ class AffineSolutionSet:
         return self.basis_array.shape[0]
 
 
-def psd_passes(least, norm, psd_tol):
-    """The PSD rule, elementwise: a least eigenvalue passes at >= -psd_tol *
-    norm, norm being ||M||_F of its matrix M (||Q||_F = ||q||)."""
-    return least >= -psd_tol * norm
+def psd_passes(least, norm):
+    """The PSD rule, elementwise: a least eigenvalue passes at >=
+    -DEFAULT_PSD_TOL * norm, norm being ||M||_F of M (||Q||_F = ||q||)."""
+    return least >= -DEFAULT_PSD_TOL * norm
 
 
 def is_witness(value, coupling, q0_norm):
@@ -150,15 +153,14 @@ def is_witness(value, coupling, q0_norm):
             and coupling <= DEFAULT_WITNESS_COUPLING_TOL)
 
 
-def _target_svd(system, rank_tol):
+def _target_svd(system):
     # (U, sv, Vt, rank, solution-space basis, diagnostics of the size),
     # cached per size so that sweep samples, and the verdicts that report
     # the margins, share them
-    key = (system.n, float(rank_tol))
-    if key in _TARGET_SVD_CACHE:
-        return _TARGET_SVD_CACHE[key]
+    if system.n in _TARGET_SVD_CACHE:
+        return _TARGET_SVD_CACHE[system.n]
     U, sv, Vt = np.linalg.svd(system.G, full_matrices=False)
-    rank = int(_rank(sv, sv[0], rank_tol))
+    rank = int(_rank(sv, sv[0], DEFAULT_RANK_TOL))
     basis = np.ascontiguousarray(Vt[rank:])
     shared = types.MappingProxyType({
         "hom_kernel_dim": int(Vt.shape[1]),    # the coordinates q
@@ -169,11 +171,11 @@ def _target_svd(system, rank_tol):
         "target_sv_max_dropped": float(sv[rank]) if rank < sv.size else 0.0,
         "system_counts": system.counts,
     })
-    out = _TARGET_SVD_CACHE[key] = (U, sv, Vt, rank, basis, shared)
+    out = _TARGET_SVD_CACHE[system.n] = (U, sv, Vt, rank, basis, shared)
     return out
 
 
-def _solve_stacked(system, B, rank_tol):
+def _solve_stacked(system, B):
     """Min-norm solutions of G q = b, one per row b of B.
 
     system is a ConstraintSystem or its template: only its size, G and
@@ -181,23 +183,23 @@ def _solve_stacked(system, B, rank_tol):
     SVD, all rows in one product, and residual[j] is ||G q0 - B[j]||.
     Returns (Q0, residual, svd) with svd = _target_svd's tuple.
     """
-    svd = U, sv, Vt, rank, _, _ = _target_svd(system, rank_tol)
+    svd = U, sv, Vt, rank, _, _ = _target_svd(system)
     Q0 = (B @ U[:, :rank] / sv[:rank]) @ Vt[:rank]
     residual = np.linalg.norm(Q0 @ system.G.T - B, axis=1)
     return Q0, residual, svd
 
 
-def solve_affine(system, tol=DEFAULT_FEAS_TOL, rank_tol=DEFAULT_RANK_TOL):
+def solve_affine(system, tol=DEFAULT_FEAS_TOL):
     """Solve the target rows G q = b in the least-squares sense.
 
-    Returns an AffineSolutionSet; .consistent is False when the
-    least-squares residual exceeds system.residual_bound(tol) =
+    Returns an AffineSolutionSet that carries tol; .consistent is False when
+    the least-squares residual exceeds system.residual_bound(tol) =
     tol * ||b|| (the Rouche-Capelli test in floating point).
     """
-    Q0, residual, svd = _solve_stacked(system, system.b_target[None], rank_tol)
-    bound = system.residual_bound(tol)
+    Q0, residual, svd = _solve_stacked(system, system.b_target[None])
     return AffineSolutionSet(system, Q0[0], svd[4], residual[0],
-                             residual[0] <= bound, svd[5], bound)
+                             residual[0] <= system.residual_bound(tol), svd[5],
+                             tol)
 
 
 def witness_check(sol, v):
@@ -239,7 +241,7 @@ def witness_hunt(sol, q_coords, eig=None):
     """
     w, V = eig or herm_eig(sol.system.template.matrix(q_coords))
     q0_norm = np.linalg.norm(sol.q0_coords)
-    negative = ~psd_passes(w, np.linalg.norm(q_coords), DEFAULT_PSD_TOL)
+    negative = ~psd_passes(w, np.linalg.norm(q_coords))
     for idx in np.nonzero(negative)[0]:
         u = V[:, idx]
         candidates = [u]
@@ -367,48 +369,48 @@ def _cvec_to_json(v):
 
 
 @functools.lru_cache(maxsize=64)
-def _tolerances(tol, rank_tol, psd_tol):
+def _tolerances(tol):
     return types.MappingProxyType({
-        "feasibility": tol, "rank": rank_tol, "psd": psd_tol,
+        "feasibility": tol, "rank": DEFAULT_RANK_TOL, "psd": DEFAULT_PSD_TOL,
         "witness_value": DEFAULT_WITNESS_VALUE_TOL,
         "witness_coupling": DEFAULT_WITNESS_COUPLING_TOL})
 
 
-def _verdict(sol, kind, tolerances, **fields):
-    """A verdict on sol, with the set's residual and diagnostics."""
+def _verdict(sol, kind, **fields):
+    """A verdict on sol, with the set's residual, tolerances and
+    diagnostics."""
     fields.setdefault("residual", sol.residual)
     return FeasibilityVerdict(
-        kind=kind, nullspace_dim=sol.dim, tolerances=tolerances,
+        kind=kind, nullspace_dim=sol.dim, tolerances=_tolerances(sol.tol),
         size_diagnostics=sol.size_diagnostics,
         least_squares_residual=sol.residual,
         consistency_bound=sol.consistency_bound, **fields)
 
 
-def _certify(sol, q_coords, eig, tol, psd_tol, tolerances, **own):
+def _certify(sol, q_coords, eig, **own):
     """Project Q onto the PSD cone and re-verify its lift against the system.
 
     eig is Q(q)'s eigendecomposition. The projection keeps the eigenpairs
     of Q above rounding level (k eps lambda_max for k x k Q, numpy's
     matrix_rank cut); the certificate is X = lift(P) for that PSD part P,
-    checked as it is kept.
+    checked as it is kept, at the set's consistency_bound.
     """
     system = sol.system
     tpl = system.template
     w, V = eig
-    if not psd_passes(w[0], np.linalg.norm(q_coords), psd_tol):
+    if not psd_passes(w[0], np.linalg.norm(q_coords)):
         return None
     keep = w > w[-1] * w.size * np.finfo(float).eps
     F = V[:, keep] * np.sqrt(w[keep])
     p = tpl.pairing(F @ F.conj().T)
     residual = system.matrix_residual(tpl.lift(tpl.matrix(p)))
-    if residual > system.residual_bound(tol):
+    if residual > sol.consistency_bound:
         return None
-    return _verdict(sol, FEASIBLE, tolerances, residual=residual, template=tpl,
+    return _verdict(sol, FEASIBLE, residual=residual, template=tpl,
                     certificate_coords=p, certificate_min_eig=float(w[0]), **own)
 
 
-def psd_search(sol, tol=DEFAULT_FEAS_TOL, psd_tol=DEFAULT_PSD_TOL,
-               rank_tol=DEFAULT_RANK_TOL):
+def psd_search(sol):
     """Decide whether the affine solution set holds a PSD element, at q0.
 
     Certifies q0 when Q0 passes (stop x0_certificate); otherwise looks for a
@@ -420,42 +422,38 @@ def psd_search(sol, tol=DEFAULT_FEAS_TOL, psd_tol=DEFAULT_PSD_TOL,
     """
     if not sol.consistent:
         raise DimensionMismatch("psd_search requires a consistent solution set")
-    tolerances = _tolerances(tol, rank_tol, psd_tol)
     q0, tpl = sol.q0_coords, sol.system.template
     eig0 = herm_eig(tpl.matrix(q0))
-    verdict = _certify(sol, q0, eig0, tol, psd_tol, tolerances,
-                       stop="x0_certificate")
+    verdict = _certify(sol, q0, eig0, stop="x0_certificate")
     if verdict is not None:
         return verdict
     cone_gap = float(eig0[0][0])
     hunt = witness_hunt(sol, q0, eig0)
     if hunt is not None:
         u, value, coupling = hunt
-        return _verdict(sol, NOT_PSD, tolerances, template=tpl,
+        return _verdict(sol, NOT_PSD, template=tpl,
                         reduced_witness=u, witness_value=value,
                         witness_coupling=coupling, stop="x0_witness",
                         cone_gap=cone_gap)
     symmetry = float(np.linalg.norm(sol.system.G @ tpl.conjugate(q0)
                                     - sol.system.b_target))
-    return _verdict(sol, INDETERMINATE, tolerances, stop="x0_undecided",
+    return _verdict(sol, INDETERMINATE, stop="x0_undecided",
                     cone_gap=cone_gap, symmetry_residual=symmetry)
 
 
-def verdict_for(sol, tol=DEFAULT_FEAS_TOL, rank_tol=DEFAULT_RANK_TOL,
-                psd_tol=DEFAULT_PSD_TOL):
-    """Turn a solved affine stage into a verdict.
+def verdict_for(sol):
+    """Turn a solved affine stage into a verdict, at the set's tol.
 
     Inconsistent systems short-circuit to NOT_CONSISTENT; everything else
     goes through the PSD search.
     """
     if not sol.consistent:
-        return _verdict(sol, NOT_CONSISTENT, _tolerances(tol, rank_tol, psd_tol))
-    return psd_search(sol, tol=tol, psd_tol=psd_tol, rank_tol=rank_tol)
+        return _verdict(sol, NOT_CONSISTENT)
+    return psd_search(sol)
 
 
-def decide(spec, s, tol=DEFAULT_FEAS_TOL, rank_tol=DEFAULT_RANK_TOL,
-           psd_tol=DEFAULT_PSD_TOL):
+def decide(spec, s, tol=DEFAULT_FEAS_TOL):
     """Assemble, solve the linear stage, and run the PSD search."""
     system = assemble(spec, s)
-    sol = solve_affine(system, tol=tol, rank_tol=rank_tol)
-    return verdict_for(sol, tol=tol, rank_tol=rank_tol, psd_tol=psd_tol)
+    sol = solve_affine(system, tol=tol)
+    return verdict_for(sol)

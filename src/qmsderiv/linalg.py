@@ -7,10 +7,10 @@ Conventions used throughout the package:
     with eigenvectors as columns,
   * there is one rank rule: a singular value counts toward the rank when
     it exceeds tol times the largest singular value of the matrix. The
-    solver's SVD of the reduced target matrix is the only rank cut. All
-    problem data is O(1) by construction, and that matrix has a wide gap
-    between kept and dropped singular values, so the cut sits far from the
-    floating-point floor.
+    solver's SVD of the reduced target matrix is the only rank cut, at the
+    fixed DEFAULT_RANK_TOL: that matrix depends on the algebra size alone,
+    and its kept singular values lie above 1e-2 and its dropped ones below
+    1e-14 of the largest at every supported size, so the cut is no option.
 
 The Hermitian parametrization maps an M x M Hermitian matrix to a real
 vector of length M^2 ordered as

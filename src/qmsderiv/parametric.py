@@ -40,11 +40,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .constraints import (_residual_bound, _state_factor, _target_rhs,
-                          _target_values, system_template)
+from .constraints import (_check_s, _residual_bound, _state_factor,
+                          _target_rhs, _target_values, system_template)
 from .errors import DimensionMismatch, ToolError
 from .feasibility import _solve_stacked
-from .linalg import DEFAULT_FEAS_TOL, DEFAULT_RANK_TOL
+from .linalg import DEFAULT_FEAS_TOL
 from .qms import (DensityState, Jump, LindbladSpec, _generator_matrix,
                   generator_matrix, make_spec)
 
@@ -377,24 +377,26 @@ class SweepRecords(Sequence):
 
 
 def sweep(count, seed, project=False, pin=None, s=0.0,
-          tol=DEFAULT_FEAS_TOL, rank_tol=DEFAULT_RANK_TOL,
-          predicate_tol=DEFAULT_PREDICATE_TOL, threads=1, on_record=None):
+          tol=DEFAULT_FEAS_TOL, predicate_tol=DEFAULT_PREDICATE_TOL,
+          threads=1, on_record=None):
     """Compare the closed-form predicate against linear consistency.
 
     Returns SweepRecords, a sequence ordered by sample index; seed is an
-    integer, from which the records re-derive their samples. A pinned
-    sweep builds its one point before drawing any sample, and an unusable
-    pin raises a ToolError. Every sample takes one path: the factors of its
-    point are built when the point changes (once for a pinned sweep), and
-    its target right-hand side is the one assemble(build_LY(p, Y), s)
-    gives, against the per-size template. The samples of each chunk of
-    SWEEP_CHUNK are then solved together by one product over their stacked
-    right-hand sides, each keeping its own residual and consistency bound
-    tol * ||b||, and on_record, when given, is called with each record of
-    the chunk, built from the drawn sample. Per-sample failures are kept as
-    the record's error and the sweep continues. threads is accepted for
-    compatibility and ignored: samples run in one thread.
+    integer, from which the records re-derive their samples. An s outside
+    [0, 1] (or NaN) raises a ToolError before any sample is drawn, and so
+    does an unusable pin: a pinned sweep builds its one point first. Every
+    sample takes one path: the factors of its point are built when the
+    point changes (once for a pinned sweep), and its target right-hand
+    side is the one assemble(build_LY(p, Y), s) gives, against the
+    per-size template. The samples of each chunk of SWEEP_CHUNK are then
+    solved together by one product over their stacked right-hand sides,
+    each keeping its own residual and consistency bound tol * ||b||, and
+    on_record, when given, is called with each record of the chunk, built
+    from the drawn sample. Per-sample failures are kept as the record's
+    error and the sweep continues. threads is accepted for compatibility
+    and ignored: samples run in one thread.
     """
+    _check_s(s)
     samples = _draw_samples(count, seed, project, pin)
     out = SweepRecords(count, seed, project,
                        None if pin is None else tuple(map(float, pin)),
@@ -414,8 +416,7 @@ def sweep(count, seed, project=False, pin=None, s=0.0,
                 out.errors[k] = f"{type(exc).__name__}: {exc}"
         if solved:
             try:
-                _, residual, _ = _solve_stacked(template, np.array(rhs),
-                                                rank_tol)
+                _, residual, _ = _solve_stacked(template, np.array(rhs))
                 bound = np.array([_residual_bound(b, tol) for b in rhs])
                 out.residual[solved] = residual
                 out.consistent[solved] = residual <= bound

@@ -7,7 +7,7 @@ A problem file is a single JSON object:
       "density": {"diag": [0.66, 0.34]}   or a full matrix,
       "jumps": [{"V": [[0, 1], [0, 0]], "omega": -0.65, "weight": 1.0}],
       "s": 0.0,
-      "tol": 1e-8, "rank_tol": 1e-9, "psd_tol": 1e-9
+      "tol": 1e-8
     }
 
 Matrix entries are numbers (real) or [re, im] pairs; "density" may instead
@@ -35,8 +35,8 @@ from .linalg import DEFAULT_FEAS_TOL
 from .parametric import DEFAULT_PREDICATE_TOL
 from .qms import DensityState, make_spec
 
-# optional tolerances; each must be a positive number
-OPTION_KEYS = ("tol", "rank_tol", "psd_tol")
+# the optional tolerance, a positive number; rank cut and PSD slack are fixed
+OPTION_KEYS = ("tol",)
 
 TOP_KEYS = {"n", "density", "jumps", "s"} | set(OPTION_KEYS)
 

@@ -213,6 +213,16 @@ def test_sweep_flushes_partial_on_interrupt(tmp_path, capsys, monkeypatch):
     assert "interrupted" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["rank_tol", "psd_tol"])
+def test_check_rejects_the_retired_tolerance_keys(tmp_path, capsys, key):
+    # the rank cut and the PSD slack are fixed; only tol is an option
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({**chain_problem(2), key: 1e-9}))
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and key in err
+
+
 @pytest.mark.parametrize("pin", [1e200, 1e-320])
 def test_sweep_rejects_unusable_pin(tmp_path, capsys, pin):
     # the square of lambda2 leaves the float range: the pinned point cannot
@@ -302,7 +312,7 @@ def test_certificate_checks_use_the_consistency_bound(preset_problems, tmp_path,
     q = sol.q0_coords + step * h
     X = tpl.lift(tpl.matrix(q))
     assert system.matrix_residual(X) == pytest.approx(10 * bound, rel=1e-6)
-    assert _certify(sol, q, herm_eig(tpl.matrix(q)), 1e-8, 1e-9, {}) is None
+    assert _certify(sol, q, herm_eig(tpl.matrix(q))) is None
 
     out = tmp_path / "rep.json"
     assert main(["repro", "2x2-gns", "--out", str(out)]) == 0

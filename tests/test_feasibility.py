@@ -16,11 +16,12 @@ import pytest
 from qmsderiv.cli import main
 from qmsderiv.constraints import DEFAULT_SIZE_CAP, assemble
 from qmsderiv.errors import DimensionMismatch
-from qmsderiv.feasibility import (AffineSolutionSet, EXIT_CODES, FEASIBLE,
-                                  INDETERMINATE, NOT_CONSISTENT, NOT_PSD,
-                                  decide, is_witness, psd_search, solve_affine,
-                                  verdict_for, witness_check, witness_hunt)
-from qmsderiv.linalg import herm_eig, hermitian_encode
+from qmsderiv.feasibility import (DEFAULT_PSD_TOL, AffineSolutionSet,
+                                  EXIT_CODES, FEASIBLE, INDETERMINATE,
+                                  NOT_CONSISTENT, NOT_PSD, decide, is_witness,
+                                  psd_search, solve_affine, verdict_for,
+                                  witness_check, witness_hunt)
+from qmsderiv.linalg import DEFAULT_RANK_TOL, herm_eig, hermitian_encode
 from qmsderiv.problems import parse_problem
 from qmsderiv.qms import DensityState, make_spec
 
@@ -112,7 +113,7 @@ def test_2x2_certificates_verify_from_raw_system(systems, verdicts):
         coords = hermitian_encode(X)
         assert system.residual_of(coords) <= system.residual_bound(1e-8)
         w = np.linalg.eigvalsh(X)
-        assert w[0] >= -1e-9 * max(1.0, np.linalg.norm(X))
+        assert w[0] >= -1e-9 * np.linalg.norm(X)
 
 
 def test_3x3_gns_not_consistent(solutions, verdicts):
@@ -610,6 +611,38 @@ def test_solve_affine_diagnostics(solutions):
     # the per-size part is one mapping, shared by every set of the size
     assert (solutions["3x3-kms"].size_diagnostics
             is solutions["3x3-gns"].size_diagnostics)
+
+
+@pytest.mark.parametrize("n", range(2, DEFAULT_SIZE_CAP + 1))
+def test_the_rank_cut_of_g_sits_in_a_wide_gap(n):
+    # G depends on the size alone, and at every size its kept and dropped
+    # singular values are apart by twelve orders: every cut between them,
+    # the fixed DEFAULT_RANK_TOL among them, gives the same solution space
+    diag = solved(chain_problem(n)).diagnostics
+    sv_max = diag["target_sv_max"]
+    assert diag["target_sv_min_kept"] >= 1e-2 * sv_max
+    assert diag["target_sv_max_dropped"] <= 1e-14 * sv_max
+    assert 1e-14 < DEFAULT_RANK_TOL < 1e-2
+
+
+def test_the_solution_set_carries_its_tolerance(systems):
+    # tol enters once, in solve_affine: the set's bound is the one its
+    # certificate is judged at, and the verdict reports that tol
+    system = systems["2x2-gns"]
+    for tol in (1e-8, 1e-6):
+        sol = solve_affine(system, tol=tol)
+        assert sol.tol == tol
+        assert sol.consistency_bound == system.residual_bound(tol)
+        verdict = verdict_for(sol)
+        assert verdict.kind == FEASIBLE
+        assert verdict.residual <= sol.consistency_bound
+        assert verdict.tolerances["feasibility"] == tol
+        assert verdict.tolerances["rank"] == DEFAULT_RANK_TOL
+        assert verdict.tolerances["psd"] == DEFAULT_PSD_TOL
+    hand_built = AffineSolutionSet(system, sol.q0_coords, sol.basis_array,
+                                   sol.residual, sol.consistent,
+                                   sol.size_diagnostics)
+    assert hand_built.consistency_bound == system.residual_bound(1e-8)
 
 
 def test_decisions_do_not_import_scipy_optimize(tmp_path):

@@ -339,9 +339,9 @@ def test_sweep_rhs_equals_assemble_bit_for_bit(monkeypatch, kw, s):
     stacked = []
     real = parametric._solve_stacked
 
-    def spy(system, B, rank_tol):
+    def spy(system, B):
         stacked.append(B.copy())
-        return real(system, B, rank_tol)
+        return real(system, B)
 
     monkeypatch.setattr(parametric, "_solve_stacked", spy)
     records = sweep(20, seed=5, s=s, **kw)
@@ -450,6 +450,21 @@ def test_unusable_pin_fails_before_any_sample(pin):
     with pytest.raises(ToolError):
         sweep(5, seed=0, pin=pin, on_record=seen.append)
     assert seen == []
+
+
+@pytest.mark.parametrize("s", [-0.1, 1.5, math.nan])
+@pytest.mark.parametrize("pin", [None, (0.3, 2.5)])
+def test_out_of_range_s_fails_before_any_sample(monkeypatch, s, pin):
+    # an unusable s fails the whole sweep at once, like an unusable pin,
+    # instead of one error record per sample
+    drawn = []
+    real = parametric._draw_samples
+    monkeypatch.setattr(parametric, "_draw_samples",
+                        lambda *a: drawn.append(a) or real(*a))
+    seen = []
+    with pytest.raises(ToolError, match="outside"):
+        sweep(3, seed=1, s=s, pin=pin, on_record=seen.append)
+    assert seen == [] and drawn == []
 
 
 def test_csv_row_matches_columns():
