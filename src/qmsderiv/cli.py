@@ -4,7 +4,8 @@ check runs the full pipeline on a problem file and writes a run report;
 repro does the same for a built-in preset and compares the verdict kind
 against the expected one; sweep drives the parametric comparison and writes
 a CSV; verify re-checks a persisted report's certificate or witness from
-nothing but the report itself.
+nothing but the report itself, at the verifier's tolerance: --tol or the
+default, never the tolerance the report echoes.
 
 Exit codes: 0 FEASIBLE (or: repro matched / sweep above threshold / report
 verified), 10 NOT_CONSISTENT, 11 NOT_PSD, 12 INDETERMINATE, 1 repro
@@ -20,7 +21,6 @@ import csv
 import datetime
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -33,7 +33,8 @@ from .errors import SchemaError, ToolError
 from .feasibility import (DEFAULT_PSD_TOL, FEASIBLE, INDETERMINATE,
                           NOT_CONSISTENT, NOT_PSD, is_witness, psd_passes,
                           solve_affine, verdict_for, witness_check)
-from .linalg import DEFAULT_FEAS_TOL, DEFAULT_RANK_TOL, herm_eig
+from .linalg import (DEFAULT_FEAS_TOL, DEFAULT_RANK_TOL, check_tol, herm_eig,
+                     is_hermitian)
 from .parametric import CSV_COLUMNS, agreement_rate, sweep
 from .problems import (load_problem, load_sweep_config, parse_matrix,
                        parse_problem, parse_vector, presets)
@@ -103,11 +104,7 @@ def _emit_report(report, out):
 def tol_override(args, default):
     """The --tol value when given, else default; like the tolerances of
     problem and config files it must be positive and finite."""
-    if args.tol is None:
-        return default
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise SchemaError("--tol", f"must be positive and finite, got {args.tol}")
-    return args.tol
+    return default if args.tol is None else check_tol(args.tol, "--tol")
 
 
 def run_pipeline(problem, args):
@@ -236,7 +233,7 @@ def cmd_sweep(args):
 
 def cmd_verify(args):
     try:
-        tol = tol_override(args, None)
+        tol = tol_override(args, DEFAULT_FEAS_TOL)
         with open(args.report) as fh:
             report = json.load(fh)
     except SchemaError as exc:
@@ -260,8 +257,6 @@ def cmd_verify(args):
 
     verdict = report["verdict"]
     kind = verdict.get("kind")
-    if tol is None:
-        tol = verdict.get("tolerances", {}).get("feasibility", DEFAULT_FEAS_TOL)
     s = report.get("command", {}).get("s", problem.s)
 
     system = assemble(problem.spec, s)
@@ -279,14 +274,17 @@ def cmd_verify(args):
         return 2
 
     def fail(msg):
-        print(f"verification FAILED: {msg}")
+        print(f"verification FAILED at tol {tol:g}: {msg}")
         return 1
+
+    def verified(msg):
+        print(f"verified at tol {tol:g}: {msg}")
+        return 0
 
     if kind == FEASIBLE:
         if "certificate" not in verdict:
             return fail("FEASIBLE verdict carries no certificate")
-        norm_x = np.linalg.norm(X)
-        if np.linalg.norm(X - X.conj().T) > 1e-10 * norm_x:
+        if not is_hermitian(X):
             return fail("certificate is not Hermitian")
         residual = system.matrix_residual(X)
         bound = system.residual_bound(tol)
@@ -294,21 +292,20 @@ def cmd_verify(args):
             return fail(f"certificate residual {residual:.3e} exceeds "
                         f"{bound:.3e}")
         w, _ = herm_eig(X)
+        norm_x = np.linalg.norm(X)
         if not psd_passes(w[0], norm_x):
             return fail(f"certificate min eigenvalue {w[0]:.3e} below "
                         f"-{DEFAULT_PSD_TOL * norm_x:.3e}")
-        print(f"verified: certificate residual {residual:.3e}, "
-              f"min eig {w[0]:.3e}")
-        return 0
+        return verified(f"certificate residual {residual:.3e}, "
+                        f"min eig {w[0]:.3e}")
 
     sol = solve_affine(system, tol=tol)
     if kind == NOT_CONSISTENT:
         if sol.consistent:
             return fail("system is consistent after all "
                         f"(residual {sol.residual:.3e})")
-        print(f"verified: least-squares residual {sol.residual:.3e} exceeds "
-              f"{sol.consistency_bound:.3e}")
-        return 0
+        return verified(f"least-squares residual {sol.residual:.3e} exceeds "
+                        f"{sol.consistency_bound:.3e}")
     if kind == NOT_PSD:
         if not sol.consistent:
             return fail("system is not even consistent")
@@ -318,12 +315,10 @@ def cmd_verify(args):
         if not is_witness(value, coupling, np.linalg.norm(sol.q0_coords)):
             return fail(f"witness form is not negative on the whole solution "
                         f"set (value {value:.3e}, coupling {coupling:.3e})")
-        print(f"verified: witness value {value:.6f}, coupling {coupling:.3e}")
-        return 0
+        return verified(f"witness value {value:.6f}, coupling {coupling:.3e}")
     if kind == INDETERMINATE:
-        print("verified: INDETERMINATE verdict makes no claim; "
-              "input echo and fingerprint are intact")
-        return 0
+        return verified("INDETERMINATE verdict makes no claim; "
+                        "input echo and fingerprint are intact")
     return fail(f"unknown verdict kind {kind!r}")
 
 
@@ -364,7 +359,8 @@ def main(argv=None):
                               help="re-check a report from its own contents")
     p_verify.add_argument("report", help="report JSON path")
     p_verify.add_argument("--tol", type=float, default=None,
-                          help="override the feasibility tolerance")
+                          help="judge at this tolerance, not the report's "
+                               f"(default {DEFAULT_FEAS_TOL:g})")
     p_verify.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)

@@ -573,6 +573,8 @@ def assemble(spec, s):
     elements.
     """
     n = spec.n
+    if n < 2:
+        raise DimensionMismatch(f"algebra size {n} is below 2")
     if n > DEFAULT_SIZE_CAP:
         raise SizeCapExceeded(f"algebra size {n} exceeds cap {DEFAULT_SIZE_CAP}")
     tpl = system_template(n)

@@ -26,9 +26,10 @@ class SizeCapExceeded(ToolError):
 
 
 class SchemaError(ToolError):
-    """A problem or config document violates the expected schema.
+    """A problem or config document, or an argument, violates the expected
+    schema.
 
-    Carries a dotted ``path`` locating the offending field.
+    Carries a dotted ``path`` locating the offending field or argument.
     """
 
     def __init__(self, path, message):

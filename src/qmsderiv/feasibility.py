@@ -73,7 +73,8 @@ import numpy as np
 
 from .constraints import assemble, clear_template_cache
 from .errors import DimensionMismatch
-from .linalg import DEFAULT_FEAS_TOL, DEFAULT_RANK_TOL, _rank, herm_eig
+from .linalg import (DEFAULT_FEAS_TOL, DEFAULT_RANK_TOL, _rank, check_tol,
+                     herm_eig)
 
 FEASIBLE = "FEASIBLE"
 NOT_CONSISTENT = "NOT_CONSISTENT"
@@ -194,8 +195,10 @@ def solve_affine(system, tol=DEFAULT_FEAS_TOL):
 
     Returns an AffineSolutionSet that carries tol; .consistent is False when
     the least-squares residual exceeds system.residual_bound(tol) =
-    tol * ||b|| (the Rouche-Capelli test in floating point).
+    tol * ||b|| (the Rouche-Capelli test in floating point). A tol that is
+    not positive and finite raises a SchemaError before any work.
     """
+    check_tol(tol, "tol")
     Q0, residual, svd = _solve_stacked(system, system.b_target[None])
     return AffineSolutionSet(system, Q0[0], svd[4], residual[0],
                              residual[0] <= system.residual_bound(tol), svd[5],

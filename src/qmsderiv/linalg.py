@@ -10,7 +10,12 @@ Conventions used throughout the package:
     solver's SVD of the reduced target matrix is the only rank cut, at the
     fixed DEFAULT_RANK_TOL: that matrix depends on the algebra size alone,
     and its kept singular values lie above 1e-2 and its dropped ones below
-    1e-14 of the largest at every supported size, so the cut is no option.
+    1e-14 of the largest at every supported size, so the cut is no option,
+  * there is one Hermitian-defect rule (is_hermitian): a matrix counts as
+    Hermitian when ||M - M*||_F is at most HERMITIAN_TOL times ||M||_F,
+    relative to M alone, so M = 0 passes and no floor applies. herm_eig,
+    hermitian_encode and the CLI's verify all judge by it; no caller sets
+    its tolerance.
 
 The Hermitian parametrization maps an M x M Hermitian matrix to a real
 vector of length M^2 ordered as
@@ -22,13 +27,23 @@ matrices and the Euclidean inner product on coordinates.
 """
 
 import functools
+import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotHermitian
+from .errors import DimensionMismatch, NoConvergence, NotHermitian, SchemaError
 
 DEFAULT_RANK_TOL = 1e-9
 DEFAULT_FEAS_TOL = 1e-8
+HERMITIAN_TOL = 1e-10
+
+
+def check_tol(tol, name):
+    """tol itself when it is positive and finite; otherwise a SchemaError at
+    name. Every tolerance a caller sets passes through it."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise SchemaError(name, f"must be positive and finite, got {tol}")
+    return tol
 
 
 def as_cmatrix(entries, size=None):
@@ -43,20 +58,29 @@ def as_cmatrix(entries, size=None):
     return M
 
 
-def herm_eig(M, tol=1e-10):
+def is_hermitian(M):
+    """The Hermitian-defect rule: ||M - M*||_F <= HERMITIAN_TOL * ||M||_F."""
+    return np.linalg.norm(M - M.conj().T) <= HERMITIAN_TOL * np.linalg.norm(M)
+
+
+def _require_hermitian(M):
+    if not is_hermitian(M):
+        raise NotHermitian(
+            f"asymmetry {np.linalg.norm(M - M.conj().T):.3e} exceeds "
+            f"{HERMITIAN_TOL:.1e} * ||M||")
+
+
+def herm_eig(M):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues ascending, eigenvectors as columns). Raises
-    NotHermitian when ||M - M*||_F exceeds tol * ||M||_F and NoConvergence
-    if the underlying QR iteration fails.
+    NotHermitian when M fails is_hermitian and NoConvergence if the
+    underlying QR iteration fails.
     """
     M = as_cmatrix(M)
     if M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"herm_eig needs a square matrix, got {M.shape}")
-    scale = np.linalg.norm(M)
-    dev = np.linalg.norm(M - M.conj().T)
-    if dev > tol * max(scale, 1e-300):
-        raise NotHermitian(f"asymmetry {dev:.3e} exceeds {tol:.1e} * ||M||")
+    _require_hermitian(M)
     H = 0.5 * (M + M.conj().T)
     try:
         w, V = np.linalg.eigh(H)
@@ -109,18 +133,16 @@ def _strict_upper(m):
     return iu, ju
 
 
-def hermitian_encode(X, tol=1e-10):
+def hermitian_encode(X):
     """Real coordinates of a Hermitian M x M matrix, in the layout above.
 
-    Raises NotHermitian when ||X - X*||_F exceeds tol * ||X||_F.
+    Raises NotHermitian when X fails is_hermitian.
     dot(encode(P), encode(Q)) equals Re tr(P Q).
     """
     X = as_cmatrix(X)
     if X.shape[0] != X.shape[1]:
         raise DimensionMismatch("Hermitian encode needs a square matrix")
-    scale = max(np.linalg.norm(X), 1e-300)
-    if np.linalg.norm(X - X.conj().T) > tol * scale:
-        raise NotHermitian("matrix is not Hermitian within tolerance")
+    _require_hermitian(X)
     return hermitian_coords(X)
 
 

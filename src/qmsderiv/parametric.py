@@ -33,6 +33,7 @@ Y and predicate from the seed.
 
 import itertools
 import math
+import numbers
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -42,9 +43,9 @@ import numpy as np
 
 from .constraints import (_check_s, _residual_bound, _state_factor,
                           _target_rhs, _target_values, system_template)
-from .errors import DimensionMismatch, ToolError
+from .errors import DimensionMismatch, SchemaError, ToolError
 from .feasibility import _solve_stacked
-from .linalg import DEFAULT_FEAS_TOL
+from .linalg import DEFAULT_FEAS_TOL, check_tol
 from .qms import (DensityState, Jump, LindbladSpec, _generator_matrix,
                   generator_matrix, make_spec)
 
@@ -60,7 +61,10 @@ class YMatrix:
     """Real symmetric 3x3 weight matrix for the generator family.
 
     Entries must be nonnegative (the QMS case) unless allow_negative is
-    set, which admits the signed-weight extension of the family.
+    set, which admits the signed-weight extension of the family. Y must be
+    symmetric within 1e-12 of its largest entry, with no floor, so Y and
+    k Y are judged alike and Y = 0 exactly; the rounding-level asymmetry
+    this admits is symmetrized away.
     """
 
     entries: np.ndarray = field(repr=False)
@@ -72,7 +76,7 @@ class YMatrix:
             raise DimensionMismatch(f"Y must be 3x3, got {Y.shape}")
         if not np.isfinite(Y).all():
             raise DimensionMismatch("Y contains non-finite entries")
-        if np.abs(Y - Y.T).max() > 1e-12 * max(1.0, np.abs(Y).max()):
+        if np.abs(Y - Y.T).max() > 1e-12 * np.abs(Y).max():
             raise DimensionMismatch("Y must be symmetric")
         Y = 0.5 * (Y + Y.T)
         if not self.allow_negative and Y.min() < 0:
@@ -376,16 +380,23 @@ class SweepRecords(Sequence):
                            error is None and predicate == consistent, error)
 
 
+def _check_nonnegative_int(value, name):
+    if not (isinstance(value, numbers.Integral) and value >= 0):
+        raise SchemaError(name, f"must be a nonnegative integer, got {value!r}")
+
+
 def sweep(count, seed, project=False, pin=None, s=0.0,
           tol=DEFAULT_FEAS_TOL, predicate_tol=DEFAULT_PREDICATE_TOL,
           threads=1, on_record=None):
     """Compare the closed-form predicate against linear consistency.
 
     Returns SweepRecords, a sequence ordered by sample index; seed is an
-    integer, from which the records re-derive their samples. An s outside
-    [0, 1] (or NaN) raises a ToolError before any sample is drawn, and so
-    does an unusable pin: a pinned sweep builds its one point first. Every
-    sample takes one path: the factors of its point are built when the
+    integer, from which the records re-derive their samples. A count or
+    seed that is not a nonnegative integer, a tol or predicate_tol that is
+    not positive and finite, or an s outside [0, 1] (or NaN) raises a
+    ToolError before any sample is drawn, and so does an unusable pin: a
+    pinned sweep builds its one point first. Every sample takes one path:
+    the factors of its point are built when the
     point changes (once for a pinned sweep), and its target right-hand
     side is the one assemble(build_LY(p, Y), s) gives, against the
     per-size template. The samples of each chunk of SWEEP_CHUNK are then
@@ -397,6 +408,10 @@ def sweep(count, seed, project=False, pin=None, s=0.0,
     and ignored: samples run in one thread.
     """
     _check_s(s)
+    _check_nonnegative_int(count, "count")
+    _check_nonnegative_int(seed, "seed")
+    check_tol(tol, "tol")
+    check_tol(predicate_tol, "predicate_tol")
     samples = _draw_samples(count, seed, project, pin)
     out = SweepRecords(count, seed, project,
                        None if pin is None else tuple(map(float, pin)),

@@ -123,7 +123,7 @@ def parse_problem(doc):
         _require(key in doc, "", f"missing required key '{key}'")
 
     n = _as_int(doc["n"], "n")
-    _require(1 <= n, "n", "must be at least 1")
+    _require(2 <= n, "n", "must be at least 2")
     s = _as_number(doc["s"], "s")
     _require(0.0 <= s <= 1.0, "s", "must lie in [0, 1]")
 

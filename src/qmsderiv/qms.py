@@ -28,18 +28,30 @@ from .errors import DimensionMismatch, NotHermitian
 from .linalg import as_cmatrix, herm_eig
 
 
+# validate_spec's fixed tolerance on the modular eigenvector relation,
+# relative to ||V||_F
+EIGENVECTOR_TOL = 1e-8
+
+# gns_symmetry_check draws this many seeded pairs (A, B)
+GNS_CHECK_TRIALS = 20
+GNS_CHECK_SEED = 0
+
+
 @dataclass(frozen=True)
 class DensityState:
-    """Faithful state on M_n(C): positive trace-one density matrix D."""
+    """Faithful state on M_n(C): positive trace-one density matrix D.
+
+    eigvals and eigvecs, D's eigendecomposition, are computed from D.
+    """
 
     n: int
     D: np.ndarray = field(repr=False)
-    eigvals: np.ndarray = field(repr=False, default=None)
-    eigvecs: np.ndarray = field(repr=False, default=None)
+    eigvals: np.ndarray = field(init=False, repr=False)
+    eigvecs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         D = as_cmatrix(self.D, self.n).copy()
-        w, V = herm_eig(D, tol=1e-10)
+        w, V = herm_eig(D)
         if w[0] <= 0:
             raise NotHermitian(
                 f"density matrix not strictly positive (min eigenvalue {w[0]:.3e})")
@@ -214,11 +226,11 @@ class ValidationReport:
         }
 
 
-def validate_spec(spec, tol=1e-8):
+def validate_spec(spec):
     """Check adjoint closure of the jump multiset and the modular eigenvector relation.
 
-    Each jump must satisfy ||D V D^{-1} - e^{-omega} V||_F <= tol * ||V||_F, and
-    the multiset {(V_j, omega_j, w_j)} must be invariant under
+    Each jump must satisfy ||D V D^{-1} - e^{-omega} V||_F <= EIGENVECTOR_TOL
+    * ||V||_F, and the multiset {(V_j, omega_j, w_j)} must be invariant under
     (V, omega, w) -> (V*, -omega, w): two jumps are partners when their V
     agree entrywise within 1e-12 times the larger ||V||_F, their weights
     within 1e-12 times the larger |w|, and their omegas within 1e-8.
@@ -235,7 +247,7 @@ def validate_spec(spec, tol=1e-8):
             modular_conjugate(spec.state, j.V, 1.0) - np.exp(-j.omega) * j.V)
         rel = float(dev / nrm)
         residuals.append(rel)
-        if rel > tol:
+        if rel > EIGENVECTOR_TOL:
             messages.append(
                 f"jump {idx}: not a modular eigenvector with omega={j.omega:.6g} "
                 f"(relative residual {rel:.3e})")
@@ -267,17 +279,18 @@ def validate_spec(spec, tol=1e-8):
             adjoint_closed = False
             messages.append(f"jump {i}: no adjoint partner in the jump list")
 
-    ok = adjoint_closed and all(r <= tol for r in residuals)
+    ok = adjoint_closed and all(r <= EIGENVECTOR_TOL for r in residuals)
     return ValidationReport(adjoint_closed, residuals,
                             [j.omega for j in spec.jumps], messages, ok)
 
 
-def gns_symmetry_check(spec, trials=20, seed=0):
-    """Largest relative GNS asymmetry |<L(A),B>_0 - <A,L(B)>_0| over random pairs."""
-    rng = np.random.default_rng(seed)
+def gns_symmetry_check(spec):
+    """Largest relative GNS asymmetry |<L(A),B>_0 - <A,L(B)>_0| over
+    GNS_CHECK_TRIALS random pairs drawn from the seed GNS_CHECK_SEED."""
+    rng = np.random.default_rng(GNS_CHECK_SEED)
     n = spec.n
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(GNS_CHECK_TRIALS):
         A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         la = lindblad_apply(spec, A)

@@ -432,3 +432,77 @@ def test_five_level_chain_is_not_psd_and_verifies(tmp_path, capsys):
     assert report["system"]["unknowns"] == 5 ** 8
     assert main(["verify", str(out)]) == 0
     assert "witness value" in capsys.readouterr().out
+
+
+def _forged_2x2_gns(tmp_path, forge):
+    """The 2x2-gns repro report with its verdict edited by forge, under a
+    matching fingerprint: what a forger can write."""
+    out = tmp_path / "rep.json"
+    assert main(["repro", "2x2-gns", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    forge(report["verdict"])
+    report["fingerprint"] = fingerprint_of(report)
+    out.write_text(json.dumps(report))
+    return out
+
+
+@pytest.mark.parametrize("report_tol", [1e300, math.inf])
+def test_verify_ignores_the_reports_own_tolerance(tmp_path, capsys, report_tol):
+    # an identity certificate leaves a residual of 7.35 at 2x2-gns; a huge
+    # tolerance written into the report must not make it pass
+    def forge(verdict):
+        side = len(verdict["certificate"])
+        verdict["certificate"] = [[[float(r == c), 0.0] for c in range(side)]
+                                  for r in range(side)]
+        verdict["tolerances"]["feasibility"] = report_tol
+
+    out = _forged_2x2_gns(tmp_path, forge)
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 1
+    printed = capsys.readouterr().out
+    assert "certificate residual" in printed and "at tol 1e-08" in printed
+
+
+def test_verify_ignores_a_tiny_tolerance_in_the_report(tmp_path, capsys):
+    # 2x2-gns is consistent at the verifier's tol: relabelling it
+    # NOT_CONSISTENT at tol 1e-300 must not verify
+    def forge(verdict):
+        verdict["kind"] = "NOT_CONSISTENT"
+        verdict["tolerances"]["feasibility"] = 1e-300
+
+    out = _forged_2x2_gns(tmp_path, forge)
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 1
+    assert "consistent after all" in capsys.readouterr().out
+
+
+def test_verify_at_the_tol_a_report_was_made_at(problem_file, tmp_path, capsys):
+    out = tmp_path / "rep.json"
+    assert main(["check", problem_file, "--tol", "1e-6", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(out), "--tol", "1e-6"]) == 0
+    assert "verified at tol 1e-06:" in capsys.readouterr().out
+
+
+def test_verify_rejects_a_non_hermitian_certificate(tmp_path, capsys):
+    # one rule for the Hermitian defect: 1e-9 of ||X|| fails it
+    def forge(verdict):
+        X = np.array([[complex(*z) for z in row]
+                      for row in verdict["certificate"]])
+        X[0, 1] += 1e-9 * np.linalg.norm(X)
+        verdict["certificate"] = [[[z.real, z.imag] for z in row] for row in X]
+
+    out = _forged_2x2_gns(tmp_path, forge)
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 1
+    assert "certificate is not Hermitian" in capsys.readouterr().out
+
+
+def test_check_rejects_a_one_level_algebra(tmp_path, capsys):
+    # M_1 has no traceless part: n < 2 is an input error, exit 2, not a crash
+    path = tmp_path / "n1.json"
+    path.write_text(json.dumps(
+        {"n": 1, "density": {"diag": [1.0]}, "jumps": [], "s": 0.0}))
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "n: must be at least 2" in err

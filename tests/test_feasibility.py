@@ -15,7 +15,8 @@ import pytest
 
 from qmsderiv.cli import main
 from qmsderiv.constraints import DEFAULT_SIZE_CAP, assemble
-from qmsderiv.errors import DimensionMismatch
+import qmsderiv.feasibility as feasibility
+from qmsderiv.errors import DimensionMismatch, ToolError
 from qmsderiv.feasibility import (DEFAULT_PSD_TOL, AffineSolutionSet,
                                   EXIT_CODES, FEASIBLE, INDETERMINATE,
                                   NOT_CONSISTENT, NOT_PSD, decide, is_witness,
@@ -675,3 +676,31 @@ def test_decisions_do_not_import_scipy_optimize(tmp_path):
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("pid", ["2x2-gns", "3x3-gns"])
+def test_a_tolerance_that_is_not_positive_and_finite_is_refused(
+        preset_problems, monkeypatch, pid, tol):
+    # at tol -1, 0 or nan no residual would pass (2x2-gns NOT_CONSISTENT),
+    # at inf every residual would (3x3-gns NOT_PSD)
+    problem = preset_problems[pid]
+    system = assemble(problem.spec, problem.s)
+    solved = []
+    real = feasibility._solve_stacked
+    monkeypatch.setattr(feasibility, "_solve_stacked",
+                        lambda *a: solved.append(a) or real(*a))
+    with pytest.raises(ToolError, match="positive and finite"):
+        solve_affine(system, tol)
+    with pytest.raises(ToolError, match="positive and finite"):
+        decide(problem.spec, problem.s, tol)
+    assert solved == []
+
+
+def test_a_one_level_algebra_is_refused():
+    # M_1 has no traceless part, so the template has no Q1 block
+    spec = make_spec(DensityState.tracial(1), [])
+    with pytest.raises(ToolError, match="below 2"):
+        assemble(spec, 0.0)
+    with pytest.raises(ToolError, match="below 2"):
+        decide(spec, 0.0)

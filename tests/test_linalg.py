@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmsderiv.errors import DimensionMismatch, NotHermitian
-from qmsderiv.linalg import herm_eig, hermitian_decode, hermitian_encode
+from qmsderiv.linalg import (herm_eig, hermitian_decode, hermitian_encode,
+                             is_hermitian)
 from xspace import (CSR, _column_blocks, hermitian_vec_map, kron, nullspace,
                     stable_argsort, vstack)
 
@@ -51,6 +52,26 @@ def test_herm_eig_pauli_x():
 def test_herm_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("scale", [1e-14, 1.0, 1e8])
+def test_one_hermitian_defect_rule_at_every_scale(scale):
+    # herm_eig, hermitian_encode and is_hermitian accept and refuse the same
+    # matrices: a defect ||M - M*||_F of 0.71e-10 ||M||_F passes, 1.41e-10
+    # fails, at any scale, and M = 0 passes
+    M = scale * np.array([[1.0, 1.0], [1.0, 2.0]], dtype=complex)
+    near, off = M.copy(), M.copy()
+    near[0, 1] += 0.5e-10 * np.linalg.norm(M)
+    off[0, 1] += 1e-10 * np.linalg.norm(M)
+    assert is_hermitian(near) and not is_hermitian(off)
+    herm_eig(near)
+    hermitian_encode(near)
+    with pytest.raises(NotHermitian):
+        herm_eig(off)
+    with pytest.raises(NotHermitian):
+        hermitian_encode(off)
+    assert is_hermitian(np.zeros((2, 2)))
+    np.testing.assert_array_equal(herm_eig(np.zeros((2, 2)))[0], [0.0, 0.0])
 
 
 @pytest.mark.parametrize("m", [2, 3, 17, 81])

@@ -36,6 +36,23 @@ def test_ymatrix_roundtrip():
     np.testing.assert_allclose(YMatrix.from_six(y).six(), y, atol=0)
 
 
+@pytest.mark.parametrize("scale", [1e-14, 1e-8, 1.0, 1e8])
+def test_ymatrix_symmetry_is_judged_at_its_own_scale(scale):
+    # entries 2 and 1 at (1, 2) and (2, 1) are asymmetric at every scale; an
+    # asymmetry at rounding level of the largest entry is symmetrized away
+    with pytest.raises(DimensionMismatch, match="symmetric"):
+        YMatrix(scale * np.array([[1.0, 2.0, 0], [1.0, 1.0, 0], [0, 0, 1.0]]))
+    Y = scale * np.full((3, 3), 0.5)
+    Y[0, 1] *= 1.0 + 1e-13
+    entries = YMatrix(Y).entries
+    assert (entries == entries.T).all()
+    np.testing.assert_allclose(entries, scale * np.full((3, 3), 0.5), rtol=1e-12)
+
+
+def test_ymatrix_zero_is_exactly_symmetric():
+    assert not YMatrix.zero().entries.any()
+
+
 def test_ymatrix_rejects_asymmetric():
     with pytest.raises(DimensionMismatch):
         YMatrix(np.array([[1.0, 2.0, 0], [0.5, 1.0, 0], [0, 0, 1.0]]))
@@ -464,6 +481,27 @@ def test_out_of_range_s_fails_before_any_sample(monkeypatch, s, pin):
     seen = []
     with pytest.raises(ToolError, match="outside"):
         sweep(3, seed=1, s=s, pin=pin, on_record=seen.append)
+    assert seen == [] and drawn == []
+
+
+@pytest.mark.parametrize("bad", [
+    {"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan}, {"tol": math.inf},
+    {"predicate_tol": 0.0}, {"predicate_tol": -1.0},
+    {"predicate_tol": math.nan}, {"predicate_tol": math.inf},
+    {"count": -1}, {"seed": -1}, {"count": 2.0}, {"seed": None},
+])
+@pytest.mark.parametrize("pin", [None, (0.3, 2.5)])
+def test_unusable_arguments_fail_before_any_sample(monkeypatch, bad, pin):
+    # at tol = inf every raw sample would pass as consistent, and a negative
+    # count or seed would reach numpy as a ValueError after the pin is built
+    drawn = []
+    real = parametric._draw_samples
+    monkeypatch.setattr(parametric, "_draw_samples",
+                        lambda *a: drawn.append(a) or real(*a))
+    seen = []
+    kw = {"count": 3, "seed": 1, **bad}
+    with pytest.raises(ToolError, match=next(iter(bad))):
+        sweep(pin=pin, on_record=seen.append, **kw)
     assert seen == [] and drawn == []
 
 

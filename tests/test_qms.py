@@ -180,6 +180,25 @@ def test_validate_spec_accepts_an_adjoint_pair_at_any_scale(scale):
     assert validate_spec(make_spec(state, jumps)).adjoint_closed
 
 
+@pytest.mark.parametrize("omega,ok", [(5e-9, True), (2e-8, False)])
+def test_validate_spec_judges_the_eigenvector_relation_at_a_fixed_tol(omega, ok):
+    # tracial state: D V D^{-1} = V, so a jump's relative residual is
+    # |1 - e^{-omega}|, about |omega|, against the fixed 1e-8
+    jumps = [(E12, omega), (E21, -omega)]
+    report = validate_spec(make_spec(DensityState.tracial(2), jumps))
+    assert report.adjoint_closed
+    assert report.ok is ok
+
+
+def test_density_state_computes_its_own_eigendecomposition():
+    D = np.diag([0.25, 0.75]).astype(complex)
+    with pytest.raises(TypeError):
+        DensityState(2, D, eigvals=np.ones(2), eigvecs=np.eye(2))
+    state = DensityState(2, D)
+    np.testing.assert_allclose(state.eigvals, [0.25, 0.75])
+    np.testing.assert_allclose(state.power(1.0), D)
+
+
 def test_validate_spec_flags_non_eigenvector():
     state = spec_2x2().state
     V = E11 + E12
