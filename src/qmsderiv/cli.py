@@ -11,9 +11,9 @@ Exit codes: 0 FEASIBLE (or: repro matched / sweep above threshold / report
 verified), 10 NOT_CONSISTENT, 11 NOT_PSD, 12 INDETERMINATE, 1 repro
 mismatch / sweep below threshold / verification failure, 2 input errors.
 
-Reports are reproducible: the same input gives byte-identical
-reports apart from the timestamp and wall-clock timings, and a fingerprint
-over everything else is embedded so verify can detect edits.
+A report is one line of canonical JSON, the encoding its fingerprint hashes.
+The same input gives byte-identical reports apart from the timestamp and
+timings, and the fingerprint over everything else lets verify detect edits.
 """
 
 import argparse
@@ -60,7 +60,7 @@ def atomic_write(path, text):
 
 
 def build_report(problem, validation, system, sol, verdict, timings,
-                 command):
+                 command, **extra):
     report = {
         "tool": {"name": "qmsderiv", "version": __version__},
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -85,18 +85,19 @@ def build_report(problem, validation, system, sol, verdict, timings,
         },
         "verdict": verdict.as_dict(),
         "timings": timings,
+        **extra,
     }
     report["fingerprint"] = fingerprint_of(report)
     return report
 
 
 def _emit_report(report, out):
-    text = json.dumps(report, indent=2) + "\n"
+    text = canonical_json(report) + "\n"
     if out:
         atomic_write(out, text)
-        kind = report["verdict"]["kind"]
-        print(f"kind={kind} residual={report['verdict']['residual']:.3e} "
-              f"nullspace_dim={report['verdict']['nullspace_dim']} -> {out}")
+        v = report["verdict"]
+        print(f"kind={v['kind']} residual={v['residual']:.3e} "
+              f"nullspace_dim={v['nullspace_dim']} -> {out}")
     else:
         sys.stdout.write(text)
 
@@ -107,7 +108,7 @@ def tol_override(args, default):
     return default if args.tol is None else check_tol(args.tol, "--tol")
 
 
-def run_pipeline(problem, args):
+def run_pipeline(problem, args, preset=None):
     """Validate, assemble, solve, search; returns (report, verdict)."""
     opts = dict(problem.options)
     s = problem.s if args.s is None else args.s
@@ -141,8 +142,12 @@ def run_pipeline(problem, args):
         "rank_tol": DEFAULT_RANK_TOL,
         "psd_tol": DEFAULT_PSD_TOL,
     }
+    extra = {}
+    if preset is not None:
+        command.update(preset=args.id, expected=preset.expected)
+        extra["match"] = verdict.kind == preset.expected
     report = build_report(problem, validation, system, sol, verdict,
-                          timings, command)
+                          timings, command, **extra)
     return report, verdict
 
 
@@ -166,14 +171,10 @@ def cmd_repro(args):
         return 2
     try:
         problem = parse_problem(preset.problem)
-        report, verdict = run_pipeline(problem, args)
+        report, verdict = run_pipeline(problem, args, preset)
     except (SchemaError, ToolError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    report["command"]["preset"] = args.id
-    report["command"]["expected"] = preset.expected
-    report["match"] = verdict.kind == preset.expected
-    report["fingerprint"] = fingerprint_of(report)
     _emit_report(report, args.out)
     if not report["match"]:
         print(f"expected {preset.expected}, got {verdict.kind}",
@@ -182,10 +183,10 @@ def cmd_repro(args):
     return 0
 
 
-def _write_csv(path, records):
+def _csv_text(records):
     rows = [",".join(CSV_COLUMNS)]
     rows += [",".join(r.csv_row()) for r in records if r is not None]
-    atomic_write(path, "\n".join(rows) + "\n")
+    return "\n".join(rows) + "\n"
 
 
 def cmd_sweep(args):
@@ -200,29 +201,27 @@ def cmd_sweep(args):
     count = cfg["count"]
     seed = cfg["seed"] if args.seed is None else args.seed
     threshold = cfg["agree_threshold"]
-    collected = []
+    # on_record sees every record, in sample order (samples run in one
+    # thread); the returned ones would redraw them
+    records = []
     try:
         sweep(count, seed, project=cfg["project"], pin=cfg["pin"], s=cfg["s"],
               tol=tol, predicate_tol=cfg["predicate_tol"],
-              on_record=collected.append)
+              on_record=records.append)
     except ToolError as exc:
         # an unusable pin fails before any sample is drawn
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
         if args.out:
-            _write_csv(args.out, sorted(collected, key=lambda r: r.sample_id))
-            print(f"interrupted; {len(collected)} records flushed to {args.out}",
+            atomic_write(args.out, _csv_text(records))
+            print(f"interrupted; {len(records)} records flushed to {args.out}",
                   file=sys.stderr)
         return 130
-    # on_record has seen every record; the returned ones would redraw them
-    records = collected
     if args.out:
-        _write_csv(args.out, records)
+        atomic_write(args.out, _csv_text(records))
     else:
-        sys.stdout.write("\n".join(
-            [",".join(CSV_COLUMNS)] + [",".join(r.csv_row()) for r in records]
-        ) + "\n")
+        sys.stdout.write(_csv_text(records))
     rate = agreement_rate(records)
     errors = sum(1 for r in records if r.error is not None)
     print(f"samples={count} agreement={rate:.4f} errors={errors} "

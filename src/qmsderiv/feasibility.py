@@ -45,10 +45,11 @@ a linear stage and a conic stage:
      gap and the guard's residual ||G Jq0 - b|| as symmetry_residual; at
      most consistency_bound, Q0 is provably the maximiser.
 
-     That q0 is J-even is checked per undecided run, not proved. The
-     conjecture is that it follows from L being *-preserving and KMS
-     symmetric; data that no generator gives (b = G q for a random PSD q)
-     break it.
+     That q0 is J-even is checked per undecided run, not proved; the
+     conjecture is that it holds for *-preserving KMS-symmetric L at s = 1/2.
+     At s != 1/2 it fails on 352 of the 650 consistent sets of
+     tests/generic.py seeds 1-7, and data that no generator gives (b = G q
+     for a random PSD q) break it.
 
 The lift to X happens only where the contract sees X: the certificate
 (kept as the coordinates p of P, rebuilt as lift(P)), the witness vector,
@@ -338,11 +339,11 @@ class FeasibilityVerdict:
         }
         if self.certificate_coords is not None:
             X = self.certificate
-            out["certificate"] = _cmat_to_json(X)
-            out["spectrum"] = [float(x) for x in herm_eig(X)[0]]
+            out["certificate"] = _complex_to_json(X)
+            out["spectrum"] = herm_eig(X)[0].tolist()
         if self.reduced_witness is not None:
             out["witness"] = {
-                "vector": _cvec_to_json(self.witness_vector),
+                "vector": _complex_to_json(self.witness_vector),
                 "value": self.witness_value,
                 "coupling": self.witness_coupling,
             }
@@ -363,12 +364,9 @@ def _jsonable(obj):
     return obj
 
 
-def _cmat_to_json(M):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(M)]
-
-
-def _cvec_to_json(v):
-    return [[float(z.real), float(z.imag)] for z in np.asarray(v)]
+def _complex_to_json(a):
+    """Nested lists of the entries of a as [re, im] pairs."""
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 @functools.lru_cache(maxsize=64)

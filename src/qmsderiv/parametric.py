@@ -219,8 +219,9 @@ def solvable_predicate(p, Y, tol=DEFAULT_PREDICATE_TOL):
 
     The tolerance is relative to the magnitude of the individual terms, so
     cancellation to rounding level counts as zero while honest nonzero
-    values at any scale do not.
+    values at any scale do not. tol must be positive and finite.
     """
+    check_tol(tol, "tol")
     return _predicate(predicate_coefficients(p), Y.six(), tol)[1]
 
 

@@ -285,8 +285,9 @@ def validate_spec(spec):
 
 
 def gns_symmetry_check(spec):
-    """Largest relative GNS asymmetry |<L(A),B>_0 - <A,L(B)>_0| over
-    GNS_CHECK_TRIALS random pairs drawn from the seed GNS_CHECK_SEED."""
+    """Largest relative GNS asymmetry |lhs - rhs| / (|lhs| + |rhs|), lhs =
+    <L(A),B>_0 and rhs = <A,L(B)>_0, over GNS_CHECK_TRIALS random pairs
+    drawn from the seed GNS_CHECK_SEED; 0 where lhs = rhs = 0."""
     rng = np.random.default_rng(GNS_CHECK_SEED)
     n = spec.n
     worst = 0.0
@@ -297,6 +298,6 @@ def gns_symmetry_check(spec):
         lb = lindblad_apply(spec, B)
         lhs = s_inner(spec.state, 0.0, la, B)
         rhs = s_inner(spec.state, 0.0, A, lb)
-        scale = max(1.0, abs(lhs) + abs(rhs))
-        worst = max(worst, abs(lhs - rhs) / scale)
+        scale = abs(lhs) + abs(rhs)
+        worst = max(worst, abs(lhs - rhs) / scale if scale else 0.0)
     return worst

@@ -128,6 +128,37 @@ def test_repro_match(tmp_path, capsys):
     assert fingerprint_of(report) == report["fingerprint"]
 
 
+def test_check_writes_one_line_of_canonical_json(problem_file, tmp_path,
+                                                 capsys):
+    out = tmp_path / "r.json"
+    assert main(["check", problem_file, "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text == canonical_json(json.loads(text)) + "\n"
+
+
+def test_repro_fingerprints_its_report_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(report):
+        calls.append(1)
+        return fingerprint_of(report)
+
+    monkeypatch.setattr(cli, "fingerprint_of", counted)
+    assert main(["repro", "2x2-gns", "--out", str(tmp_path / "r.json")]) == 0
+    assert len(calls) == 1
+
+
+def test_verify_accepts_the_indented_layout(problem_file, tmp_path, capsys):
+    # reports written as json.dumps(indent=2) still verify: verify reads
+    # any layout and the fingerprint hashes the canonical encoding
+    out = tmp_path / "r.json"
+    assert main(["check", problem_file, "--out", str(out)]) == 0
+    out.write_text(json.dumps(json.loads(out.read_text()), indent=2) + "\n")
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 0
+    assert "verified" in capsys.readouterr().out
+
+
 def test_reports_fingerprint_stable_across_runs(problem_file, tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["check", problem_file, "--out", str(a)]) == 0

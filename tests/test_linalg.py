@@ -74,6 +74,17 @@ def test_one_hermitian_defect_rule_at_every_scale(scale):
     np.testing.assert_array_equal(herm_eig(np.zeros((2, 2)))[0], [0.0, 0.0])
 
 
+def test_hermitian_defect_rule_does_not_overflow():
+    # both Frobenius norms of 1e200 E12 overflow unless M is scaled first
+    E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    assert not is_hermitian(1e200 * E12)
+    with pytest.raises(NotHermitian):
+        herm_eig(1e200 * E12)
+    assert is_hermitian(1e200 * (E12 + E12.T))
+    np.testing.assert_allclose(herm_eig(1e200 * (E12 + E12.T))[0],
+                               [-1e200, 1e200], rtol=1e-15)
+
+
 @pytest.mark.parametrize("m", [2, 3, 17, 81])
 def test_herm_eig_reconstruction(m):
     rng = np.random.default_rng(m)

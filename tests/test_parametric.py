@@ -11,7 +11,7 @@ import pytest
 import qmsderiv.parametric as parametric
 import qmsderiv.qms as qms
 from qmsderiv.constraints import _state_factor, assemble
-from qmsderiv.errors import DimensionMismatch, ToolError
+from qmsderiv.errors import DimensionMismatch, SchemaError, ToolError
 from qmsderiv.feasibility import solve_affine
 from qmsderiv.parametric import (CSV_COLUMNS, DEFAULT_PREDICATE_TOL,
                                  LambdaPoint, YMatrix, _predicate, _sample_rhs,
@@ -148,6 +148,14 @@ def test_predicate_tracial_point_always_true():
     for _ in range(5):
         R = rng.uniform(0, 1, (3, 3))
         assert solvable_predicate(p, YMatrix(0.5 * (R + R.T)))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_solvable_predicate_rejects_bad_tol(tol):
+    # tol = inf would call every Y solvable
+    with pytest.raises(SchemaError):
+        solvable_predicate(LambdaPoint(0.3, 2.5),
+                           YMatrix(np.diag([1.0, 0.0, 0.0])), tol)
 
 
 def test_predicate_scale_invariance():

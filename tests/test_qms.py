@@ -224,6 +224,20 @@ def test_gns_symmetry_detects_corrupted_omega():
     assert gns_symmetry_check(bad) > 1e-3
 
 
+def test_gns_symmetry_check_has_no_scale_floor():
+    # the relative asymmetry of a broken spec is the same at every weight
+    good = spec_2x2()
+    om = good.jumps[0].omega
+
+    def broken(weight):
+        return gns_symmetry_check(make_spec(
+            good.state, [(E12, om + 0.3, weight), (E21, -om, weight)]))
+
+    values = [broken(w) for w in (1.0, 1e-6, 1e-10)]
+    assert values[0] > 1e-3
+    np.testing.assert_allclose(values, values[0], rtol=1e-6)
+
+
 def test_modular_group_commutation():
     rng = np.random.default_rng(7)
     for spec in (spec_2x2(), spec_3x3()):
