@@ -27,8 +27,10 @@ helpers that assemble uses, without building a Y, jumps or a generator spec.
 The samples share the cached per-size template and the SVD of its target
 matrix, so a sweep solves them a chunk at a time with one product over the
 stacked right-hand sides. Its result (SweepRecords) keeps only what the
-sweep computed, about 9 bytes a sample, and re-derives each sample's point,
-Y and predicate from the seed.
+sweep computed, 9 bytes a sample, and re-derives each sample's point, Y and
+predicate from the seed. The predicate is judged at the constant relative
+tolerance DEFAULT_PREDICATE_TOL, so the sweep's one tolerance is tol, its
+consistency bound tol * ||b||.
 """
 
 import itertools
@@ -43,12 +45,13 @@ import numpy as np
 
 from .constraints import (_check_s, _residual_bound, _state_factor,
                           _target_rhs, _target_values, system_template)
-from .errors import DimensionMismatch, SchemaError, ToolError
+from .errors import DimensionMismatch, SchemaError
 from .feasibility import _solve_stacked
 from .linalg import DEFAULT_FEAS_TOL, check_tol
 from .qms import (DensityState, Jump, LindbladSpec, _generator_matrix,
                   generator_matrix, make_spec)
 
+# the predicate holds when |c.y| <= DEFAULT_PREDICATE_TOL * sum |c_i y_i|
 DEFAULT_PREDICATE_TOL = 1e-10
 
 # flat positions of YMatrix.six()'s entries in Y, and of Y's in the six
@@ -214,25 +217,25 @@ def predicate_lhs(p, Y):
     return float(predicate_coefficients(p) @ Y.six())
 
 
-def solvable_predicate(p, Y, tol=DEFAULT_PREDICATE_TOL):
+def solvable_predicate(p, Y):
     """Whether (p, Y) lies on the solvability hyperplane within tolerance.
 
-    The tolerance is relative to the magnitude of the individual terms, so
-    cancellation to rounding level counts as zero while honest nonzero
-    values at any scale do not. tol must be positive and finite.
+    The tolerance, DEFAULT_PREDICATE_TOL, is relative to the magnitude of
+    the individual terms, so cancellation to rounding level counts as zero
+    while honest nonzero values at any scale do not.
     """
-    check_tol(tol, "tol")
-    return _predicate(predicate_coefficients(p), Y.six(), tol)[1]
+    return _predicate(predicate_coefficients(p), Y.six())[1]
 
 
-def _predicate(c, y, tol):
+def _predicate(c, y):
     """(predicate_lhs, solvable_predicate) for coefficients c and entries y.
 
-    The value is judged against tol * sum |c_i y_i|, with no floor: the
-    functional is linear in Y, so Y and k Y get the same flag for k > 0.
+    The value is judged against DEFAULT_PREDICATE_TOL * sum |c_i y_i|, with
+    no floor: the functional is linear in Y, so Y and k Y get the same flag
+    for k > 0.
     """
     lhs = float(c @ y)
-    return lhs, abs(lhs) <= tol * float(np.abs(c * y).sum())
+    return lhs, abs(lhs) <= DEFAULT_PREDICATE_TOL * float(np.abs(c * y).sum())
 
 
 def project_to_hyperplane(p, Y):
@@ -257,7 +260,12 @@ def _project(c, Y):
 
 @dataclass
 class SweepRecord:
-    """One sweep sample: closed-form prediction vs assembled-system truth."""
+    """One sweep sample: closed-form prediction vs assembled-system truth.
+
+    error is always None: a sweep refuses its arguments before the first
+    sample, and no sample fails after that. It is kept for callers that
+    read it.
+    """
 
     sample_id: int
     p: LambdaPoint
@@ -271,16 +279,12 @@ class SweepRecord:
 
     def csv_row(self):
         y = self.Y.six()
-        if self.error is not None:
-            tail = ["error", "nan", "false"]
-        else:
-            tail = [str(self.consistent).lower(), f"{self.residual:.6e}",
-                    str(self.agree).lower()]
         return [str(self.sample_id),
                 f"{self.p.lambda2:.17g}", f"{self.p.lambda3:.17g}",
                 *(f"{v:.17g}" for v in (y[0], y[1], y[2], y[3], y[4], y[5])),
                 f"{self.predicate_lhs:.6e}", str(self.predicate).lower(),
-                tail[0], tail[1], tail[2]]
+                str(self.consistent).lower(), f"{self.residual:.6e}",
+                str(self.agree).lower()]
 
 
 CSV_COLUMNS = ["sample_id", "lambda2", "lambda3",
@@ -341,23 +345,20 @@ class SweepRecords(Sequence):
     """A sweep's results, one entry per sample.
 
     Only what the sweep computed is kept: each sample's residual and
-    consistency flag (9 bytes a sample) and errors, which maps a failed
-    sample's index to its message. The sample's point, Y, predicate value
-    and predicate flag are re-derived from the sweep's arguments through
-    sample_inputs, so iterating walks the sample stream once and
+    consistency flag, 9 bytes a sample. The sample's point, Y, predicate
+    value and predicate flag are re-derived from the sweep's arguments
+    through sample_inputs, so iterating walks the sample stream once and
     records[k] walks it to k, in O(k). Y allows negative entries exactly
     when the sweep was projected.
     """
 
-    __slots__ = ("count", "seed", "project", "pin", "predicate_tol",
-                 "residual", "consistent", "errors")
+    __slots__ = ("count", "seed", "project", "pin", "residual", "consistent")
 
-    def __init__(self, count, seed, project, pin, predicate_tol):
-        self.count, self.seed, self.project = count, seed, project
-        self.pin, self.predicate_tol = pin, predicate_tol
+    def __init__(self, count, seed, project, pin):
+        self.count, self.seed = count, seed
+        self.project, self.pin = project, pin
         self.residual = np.full(count, np.nan)
         self.consistent = np.zeros(count, dtype=bool)
-        self.errors = {}
 
     def __len__(self):
         return self.count
@@ -373,12 +374,10 @@ class SweepRecords(Sequence):
 
     def record(self, k, p, Y):
         """The SweepRecord of sample k, drawn as (k, p, Y)."""
-        predicate_lhs, predicate = _predicate(p.coefficients, Y.six(),
-                                              self.predicate_tol)
-        consistent, error = bool(self.consistent[k]), self.errors.get(k)
+        predicate_lhs, predicate = _predicate(p.coefficients, Y.six())
+        consistent = bool(self.consistent[k])
         return SweepRecord(k, p, Y, predicate_lhs, predicate, consistent,
-                           float(self.residual[k]),
-                           error is None and predicate == consistent, error)
+                           float(self.residual[k]), predicate == consistent)
 
 
 def _check_nonnegative_int(value, name):
@@ -386,59 +385,48 @@ def _check_nonnegative_int(value, name):
         raise SchemaError(name, f"must be a nonnegative integer, got {value!r}")
 
 
-def sweep(count, seed, project=False, pin=None, s=0.0,
-          tol=DEFAULT_FEAS_TOL, predicate_tol=DEFAULT_PREDICATE_TOL,
+def sweep(count, seed, project=False, pin=None, s=0.0, tol=DEFAULT_FEAS_TOL,
           threads=1, on_record=None):
     """Compare the closed-form predicate against linear consistency.
 
     Returns SweepRecords, a sequence ordered by sample index; seed is an
-    integer, from which the records re-derive their samples. A count or
-    seed that is not a nonnegative integer, a tol or predicate_tol that is
-    not positive and finite, or an s outside [0, 1] (or NaN) raises a
-    ToolError before any sample is drawn, and so does an unusable pin: a
-    pinned sweep builds its one point first. Every sample takes one path:
-    the factors of its point are built when the
-    point changes (once for a pinned sweep), and its target right-hand
-    side is the one assemble(build_LY(p, Y), s) gives, against the
-    per-size template. The samples of each chunk of SWEEP_CHUNK are then
-    solved together by one product over their stacked right-hand sides,
-    each keeping its own residual and consistency bound tol * ||b||, and
-    on_record, when given, is called with each record of the chunk, built
-    from the drawn sample. Per-sample failures are kept as the record's
-    error and the sweep continues. threads is accepted for compatibility
-    and ignored: samples run in one thread.
+    integer, from which the records re-derive their samples. Every refusal
+    comes before the first draw: a count or seed that is not a nonnegative
+    integer, a tol that is not positive and finite, or an s outside [0, 1]
+    (or NaN) raises a ToolError, and so does an unusable pin, because a
+    pinned sweep builds its one point first; unpinned points are drawn in
+    e^[-2, 2], where every point is usable. Every sample takes one path:
+    the factors of its point are built when the point changes (once for a
+    pinned sweep), and its target right-hand side is the one
+    assemble(build_LY(p, Y), s) gives, against the per-size template. The
+    samples of each chunk of SWEEP_CHUNK are then solved together by one
+    product over their stacked right-hand sides, each keeping its own
+    residual and consistency bound tol * ||b||, and on_record, when given,
+    is called with each record of the chunk, built from the drawn sample.
+    threads is accepted for compatibility and ignored: samples run in one
+    thread.
     """
     _check_s(s)
     _check_nonnegative_int(count, "count")
     _check_nonnegative_int(seed, "seed")
     check_tol(tol, "tol")
-    check_tol(predicate_tol, "predicate_tol")
     samples = _draw_samples(count, seed, project, pin)
     out = SweepRecords(count, seed, project,
-                       None if pin is None else tuple(map(float, pin)),
-                       predicate_tol)
+                       None if pin is None else tuple(map(float, pin)))
     template = system_template(3)
     point = factors = None
     while chunk := list(itertools.islice(samples, SWEEP_CHUNK)):
-        solved, rhs = [], []
-        for k, p, Y in chunk:
-            try:
-                if p is not point:
-                    factors = _state_factor(p.state(), s), p.bohr_factors
-                    point = p
-                rhs.append(_sample_rhs(*factors, Y))
-                solved.append(k)
-            except ToolError as exc:
-                out.errors[k] = f"{type(exc).__name__}: {exc}"
-        if solved:
-            try:
-                _, residual, _ = _solve_stacked(template, np.array(rhs))
-                bound = np.array([_residual_bound(b, tol) for b in rhs])
-                out.residual[solved] = residual
-                out.consistent[solved] = residual <= bound
-            except ToolError as exc:
-                out.errors.update(
-                    (k, f"{type(exc).__name__}: {exc}") for k in solved)
+        rhs = []
+        for _, p, Y in chunk:
+            if p is not point:
+                factors = _state_factor(p.state(), s), p.bohr_factors
+                point = p
+            rhs.append(_sample_rhs(*factors, Y))
+        _, residual, _ = _solve_stacked(template, np.array(rhs))
+        bound = np.array([_residual_bound(b, tol) for b in rhs])
+        first = chunk[0][0]
+        out.residual[first:first + len(rhs)] = residual
+        out.consistent[first:first + len(rhs)] = residual <= bound
         if on_record:
             for k, p, Y in chunk:
                 on_record(out.record(k, p, YMatrix(Y, allow_negative=project)))
@@ -449,7 +437,7 @@ def agreement_rate(records):
     """Fraction of records whose prediction matched; empty sweeps count as 1."""
     if not records:
         return 1.0
-    return sum(1 for r in records if r.error is None and r.agree) / len(records)
+    return sum(1 for r in records if r.agree) / len(records)
 
 
 def diag_jump_identity(a, b, c):

@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import SchemaError
 from .linalg import DEFAULT_FEAS_TOL
-from .parametric import DEFAULT_PREDICATE_TOL
 from .qms import DensityState, make_spec
 
 # the optional tolerance, a positive number; rank cut and PSD slack are fixed
@@ -69,10 +68,25 @@ def _as_entry(value, path):
     return complex(_as_number(value, path), 0.0)
 
 
+_type_of = np.frompyfunc(type, 1, 1)
+
+
 def parse_vector(value, n, path):
-    """Decode a length-n complex vector from a JSON list."""
+    """Decode a length-n complex vector from a JSON list.
+
+    Types, shape and finiteness are checked once, with numpy; the type test
+    refuses bools, which a float conversion would read as 0 and 1. Only a
+    vector that fails them, or mixes numbers and [re, im] pairs, is decoded
+    entry by entry, which names the first bad entry's path.
+    """
     _require(isinstance(value, list) and len(value) == n,
              path, f"expected {n} entries")
+    a = np.array(value, dtype=object)
+    kind = _type_of(a)
+    if a.shape in ((n,), (n, 2)) and ((kind == float) | (kind == int)).all():
+        x = a.astype(float)
+        if np.isfinite(x).all():
+            return x.astype(complex) if x.ndim == 1 else x.view(complex)[:, 0]
     return np.array([_as_entry(entry, f"{path}[{k}]")
                      for k, entry in enumerate(value)], dtype=complex)
 
@@ -171,14 +185,14 @@ def load_problem(path):
 
 
 SWEEP_KEYS = {"count", "seed", "project", "lambda2", "lambda3", "s",
-              "agree_threshold", "predicate_tol", "tol"}
+              "agree_threshold", "tol"}
 
 
 def parse_sweep_config(doc):
     """Validate a sweep config document and fill in its defaults.
 
     Every key is optional. Returns a dict with count, seed, project, pin
-    ((lambda2, lambda3) or None), s, tol, predicate_tol and agree_threshold.
+    ((lambda2, lambda3) or None), s, tol and agree_threshold.
     """
     _require(isinstance(doc, dict), "", "sweep config must be a JSON object")
     unknown = set(doc) - SWEEP_KEYS
@@ -191,12 +205,10 @@ def parse_sweep_config(doc):
         cfg[key] = _as_int(doc.get(key, default), key)
         _require(cfg[key] >= 0, key, "must be nonnegative")
     for key, default in (("s", 0.0), ("tol", DEFAULT_FEAS_TOL),
-                         ("predicate_tol", DEFAULT_PREDICATE_TOL),
                          ("agree_threshold", 0.99)):
         cfg[key] = _as_number(doc.get(key, default), key)
     _require(0.0 <= cfg["s"] <= 1.0, "s", "must lie in [0, 1]")
-    for key in ("tol", "predicate_tol"):
-        _require(cfg[key] > 0, key, "must be positive")
+    _require(cfg["tol"] > 0, "tol", "must be positive")
     if "lambda2" in doc:
         cfg["pin"] = (_as_number(doc["lambda2"], "lambda2"),
                       _as_number(doc["lambda3"], "lambda3"))

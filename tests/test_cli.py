@@ -198,6 +198,14 @@ def test_sweep_rejects_unknown_config_keys(tmp_path, capsys):
     assert main(["sweep", str(cfg)]) == 2
 
 
+def test_sweep_rejects_the_retired_predicate_tol(tmp_path, capsys):
+    # the predicate's tolerance is a constant; only tol is a sweep option
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"count": 2, "predicate_tol": 1e-10}))
+    assert main(["sweep", str(cfg)]) == 2
+    assert "unknown keys ['predicate_tol']" in capsys.readouterr().err
+
+
 def test_sweep_rejects_half_pin(tmp_path, capsys):
     cfg = tmp_path / "halfpin.json"
     cfg.write_text(json.dumps({"count": 2, "lambda2": 3.0}))
@@ -451,6 +459,76 @@ def chain_problem(n):
         jumps += [{"V": up, "omega": omega},
                   {"V": [list(row) for row in zip(*up)], "omega": -omega}]
     return {"n": n, "density": {"diag": d}, "jumps": jumps, "s": 0.5}
+
+
+def tracial_chain(n):
+    """The n-level chain at the tracial state, s = 0: FEASIBLE."""
+    jumps = []
+    for i in range(n - 1):
+        for r, c in ((i, i + 1), (i + 1, i)):
+            jumps.append({"V": [[1.0 if (a, b) == (r, c) else 0.0
+                                 for b in range(n)] for a in range(n)]})
+    return {"n": n, "density": {"diag": [1.0 / n] * n}, "jumps": jumps,
+            "s": 0.0}
+
+
+@pytest.fixture(scope="module")
+def n3_evidence_reports(tmp_path_factory):
+    """check reports at n = 3, keyed by their evidence: an 81 x 81
+    certificate (FEASIBLE) and an 81-entry witness vector (NOT_PSD)."""
+    root = tmp_path_factory.mktemp("n3")
+    paths = {}
+    for evidence, doc, code in (("certificate", tracial_chain(3), 0),
+                                ("witness.vector", chain_problem(3), 11)):
+        problem, out = root / "problem.json", root / f"{evidence}.json"
+        problem.write_text(json.dumps(doc))
+        assert main(["check", str(problem), "--out", str(out)]) == code
+        paths[evidence] = out
+    return paths
+
+
+def _evidence_of(verdict, evidence):
+    if evidence == "certificate":
+        return verdict["certificate"]
+    return verdict["witness"]["vector"]
+
+
+@pytest.mark.parametrize("evidence", ["certificate", "witness.vector"])
+def test_untouched_n3_evidence_verifies(n3_evidence_reports, capsys, evidence):
+    assert main(["verify", str(n3_evidence_reports[evidence])]) == 0
+
+
+@pytest.mark.parametrize("evidence", ["certificate", "witness.vector"])
+@pytest.mark.parametrize("entry,at", [
+    (True, ""), ("0.5", ""), (None, ""), ([0.5], ""), ([0.5, 0.0, 0.0], ""),
+    ({"re": 0.5}, ""), (math.nan, ""), (math.inf, ""),
+    ([False, 0.0], "[0]"), ([0.5, "x"], "[1]"), ([0.5, None], "[1]"),
+    ([-math.inf, 0.0], "[0]"), ([0.5, math.nan], "[1]"),
+    ("short row", ""),
+])
+def test_verify_names_the_first_bad_evidence_entry(
+        n3_evidence_reports, tmp_path, capsys, evidence, entry, at):
+    # planted deep in the evidence, ahead of a second bad entry: verify
+    # refuses with exit 2 and names the first one by its JSON path
+    report = json.loads(n3_evidence_reports[evidence].read_text())
+    values = _evidence_of(report["verdict"], evidence)
+    if evidence == "certificate":
+        values, later, path = values[40], values[70], "certificate[40]"
+    else:
+        later, path = values, "witness.vector"
+    later[70] = True
+    if entry == "short row":
+        del values[-1]
+        expected = f"{path}: expected 81 entries"
+    else:
+        k = 17 if evidence == "certificate" else 40
+        values[k] = entry
+        expected = f"{path}[{k}]{at}: "
+    report["fingerprint"] = fingerprint_of(report)
+    damaged = tmp_path / "damaged.json"
+    damaged.write_text(json.dumps(report))
+    assert main(["verify", str(damaged)]) == 2
+    assert f"input error: malformed evidence: {expected}" in capsys.readouterr().err
 
 
 def test_five_level_chain_is_not_psd_and_verifies(tmp_path, capsys):

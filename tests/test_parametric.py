@@ -1,6 +1,7 @@
 """Parametric generator family, solvability predicate, and sweeps."""
 
 import hashlib
+import itertools
 import math
 import tracemalloc
 from collections.abc import Sequence
@@ -11,10 +12,10 @@ import pytest
 import qmsderiv.parametric as parametric
 import qmsderiv.qms as qms
 from qmsderiv.constraints import _state_factor, assemble
-from qmsderiv.errors import DimensionMismatch, SchemaError, ToolError
+from qmsderiv.errors import DimensionMismatch, ToolError
 from qmsderiv.feasibility import solve_affine
-from qmsderiv.parametric import (CSV_COLUMNS, DEFAULT_PREDICATE_TOL,
-                                 LambdaPoint, YMatrix, _predicate, _sample_rhs,
+from qmsderiv.parametric import (CSV_COLUMNS, LambdaPoint, YMatrix,
+                                 _predicate, _sample_rhs,
                                  agreement_rate, build_LY,
                                  diag_jump_identity, predicate_coefficients,
                                  predicate_lhs, project_to_hyperplane,
@@ -152,10 +153,13 @@ def test_predicate_tracial_point_always_true():
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
 def test_solvable_predicate_rejects_bad_tol(tol):
-    # tol = inf would call every Y solvable
-    with pytest.raises(SchemaError):
-        solvable_predicate(LambdaPoint(0.3, 2.5),
-                           YMatrix(np.diag([1.0, 0.0, 0.0])), tol)
+    # the predicate's tolerance is the constant DEFAULT_PREDICATE_TOL: no
+    # caller sets one, so every tol is an unexpected argument
+    p, Y = LambdaPoint(0.3, 2.5), YMatrix(np.diag([1.0, 0.0, 0.0]))
+    with pytest.raises(TypeError):
+        solvable_predicate(p, Y, tol)
+    with pytest.raises(TypeError, match="tol"):
+        solvable_predicate(p, Y, tol=tol)
 
 
 def test_predicate_scale_invariance():
@@ -167,9 +171,10 @@ def test_predicate_scale_invariance():
 
 
 def test_predicate_has_no_floor():
-    # a tiny Y is judged at its own scale, not against an absolute floor
-    lhs, flag = _predicate(np.array([1.0, 2.0]), np.array([1e-10, 1e-10]), 1e-9)
-    assert lhs == pytest.approx(3e-10, rel=1e-15)
+    # a tiny Y is judged at its own scale, not against an absolute floor:
+    # DEFAULT_PREDICATE_TOL * max(1, sum |c_i y_i|) would call it solvable
+    lhs, flag = _predicate(np.array([1.0, 2.0]), np.array([1e-11, 1e-11]))
+    assert lhs == pytest.approx(3e-11, rel=1e-15)
     assert flag is False
 
 
@@ -178,10 +183,10 @@ def test_predicate_flag_is_scale_free(project):
     # the functional is linear in Y, so c.y and c.(k y) get the same flag
     for _, p, Y in sample_inputs(20, 11, project=project):
         c, y = p.coefficients, Y.six()
-        flag = _predicate(c, y, DEFAULT_PREDICATE_TOL)[1]
+        flag = _predicate(c, y)[1]
         assert flag is project
         for k in 10.0 ** np.arange(-12, 9):
-            assert _predicate(c, k * y, DEFAULT_PREDICATE_TOL)[1] is flag
+            assert _predicate(c, k * y)[1] is flag
 
 
 def test_projection_lands_on_hyperplane_and_is_idempotent():
@@ -414,8 +419,7 @@ def test_sweep_memory_is_flat():
 @pytest.mark.parametrize("project", [False, True])
 def test_short_pinned_sweep_keeps_little(project):
     # a 50-sample call, as the benchmark makes them: the fixed cost of the
-    # records (their arguments, two arrays and the errors map) is shared by
-    # few samples
+    # records (their arguments and two arrays) is shared by few samples
     pin = (PI, E ** PI)
     sweep(2, seed=0, pin=pin)
     kept, _ = _kept_bytes_per_sample(50, seed=1, pin=pin, project=project)
@@ -501,16 +505,29 @@ def test_out_of_range_s_fails_before_any_sample(monkeypatch, s, pin):
 @pytest.mark.parametrize("pin", [None, (0.3, 2.5)])
 def test_unusable_arguments_fail_before_any_sample(monkeypatch, bad, pin):
     # at tol = inf every raw sample would pass as consistent, and a negative
-    # count or seed would reach numpy as a ValueError after the pin is built
+    # count or seed would reach numpy as a ValueError after the pin is built;
+    # predicate_tol is no longer a parameter, so any value is a TypeError
     drawn = []
     real = parametric._draw_samples
     monkeypatch.setattr(parametric, "_draw_samples",
                         lambda *a: drawn.append(a) or real(*a))
     seen = []
     kw = {"count": 3, "seed": 1, **bad}
-    with pytest.raises(ToolError, match=next(iter(bad))):
+    error = TypeError if "predicate_tol" in bad else ToolError
+    with pytest.raises(error, match=next(iter(bad))):
         sweep(pin=pin, on_record=seen.append, **kw)
     assert seen == [] and drawn == []
+
+
+@pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("project", [False, True])
+def test_extreme_usable_pins_record_no_error(s, project):
+    # every refusal comes before the first draw: at the most extreme usable
+    # pins each sample is solved, with a finite residual and no error
+    for pin in itertools.product((1e-30, 1e30), repeat=2):
+        records = sweep(16, seed=1, pin=pin, s=s, project=project)
+        assert all(r.error is None and math.isfinite(r.residual)
+                   for r in records)
 
 
 def test_csv_row_matches_columns():
