@@ -36,7 +36,8 @@ from .linalg import (DEFAULT_FEAS_TOL, DEFAULT_RANK_TOL, check_tol, herm_eig,
                      is_hermitian)
 from .parametric import CSV_COLUMNS, agreement_rate, sweep
 from .problems import (load_problem, load_sweep_config, parse_matrix,
-                       parse_problem, parse_vector, presets)
+                       parse_problem, parse_s, parse_vector, presets,
+                       read_json)
 from .qms import validate_spec
 
 VOLATILE_KEYS = ("timestamp", "timings", "fingerprint")
@@ -72,8 +73,8 @@ def build_report(problem, validation, system, sol, verdict, timings,
             "n": system.n,
             "s": system.s,
             "unknowns": system.unknowns,
-            "rows": system.counts["rows_total"],
-            "counts": dict(system.counts),
+            "rows": system.template.counts["rows_total"],
+            "counts": dict(system.template.counts),
         },
         "solution_set": None if sol is None else {
             "consistent": sol.consistent,
@@ -231,32 +232,29 @@ def cmd_sweep(args):
 def cmd_verify(args):
     try:
         tol = tol_override(args, DEFAULT_FEAS_TOL)
-        with open(args.report) as fh:
-            report = json.load(fh)
+        report = read_json(args.report)
     except SchemaError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"input error: cannot load report: {exc}", file=sys.stderr)
-        return 2
     for key in ("input", "verdict", "fingerprint"):
-        if key not in report:
+        if not isinstance(report, dict) or key not in report:
             print(f"input error: report missing '{key}'", file=sys.stderr)
             return 2
     if fingerprint_of(report) != report["fingerprint"]:
         print("verification FAILED: fingerprint mismatch (report edited?)")
         return 1
+    verdict, command = report["verdict"], report.get("command", {})
     try:
         problem = parse_problem(report["input"])
+        for key, value in (("verdict", verdict), ("command", command)):
+            if not isinstance(value, dict):
+                raise SchemaError(key, "expected an object")
+        s = parse_s(command["s"], "command.s") if "s" in command else problem.s
+        system = assemble(problem.spec, s)
     except (SchemaError, ToolError) as exc:
-        print(f"input error: echoed problem invalid: {exc}", file=sys.stderr)
+        print(f"input error: malformed report: {exc}", file=sys.stderr)
         return 2
-
-    verdict = report["verdict"]
     kind = verdict.get("kind")
-    s = report.get("command", {}).get("s", problem.s)
-
-    system = assemble(problem.spec, s)
     side = system.m ** 2
     witness = verdict.get("witness")
     try:

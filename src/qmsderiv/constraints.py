@@ -41,16 +41,18 @@ by those of Q2: n^4 - n^2 + 1 real unknowns, 73 at n = 3. In q the target
 family is one dense real matrix G of 2 m^2 rows (the real and imaginary
 part of the equation for each pair (a, b)), which depends only on n.
 
-A per-size template holds T, G and the derivation vectors; it is built
-once per n and cached. A ConstraintSystem is that template plus the target
-right-hand side, read off the generator's m x m matrix. The equations over
-X stay the independent check: ConstraintSystem.matrix_residual evaluates a
-matrix X against the 2m intertwining equations, with L_a and R_a applied in
-closed form, and against the target equations, and one threshold,
-residual_bound = tol * ||b||, judges the consistency test, certificates and
-verify. It scales with the generator, as the equations do, so c L and L
-pass or fail together for every c > 0; for b = 0 it is an exact zero.
+A per-size template holds T, G, G's SVD and the derivation vectors; it is
+built once per n and cached. A ConstraintSystem is that template plus the
+target right-hand side, read off the generator's m x m matrix. The
+equations over X stay the independent check: ConstraintSystem.
+matrix_residual evaluates a matrix X against the 2m intertwining equations,
+with L_a and R_a applied in closed form, and against the target equations,
+and one threshold, residual_bound = tol * ||b||, judges the consistency
+test, certificates and verify. It scales with the generator, as the
+equations do, so c L and L pass or fail together for every c > 0; for
+b = 0 it is an exact zero.
 """
+import collections
 import functools
 import math
 import types
@@ -60,7 +62,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, SizeCapExceeded
-from .linalg import CSR, as_cmatrix, hermitian_coords, hermitian_decode
+from .linalg import (CSR, DEFAULT_RANK_TOL, _rank, as_cmatrix,
+                     hermitian_coords, hermitian_decode)
 from .qms import generator_matrix
 
 DEFAULT_SIZE_CAP = 5
@@ -295,6 +298,12 @@ def _derivation_vectors(n):
     return V
 
 
+# G = U diag(sv) Vt, cut at rank; basis = Vt[rank:] spans the solution space,
+# and diagnostics is the size's read-only mapping of G's counts, rank and
+# margins, which every solution set and verdict of the size shows
+TargetSVD = collections.namedtuple("TargetSVD", "U sv Vt rank basis diagnostics")
+
+
 @dataclass(frozen=True)
 class SystemTemplate:
     """The part of the system that depends only on the algebra size n.
@@ -302,7 +311,8 @@ class SystemTemplate:
     T is the frame of the bimodule coordinates (module docstring) and G the
     target rows in q, rows (a, b, re/im); V holds the derivation vectors
     psi(Q_a (x) 1). A reduced matrix Q is the block matrix Q1 (+) Q2, of
-    side k = n^2 - 1 + n.
+    side k = n^2 - 1 + n. G's SVD (target_svd) is computed on first use
+    and kept with the template, so it goes when the template does.
     """
 
     n: int
@@ -315,6 +325,26 @@ class SystemTemplate:
     def unknowns(self):
         """Length of q: (n^2 - 1)^2 + n^2."""
         return self.G.shape[1]
+
+    @functools.cached_property
+    def target_svd(self):
+        """G's TargetSVD. The rank cut is DEFAULT_RANK_TOL times the largest
+        singular value (feasibility module docstring)."""
+        U, sv, Vt = np.linalg.svd(self.G, full_matrices=False)
+        rank = int(_rank(sv, sv[0], DEFAULT_RANK_TOL))
+        basis = np.ascontiguousarray(Vt[rank:])
+        for a in (U, sv, Vt, basis):
+            a.flags.writeable = False
+        diagnostics = types.MappingProxyType({
+            "hom_kernel_dim": int(Vt.shape[1]),    # the coordinates q
+            "target_rank": rank,
+            "solution_dim": int(basis.shape[0]),
+            "target_sv_max": float(sv[0]),
+            "target_sv_min_kept": float(sv[rank - 1]) if rank else 0.0,
+            "target_sv_max_dropped": float(sv[rank]) if rank < sv.size else 0.0,
+            "system_counts": self.counts,
+        })
+        return TargetSVD(U, sv, Vt, rank, basis, diagnostics)
 
     def matrix(self, q):
         """The reduced matrix Q1 (+) Q2 with coordinates q."""
@@ -425,7 +455,8 @@ def system_template(n):
     return tpl
 
 
-def clear_template_cache():
+def clear_caches():
+    """Drop every size's template, and G's SVD with it."""
     _TEMPLATE_CACHE.clear()
 
 
@@ -501,8 +532,8 @@ class ConstraintSystem:
 
     b_target holds the right-hand sides of the template's target rows G,
     so a q solves the system when G q = b_target; F holds the target values
-    f(Q_a, Q_b*), which matrix_residual checks X against. The template and
-    counts are shared by every system of size n.
+    f(Q_a, Q_b*), which matrix_residual checks X against. The template is
+    shared by every system of size n.
     """
 
     n: int
@@ -511,7 +542,6 @@ class ConstraintSystem:
     template: SystemTemplate = field(repr=False)
     b_target: np.ndarray = field(repr=False)
     F: np.ndarray = field(repr=False)
-    counts: Mapping
 
     @property
     def G(self):
@@ -522,10 +552,6 @@ class ConstraintSystem:
     def A(self):
         """The reduced system's matrix, G."""
         return CSR.from_dense(self.G)
-
-    @property
-    def b(self):
-        return self.b_target
 
     @property
     def unknowns(self):
@@ -579,8 +605,7 @@ def assemble(spec, s):
         raise SizeCapExceeded(f"algebra size {n} exceeds cap {DEFAULT_SIZE_CAP}")
     tpl = system_template(n)
     F = target_form(spec, s).F
-    return ConstraintSystem(n, n * n, float(s), tpl, _target_rhs(F), F,
-                            tpl.counts)
+    return ConstraintSystem(n, n * n, float(s), tpl, _target_rhs(F), F)
 
 
 def dump_system(system, path):
@@ -594,5 +619,5 @@ def dump_system(system, path):
         for row, col, value in zip(A.entry_rows, A.indices, A.data):
             fh.write(f"{row} {col} {value:.17g}\n")
     with open(str(path) + ".rhs", "w") as fh:
-        for idx in np.nonzero(system.b)[0]:
-            fh.write(f"{idx} {system.b[idx]:.17g}\n")
+        for idx in np.nonzero(system.b_target)[0]:
+            fh.write(f"{idx} {system.b_target[idx]:.17g}\n")

@@ -9,15 +9,16 @@ eigenvalues read in q are those of Q, not of X. The pipeline is split into
 a linear stage and a conic stage:
 
   1. solve_affine solves the target rows G q = b. G depends only on the
-     algebra size, so its SVD is computed once per size and cached. Its
-     rank cut is fixed at DEFAULT_RANK_TOL times the largest singular
-     value: at every supported size the kept ones lie above 1e-2 and the
-     dropped ones below 1e-14 of it (tested). The result is the min-norm
-     q0, an orthonormal basis of the solution space (the right singular
-     vectors past the rank) and a NOT_CONSISTENT flag when ||G q0 - b||
-     exceeds the set's consistency_bound tol * ||b||, tol being the one
-     tolerance a caller sets. G's rows are the target equations over X,
-     written in q, so this is X's residual too.
+     algebra size, so its SVD is computed once per size and kept with the
+     size's template (SystemTemplate.target_svd). Its rank cut is fixed
+     at DEFAULT_RANK_TOL times the largest singular value: at every
+     supported size the kept ones lie above 1e-2 and the dropped ones
+     below 1e-14 of it (tested). The result is the min-norm q0, an
+     orthonormal basis of the solution space (the right singular vectors
+     past the rank) and a NOT_CONSISTENT flag when ||G q0 - b|| exceeds
+     the set's consistency_bound tol * ||b||, tol being the one tolerance
+     a caller sets. G's rows are the target equations over X, written in
+     q, so this is X's residual too.
 
   2. psd_search asks whether the affine set {Q0 + sum_k t_k N_k} holds a
      PSD point, and decides it at Q0 alone. The transposition-conjugation
@@ -72,10 +73,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import assemble, clear_template_cache
+from .constraints import assemble
 from .errors import DimensionMismatch
-from .linalg import (DEFAULT_FEAS_TOL, DEFAULT_RANK_TOL, _rank, check_tol,
-                     herm_eig)
+from .linalg import DEFAULT_FEAS_TOL, DEFAULT_RANK_TOL, check_tol, herm_eig
 
 FEASIBLE = "FEASIBLE"
 NOT_CONSISTENT = "NOT_CONSISTENT"
@@ -93,13 +93,6 @@ DEFAULT_PSD_TOL = 1e-9
 DEFAULT_WITNESS_VALUE_TOL = 1e-6
 DEFAULT_WITNESS_COUPLING_TOL = 1e-8
 
-_TARGET_SVD_CACHE = {}
-
-
-def clear_caches():
-    _TARGET_SVD_CACHE.clear()
-    clear_template_cache()
-
 
 class AffineSolutionSet:
     """Solution set {Q0 + sum_k t_k N_k} of the assembled system.
@@ -110,26 +103,24 @@ class AffineSolutionSet:
     at q0_coords alone, so a set given by another of its points is moved
     to the min-norm one: q0 - B^T B q0. residual is
     ||G q0 - b||; consistent means it is at most consistency_bound, the
-    system's residual_bound(tol). size_diagnostics is the read-only mapping
-    that every set of the size shares.
+    system's residual_bound(tol). diagnostics shows the size's ones, read
+    from the template, then the set's own.
     """
 
-    def __init__(self, system, q0, basis_array, residual, consistent,
-                 size_diagnostics, tol=DEFAULT_FEAS_TOL):
+    def __init__(self, system, q0, basis_array, residual, tol=DEFAULT_FEAS_TOL):
         self.system = system
         q0 = np.asarray(q0, dtype=float)
         B = np.asarray(basis_array, dtype=float)
         self.q0_coords = q0 - B.T @ (B @ q0) if len(B) else q0
         self.basis_array = B
         self.residual = float(residual)
-        self.consistent = bool(consistent)
-        self.size_diagnostics = size_diagnostics
         self.tol = tol
         self.consistency_bound = system.residual_bound(tol)
+        self.consistent = self.residual <= self.consistency_bound
 
     @property
     def diagnostics(self):
-        return _diagnostics(self.size_diagnostics, residual=self.residual,
+        return _diagnostics(self.system.template, residual=self.residual,
                             consistency_bound=self.consistency_bound)
 
     @property
@@ -155,39 +146,22 @@ def is_witness(value, coupling, q0_norm):
             and coupling <= DEFAULT_WITNESS_COUPLING_TOL)
 
 
-def _target_svd(system):
-    # (U, sv, Vt, rank, solution-space basis, diagnostics of the size),
-    # cached per size so that sweep samples, and the verdicts that report
-    # the margins, share them
-    if system.n in _TARGET_SVD_CACHE:
-        return _TARGET_SVD_CACHE[system.n]
-    U, sv, Vt = np.linalg.svd(system.G, full_matrices=False)
-    rank = int(_rank(sv, sv[0], DEFAULT_RANK_TOL))
-    basis = np.ascontiguousarray(Vt[rank:])
-    shared = types.MappingProxyType({
-        "hom_kernel_dim": int(Vt.shape[1]),    # the coordinates q
-        "target_rank": rank,
-        "solution_dim": int(basis.shape[0]),
-        "target_sv_max": float(sv[0]),
-        "target_sv_min_kept": float(sv[rank - 1]) if rank else 0.0,
-        "target_sv_max_dropped": float(sv[rank]) if rank < sv.size else 0.0,
-        "system_counts": system.counts,
-    })
-    out = _TARGET_SVD_CACHE[system.n] = (U, sv, Vt, rank, basis, shared)
-    return out
+def _target_svd(template):
+    """The template's TargetSVD; the first call at a size computes it."""
+    return template.target_svd
 
 
-def _solve_stacked(system, B):
-    """Min-norm solutions of G q = b, one per row b of B.
+def _solve_stacked(template, B):
+    """Min-norm solutions of G q = b, one per row b of B, for the
+    template's G.
 
-    system is a ConstraintSystem or its template: only its size, G and
-    counts are read. Row j of Q0 is q0 = Vt^T diag(1/sv) U^T B[j] through the cached
+    Row j of Q0 is q0 = Vt^T diag(1/sv) U^T B[j] through the template's
     SVD, all rows in one product, and residual[j] is ||G q0 - B[j]||.
-    Returns (Q0, residual, svd) with svd = _target_svd's tuple.
+    Returns (Q0, residual, svd) with svd the template's TargetSVD.
     """
-    svd = U, sv, Vt, rank, _, _ = _target_svd(system)
+    svd = U, sv, Vt, rank, _, _ = _target_svd(template)
     Q0 = (B @ U[:, :rank] / sv[:rank]) @ Vt[:rank]
-    residual = np.linalg.norm(Q0 @ system.G.T - B, axis=1)
+    residual = np.linalg.norm(Q0 @ template.G.T - B, axis=1)
     return Q0, residual, svd
 
 
@@ -200,10 +174,8 @@ def solve_affine(system, tol=DEFAULT_FEAS_TOL):
     not positive and finite raises a SchemaError before any work.
     """
     check_tol(tol, "tol")
-    Q0, residual, svd = _solve_stacked(system, system.b_target[None])
-    return AffineSolutionSet(system, Q0[0], svd[4], residual[0],
-                             residual[0] <= system.residual_bound(tol), svd[5],
-                             tol)
+    Q0, residual, svd = _solve_stacked(system.template, system.b_target[None])
+    return AffineSolutionSet(system, Q0[0], svd.basis, residual[0], tol)
 
 
 def witness_check(sol, v):
@@ -261,11 +233,12 @@ def witness_hunt(sol, q_coords, eig=None):
     return None
 
 
-def _diagnostics(size_diagnostics, **own):
-    """A read-only mapping of the size's values, then the run's own ones
-    that are set."""
+def _diagnostics(template, **own):
+    """A read-only mapping of the template's size diagnostics, then the
+    run's own ones that are set."""
     return types.MappingProxyType(
-        {**size_diagnostics, **{k: v for k, v in own.items() if v is not None}})
+        {**template.target_svd.diagnostics,
+         **{k: v for k, v in own.items() if v is not None}})
 
 
 @dataclass(slots=True)
@@ -276,22 +249,21 @@ class FeasibilityVerdict:
     template: certificate_coords is p, the coordinates of the PSD part of
     the certified point's Q, and reduced_witness the witness u of Q.
     certificate, spectrum and witness_vector give the same evidence in X's
-    space, rebuilt on every read. The tolerances and size_diagnostics are
-    read-only mappings shared by every verdict that uses them; the fields
-    after them are the run's own diagnostics, None where a stage did not
-    run, and diagnostics shows both as one mapping.
+    space, rebuilt on every read. The tolerances are a read-only mapping
+    shared by every verdict that uses them; the fields after them are the
+    run's own diagnostics, None where a stage did not run, and diagnostics
+    shows the template's size diagnostics and those as one mapping.
     """
 
     kind: str
     residual: float
     nullspace_dim: int
-    template: object = field(default=None, repr=False)
+    template: object = field(repr=False)
     certificate_coords: np.ndarray = None
     reduced_witness: np.ndarray = None
     witness_value: float = None
     witness_coupling: float = None
     tolerances: Mapping = field(default_factory=dict)
-    size_diagnostics: Mapping = field(default_factory=dict, repr=False)
     least_squares_residual: float = None
     consistency_bound: float = None
     stop: str = None
@@ -302,7 +274,7 @@ class FeasibilityVerdict:
     @property
     def diagnostics(self):
         return _diagnostics(
-            self.size_diagnostics, residual=self.least_squares_residual,
+            self.template, residual=self.least_squares_residual,
             consistency_bound=self.consistency_bound, stop=self.stop,
             cone_gap=self.cone_gap, symmetry_residual=self.symmetry_residual,
             certificate_min_eig=self.certificate_min_eig)
@@ -351,16 +323,10 @@ class FeasibilityVerdict:
 
 
 def _jsonable(obj):
+    """obj with its read-only mappings, at any depth, as dicts; every other
+    value of the diagnostics is a Python str, int or float already."""
     if isinstance(obj, Mapping):
         return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
     return obj
 
 
@@ -378,13 +344,12 @@ def _tolerances(tol):
 
 
 def _verdict(sol, kind, **fields):
-    """A verdict on sol, with the set's residual, tolerances and
+    """A verdict on sol, with the set's residual, template, tolerances and
     diagnostics."""
     fields.setdefault("residual", sol.residual)
     return FeasibilityVerdict(
-        kind=kind, nullspace_dim=sol.dim, tolerances=_tolerances(sol.tol),
-        size_diagnostics=sol.size_diagnostics,
-        least_squares_residual=sol.residual,
+        kind=kind, nullspace_dim=sol.dim, template=sol.system.template,
+        tolerances=_tolerances(sol.tol), least_squares_residual=sol.residual,
         consistency_bound=sol.consistency_bound, **fields)
 
 
@@ -407,8 +372,8 @@ def _certify(sol, q_coords, eig, **own):
     residual = system.matrix_residual(tpl.lift(tpl.matrix(p)))
     if residual > sol.consistency_bound:
         return None
-    return _verdict(sol, FEASIBLE, residual=residual, template=tpl,
-                    certificate_coords=p, certificate_min_eig=float(w[0]), **own)
+    return _verdict(sol, FEASIBLE, residual=residual, certificate_coords=p,
+                    certificate_min_eig=float(w[0]), **own)
 
 
 def psd_search(sol):
@@ -432,8 +397,7 @@ def psd_search(sol):
     hunt = witness_hunt(sol, q0, eig0)
     if hunt is not None:
         u, value, coupling = hunt
-        return _verdict(sol, NOT_PSD, template=tpl,
-                        reduced_witness=u, witness_value=value,
+        return _verdict(sol, NOT_PSD, reduced_witness=u, witness_value=value,
                         witness_coupling=coupling, stop="x0_witness",
                         cone_gap=cone_gap)
     symmetry = float(np.linalg.norm(sol.system.G @ tpl.conjugate(q0)

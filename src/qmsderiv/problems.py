@@ -24,6 +24,7 @@ M_3; their transcendental constants are evaluated once at import time in
 binary64, and the evaluated values are what gets echoed into reports.
 """
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass
@@ -48,9 +49,19 @@ def _require(cond, path, message):
 def _as_number(value, path):
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              path, f"expected a number, got {type(value).__name__}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:
+        raise SchemaError(path, "lies beyond the float range") from None
     _require(math.isfinite(v), path, "must be finite")
     return v
+
+
+def parse_s(value, path):
+    """The inner-product parameter s: a number in [0, 1]."""
+    s = _as_number(value, path)
+    _require(0.0 <= s <= 1.0, path, "must lie in [0, 1]")
+    return s
 
 
 def _as_int(value, path):
@@ -76,17 +87,19 @@ def parse_vector(value, n, path):
 
     Types, shape and finiteness are checked once, with numpy; the type test
     refuses bools, which a float conversion would read as 0 and 1. Only a
-    vector that fails them, or mixes numbers and [re, im] pairs, is decoded
-    entry by entry, which names the first bad entry's path.
+    vector that fails them, mixes numbers and [re, im] pairs or holds an
+    integer beyond the float range, is decoded entry by entry, which names
+    the first bad entry's path.
     """
     _require(isinstance(value, list) and len(value) == n,
              path, f"expected {n} entries")
     a = np.array(value, dtype=object)
     kind = _type_of(a)
     if a.shape in ((n,), (n, 2)) and ((kind == float) | (kind == int)).all():
-        x = a.astype(float)
-        if np.isfinite(x).all():
-            return x.astype(complex) if x.ndim == 1 else x.view(complex)[:, 0]
+        with contextlib.suppress(OverflowError):
+            x = a.astype(float)
+            if np.isfinite(x).all():
+                return x.astype(complex) if x.ndim == 1 else x.view(complex)[:, 0]
     return np.array([_as_entry(entry, f"{path}[{k}]")
                      for k, entry in enumerate(value)], dtype=complex)
 
@@ -138,8 +151,7 @@ def parse_problem(doc):
 
     n = _as_int(doc["n"], "n")
     _require(2 <= n, "n", "must be at least 2")
-    s = _as_number(doc["s"], "s")
-    _require(0.0 <= s <= 1.0, "s", "must lie in [0, 1]")
+    s = parse_s(doc["s"], "s")
 
     D = parse_density(doc["density"], n, "density")
     state = DensityState.from_matrix(D)
@@ -170,18 +182,19 @@ def parse_problem(doc):
     return ProblemFile(doc, n, spec, s, options)
 
 
-def _read_json(path):
+def read_json(path):
+    """The JSON document at path; SchemaError when it cannot be read."""
     try:
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
         raise SchemaError("", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:     # a JSONDecodeError, or an over-long integer
         raise SchemaError("", f"{path} is not valid JSON: {exc}") from exc
 
 
 def load_problem(path):
-    return parse_problem(_read_json(path))
+    return parse_problem(read_json(path))
 
 
 SWEEP_KEYS = {"count", "seed", "project", "lambda2", "lambda3", "s",
@@ -204,10 +217,9 @@ def parse_sweep_config(doc):
     for key, default in (("count", 200), ("seed", 42)):
         cfg[key] = _as_int(doc.get(key, default), key)
         _require(cfg[key] >= 0, key, "must be nonnegative")
-    for key, default in (("s", 0.0), ("tol", DEFAULT_FEAS_TOL),
-                         ("agree_threshold", 0.99)):
+    cfg["s"] = parse_s(doc.get("s", 0.0), "s")
+    for key, default in (("tol", DEFAULT_FEAS_TOL), ("agree_threshold", 0.99)):
         cfg[key] = _as_number(doc.get(key, default), key)
-    _require(0.0 <= cfg["s"] <= 1.0, "s", "must lie in [0, 1]")
     _require(cfg["tol"] > 0, "tol", "must be positive")
     if "lambda2" in doc:
         cfg["pin"] = (_as_number(doc["lambda2"], "lambda2"),
@@ -218,7 +230,7 @@ def parse_sweep_config(doc):
 
 
 def load_sweep_config(path):
-    return parse_sweep_config(_read_json(path))
+    return parse_sweep_config(read_json(path))
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,10 @@ import time
 import numpy as np
 import pytest
 
-from qmsderiv.constraints import TensorElem, assemble, left_act, right_act, target_form
-from qmsderiv.feasibility import (FEASIBLE, NOT_CONSISTENT, NOT_PSD,
-                                  clear_caches, decide, solve_affine,
-                                  witness_check)
+from qmsderiv.constraints import (TensorElem, assemble, clear_caches,
+                                  left_act, right_act, target_form)
+from qmsderiv.feasibility import (FEASIBLE, NOT_CONSISTENT, NOT_PSD, decide,
+                                  solve_affine, witness_check)
 from qmsderiv.linalg import hermitian_encode
 from qmsderiv.parametric import (LambdaPoint, YMatrix, agreement_rate,
                                  build_LY, diag_jump_identity, sweep)

@@ -383,8 +383,9 @@ def test_verify_rejects_a_zero_certificate_of_a_tiny_generator(tmp_path, capsys)
 
 def test_verify_rejects_non_report(tmp_path, capsys):
     path = tmp_path / "x.json"
-    path.write_text(json.dumps({"hello": 1}))
-    assert main(["verify", str(path)]) == 2
+    for doc in ({"hello": 1}, [], "input verdict fingerprint"):
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 2
 
 
 def test_verify_infeasibility_reports(tmp_path, capsys):
@@ -445,6 +446,33 @@ def test_verify_malformed_evidence_is_an_input_error(evidence_reports, tmp_path,
     path.write_text(json.dumps(report))
     assert main(["verify", str(path)]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("command", [], "command: expected an object"),
+    ("command", None, "command: expected an object"),
+    ("command.s", "x", "command.s: expected a number"),
+    ("command.s", 2.0, "command.s: must lie in [0, 1]"),
+    ("command.s", True, "command.s: expected a number"),
+    ("command.s", 10 ** 400, "command.s: lies beyond the float range"),
+    ("verdict", [], "verdict: expected an object"),
+    ("input", "chain6", "algebra size 6 exceeds cap 5"),
+], ids=["command-list", "command-null", "s-string", "s-above-1", "s-bool",
+        "s-huge", "verdict-list", "input-over-cap"])
+def test_verify_refuses_a_malformed_report(evidence_reports, tmp_path, capsys,
+                                           field, value, message):
+    # re-fingerprinted forgeries: exit 2, an input error naming the field,
+    # not a traceback or exit 1, the code of a failed verification
+    report = json.loads(evidence_reports["2x2-gns"].read_text())
+    if field == "command.s":
+        report["command"]["s"] = value
+    else:
+        report[field] = chain_problem(6) if value == "chain6" else value
+    report["fingerprint"] = fingerprint_of(report)
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(report))
+    assert main(["verify", str(path)]) == 2
+    assert f"input error: malformed report: {message}" in capsys.readouterr().err
 
 
 def chain_problem(n):
@@ -529,6 +557,48 @@ def test_verify_names_the_first_bad_evidence_entry(
     damaged.write_text(json.dumps(report))
     assert main(["verify", str(damaged)]) == 2
     assert f"input error: malformed evidence: {expected}" in capsys.readouterr().err
+
+
+HUGE = 10 ** 400    # an integer beyond the float range
+
+
+@pytest.mark.parametrize("evidence", ["certificate", "witness.vector"])
+@pytest.mark.parametrize("entry,at", [
+    (HUGE, ""), ([HUGE, 0.0], "[0]"), ([0.5, -HUGE], "[1]"),
+], ids=["number", "real-part", "imaginary-part"])
+def test_verify_names_an_evidence_entry_beyond_the_float_range(
+        n3_evidence_reports, tmp_path, capsys, evidence, entry, at):
+    # the entries of a pair go through numpy at once, where the integer
+    # overflows; the entry-by-entry decode then names it
+    report = json.loads(n3_evidence_reports[evidence].read_text())
+    values = _evidence_of(report["verdict"], evidence)
+    path = "witness.vector"
+    if evidence == "certificate":
+        values, path = values[40], "certificate[40]"
+    values[17] = entry
+    report["fingerprint"] = fingerprint_of(report)
+    damaged = tmp_path / "damaged.json"
+    damaged.write_text(json.dumps(report))
+    assert main(["verify", str(damaged)]) == 2
+    assert (f"input error: malformed evidence: {path}[17]{at}: lies beyond "
+            "the float range") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("digits,message", [
+    (401, "jumps[0].weight: lies beyond the float range"),
+    (5000, "is not valid JSON"),
+])
+def test_check_refuses_a_weight_beyond_the_float_range(tmp_path, capsys,
+                                                       digits, message):
+    # 401 digits parse as a Python int and overflow float; past 4300 digits
+    # the JSON reader itself refuses the integer
+    doc = json.loads(json.dumps(TRACIAL_2X2))
+    doc["jumps"][0]["weight"] = 7
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc).replace('"weight": 7',
+                                            '"weight": 1' + "0" * (digits - 1)))
+    assert main(["check", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_five_level_chain_is_not_psd_and_verifies(tmp_path, capsys):

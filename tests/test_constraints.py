@@ -182,7 +182,7 @@ def test_target_form_is_s_inner_of_generator(preset_problems, random_spec,
 def test_assemble_counts_2x2(gns_2x2):
     # 2m matrix equations over X, m^2 complex target equations, which are
     # 2 m^2 real rows over the n^4 - n^2 + 1 coordinates q
-    counts = assemble(gns_2x2, 0.0).counts
+    counts = assemble(gns_2x2, 0.0).template.counts
     assert counts["intertwining_equations"] == 2 * 4
     assert counts["target_equations"] == 4 ** 2
     assert counts["reduced_unknowns"] == 2 ** 4 - 2 ** 2 + 1 == 13
@@ -213,7 +213,7 @@ def test_assemble_counts_3x3():
 def test_assemble_zero_spec_is_homogeneous():
     spec = make_spec(DensityState.tracial(2), [])
     system = assemble(spec, 0.0)
-    assert np.all(system.b == 0)
+    assert np.all(system.b_target == 0)
     assert system.residual_of(np.zeros(system.unknowns)) == 0.0
 
 
@@ -242,9 +242,9 @@ def test_system_counts_pinned(preset_problems, pid):
     problem = preset_problems[pid]
     n = problem.spec.n
     system = assemble(problem.spec, problem.s)
-    assert system.counts == SYSTEM_COUNTS[n]
-    assert system.A.shape == (system.counts["rows_total"],
-                              system.counts["reduced_unknowns"])
+    counts = system.template.counts
+    assert counts == SYSTEM_COUNTS[n]
+    assert system.A.shape == (counts["rows_total"], counts["reduced_unknowns"])
     ref = xspace.system_template(n)
     assert ref.counts == REFERENCE_COUNTS[n]
     assert ref.hom.shape == (ref.counts["hom_rows_after_dedup"], n ** 8)
@@ -410,7 +410,7 @@ def test_system_shape(gns_2x2):
     system = assemble(gns_2x2, 0.0)
     assert system.unknowns == 4 ** 4 == 256
     assert system.A.shape == (32, 13)
-    assert system.b.shape == (32,)
+    assert system.b_target.shape == (32,)
 
 
 def test_adjointability_roundtrip(preset_problems, hom_kernels):
@@ -451,7 +451,8 @@ def test_permuted_basis_same_consistency(preset_table, preset_problems, relabel)
         renamed = parse_problem(relabel(preset.problem, np.roll(np.arange(p.spec.n), 1)))
         base = assemble(p.spec, p.s)
         shuffled = assemble(renamed.spec, renamed.s)
-        assert np.linalg.norm(shuffled.b) == pytest.approx(np.linalg.norm(base.b))
+        assert (np.linalg.norm(shuffled.b_target)
+                == pytest.approx(np.linalg.norm(base.b_target)))
         base, shuffled = solve_affine(base), solve_affine(shuffled)
         assert base.consistent == shuffled.consistent
         assert base.dim == shuffled.dim
@@ -471,10 +472,10 @@ def test_dump_system_format(tmp_path, gns_2x2):
         assert (r, c) > prev  # sorted by (row, col), no duplicates
         prev = (r, c)
     rhs = (tmp_path / "system.txt.rhs").read_text().splitlines()
-    assert len(rhs) == np.count_nonzero(system.b)
+    assert len(rhs) == np.count_nonzero(system.b_target)
     for line in rhs:
         idx, val = line.split()
-        assert abs(system.b[int(idx)] - float(val)) <= 1e-16
+        assert abs(system.b_target[int(idx)] - float(val)) <= 1e-16
 
 
 def test_systems_share_the_template_and_differ_only_in_b(gns_2x2, monkeypatch):
@@ -482,7 +483,7 @@ def test_systems_share_the_template_and_differ_only_in_b(gns_2x2, monkeypatch):
     other = assemble(gns_2x2, 0.5)
     assert other.template is system.template is system_template(2)
     assert other.G is system.G is system_template(2).G
-    assert not np.allclose(other.b, system.b)
+    assert not np.allclose(other.b_target, system.b_target)
     assert other.hom_row_count == 0
     # deciding never stacks the full matrix
     monkeypatch.setattr(ConstraintSystem, "A", property(
@@ -501,7 +502,7 @@ def test_residual_of_equals_the_stacked_residual(preset_problems):
         for q in (solve_affine(system).q0_coords,
                   rng.standard_normal(system.template.unknowns)):
             X = lifted(system, q)
-            expect = np.linalg.norm(G @ q - system.b)
+            expect = np.linalg.norm(G @ q - system.b_target)
             assert abs(system.matrix_residual(X) - expect) <= 1e-12 * max(1.0, expect)
             assert system.residual_of(hermitian_encode(X)) == pytest.approx(
                 system.matrix_residual(X), rel=1e-9, abs=1e-14)

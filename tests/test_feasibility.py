@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from qmsderiv.cli import main
-from qmsderiv.constraints import DEFAULT_SIZE_CAP, assemble
+from qmsderiv.constraints import (DEFAULT_SIZE_CAP, assemble, clear_caches,
+                                  system_template)
 import qmsderiv.feasibility as feasibility
 from qmsderiv.errors import DimensionMismatch, ToolError
 from qmsderiv.feasibility import (DEFAULT_PSD_TOL, AffineSolutionSet,
@@ -124,7 +125,7 @@ def test_3x3_gns_not_consistent(solutions, verdicts):
     sol = solutions["3x3-gns"]
     assert not sol.consistent
     # far above the bound even when the unit-norm rows count toward it
-    A, b = sol.system.A, sol.system.b
+    A, b = sol.system.A, sol.system.b_target
     frobenius = float(np.sqrt((A.data ** 2).sum()))
     assert sol.residual > 1e-8 * max(1.0, frobenius, float(np.linalg.norm(b)))
 
@@ -157,7 +158,7 @@ def test_witness_check_trivial_solution_set(systems):
     system = systems["2x2-gns"]
     reduced = system.template.unknowns
     sol = AffineSolutionSet(system, np.zeros(reduced), np.zeros((0, reduced)),
-                            0.0, True, {})
+                            0.0)
     value, coupling = witness_check(sol, np.ones(16, dtype=complex))
     assert value == 0.0
     assert coupling == 0.0
@@ -211,7 +212,7 @@ def test_psd_search_independent_of_basis_choice(solutions):
     sol = solutions["3x3-kms"]
     Q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((sol.dim,) * 2))
     rotated = AffineSolutionSet(sol.system, sol.q0_coords, Q @ sol.basis_array,
-                                sol.residual, sol.consistent, sol.diagnostics)
+                                sol.residual)
     base, turned = psd_search(sol), psd_search(rotated)
     assert turned.kind == base.kind
     assert abs(turned.diagnostics["cone_gap"]
@@ -224,8 +225,7 @@ def test_psd_search_climbs_from_a_shifted_base_point(solutions):
     sol = solutions["3x3-kms"]
     B = sol.basis_array
     point = sol.q0_coords + 0.5 * (B[0] + B[1])
-    shifted = AffineSolutionSet(sol.system, point, B, sol.residual,
-                                sol.consistent, sol.diagnostics)
+    shifted = AffineSolutionSet(sol.system, point, B, sol.residual)
     gap = psd_search(sol).diagnostics["cone_gap"]
     assert herm_eig(sol.system.template.matrix(point))[0][0] < gap - 0.01
     np.testing.assert_allclose(shifted.q0_coords, sol.q0_coords, atol=1e-12)
@@ -244,8 +244,7 @@ def test_psd_search_climbs_back_to_a_certificate():
     sol = solve_affine(assemble(problem.spec, problem.s))
     B = sol.basis_array
     point = sol.q0_coords + 3.0 * B[0]
-    shifted = AffineSolutionSet(sol.system, point, B, sol.residual,
-                                sol.consistent, sol.diagnostics)
+    shifted = AffineSolutionSet(sol.system, point, B, sol.residual)
     assert herm_eig(sol.system.template.matrix(point))[0][0] < -0.1
     verdict = psd_search(shifted)
     assert verdict.kind == FEASIBLE
@@ -609,9 +608,11 @@ def test_solve_affine_diagnostics(solutions):
     # the rank cut of G, the only one, sits far from both sides
     assert diag["target_sv_min_kept"] > 0.5
     assert diag["target_sv_max_dropped"] < 1e-13
-    # the per-size part is one mapping, shared by every set of the size
-    assert (solutions["3x3-kms"].size_diagnostics
-            is solutions["3x3-gns"].size_diagnostics)
+    # the per-size part is the template's one mapping, shared by every set
+    # of the size
+    tpl = solutions["3x3-kms"].system.template
+    assert solutions["3x3-gns"].system.template is tpl
+    assert tpl.target_svd.diagnostics.items() <= diag.items()
 
 
 @pytest.mark.parametrize("n", range(2, DEFAULT_SIZE_CAP + 1))
@@ -641,9 +642,48 @@ def test_the_solution_set_carries_its_tolerance(systems):
         assert verdict.tolerances["rank"] == DEFAULT_RANK_TOL
         assert verdict.tolerances["psd"] == DEFAULT_PSD_TOL
     hand_built = AffineSolutionSet(system, sol.q0_coords, sol.basis_array,
-                                   sol.residual, sol.consistent,
-                                   sol.size_diagnostics)
+                                   sol.residual)
     assert hand_built.consistency_bound == system.residual_bound(1e-8)
+
+
+@pytest.mark.parametrize("pid", ["3x3-kms", "zero"])
+@pytest.mark.parametrize("tol", [1e-8, 1e-3])
+def test_a_hand_built_set_derives_its_consistency(systems, pid, tol):
+    # a set is consistent exactly when its residual is at most its own
+    # tol * ||b||; for b = 0 (no jumps) that bound is an exact zero
+    system = (assemble(make_spec(DensityState.tracial(2), []), 0.0)
+              if pid == "zero" else systems[pid])
+    sol = solve_affine(system)
+    bound = system.residual_bound(tol)
+    assert (bound == 0.0) == (pid == "zero")
+    for residual in (0.0, bound, np.nextafter(bound, np.inf), 2 * bound + 1e-300):
+        built = AffineSolutionSet(system, sol.q0_coords, sol.basis_array,
+                                  residual, tol)
+        assert built.consistency_bound == bound
+        assert built.consistent == (residual <= bound)
+
+
+def test_every_verdict_reads_its_size_diagnostics_from_the_template(
+        solutions, verdicts):
+    for pid, v in verdicts.items():
+        tpl = solutions[pid].system.template
+        assert v.template is tpl
+        assert tpl.target_svd.diagnostics.items() <= v.diagnostics.items()
+    assert {v.kind for v in verdicts.values()} == {FEASIBLE, NOT_CONSISTENT,
+                                                   NOT_PSD}
+
+
+def test_clear_caches_drops_the_svd_with_the_template():
+    tpl = system_template(2)
+    svd = feasibility._target_svd(tpl)
+    assert feasibility._target_svd(tpl) is svd is tpl.target_svd
+    clear_caches()
+    fresh = system_template(2)
+    assert fresh is not tpl and "target_svd" not in vars(fresh)
+    again = feasibility._target_svd(fresh)
+    assert again is not svd
+    np.testing.assert_array_equal(again.basis, svd.basis)
+    assert again.diagnostics == svd.diagnostics
 
 
 def test_decisions_do_not_import_scipy_optimize(tmp_path):

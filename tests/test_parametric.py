@@ -305,7 +305,7 @@ def test_sweep_matches_per_sample_solve(kw):
         assert r.predicate == solvable_predicate(r.p, r.Y)
         assert r.consistent == sol.consistent
         assert r.agree == (r.predicate == sol.consistent)
-        scale = max(1.0, float(np.linalg.norm(system.b)))
+        scale = max(1.0, float(np.linalg.norm(system.b_target)))
         assert abs(r.residual - sol.residual) <= 1e-12 * scale
 
 
