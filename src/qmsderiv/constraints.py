@@ -56,8 +56,6 @@ import collections
 import functools
 import math
 import types
-from collections.abc import Mapping
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,7 +84,6 @@ def _tidx(n, i, j, k, l):
     return n ** 3 * i + n ** 2 * k + n * j + l
 
 
-@dataclass(frozen=True)
 class TensorElem:
     """Sparse element of M_n (x) M_n: a map (i,j,k,l) -> coefficient.
 
@@ -94,20 +91,17 @@ class TensorElem:
     E_ij and (k,l) the second. Zero coefficients are dropped on construction.
     """
 
-    n: int
-    terms: tuple
-
-    def __post_init__(self):
+    def __init__(self, n, terms):
         cleaned = {}
-        for (i, j, k, l), c in dict(self.terms).items():
+        for (i, j, k, l), c in dict(terms).items():
             for v in (i, j, k, l):
-                if not 0 <= v < self.n:
-                    raise IndexOutOfRange(f"tensor index {v} outside 0..{self.n - 1}")
+                if not 0 <= v < n:
+                    raise IndexOutOfRange(f"tensor index {v} outside 0..{n - 1}")
             c = complex(c)
             if c != 0:
                 cleaned[(i, j, k, l)] = cleaned.get((i, j, k, l), 0) + c
-        items = tuple(sorted((q, c) for q, c in cleaned.items() if c != 0))
-        object.__setattr__(self, "terms", items)
+        self.n = n
+        self.terms = tuple(sorted((q, c) for q, c in cleaned.items() if c != 0))
 
     @classmethod
     def unit(cls, n, i, j, k, l, coeff=1.0):
@@ -190,7 +184,6 @@ def right_act(t, A):
     return TensorElem(n, terms)
 
 
-@dataclass(frozen=True)
 class TargetForm:
     """Values f(Q_a, Q_b*) of the prescribed form on the matrix-unit basis.
 
@@ -198,13 +191,10 @@ class TargetForm:
     (Q_{n i + j} = E_ij, 0-based).
     """
 
-    s: float
-    F: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        F = as_cmatrix(self.F).copy()
+    def __init__(self, s, F):
+        F = as_cmatrix(F).copy()
         F.flags.writeable = False
-        object.__setattr__(self, "F", F)
+        self.s, self.F = s, F
 
 
 def target_form(spec, s):
@@ -304,7 +294,6 @@ def _derivation_vectors(n):
 TargetSVD = collections.namedtuple("TargetSVD", "U sv Vt rank basis diagnostics")
 
 
-@dataclass(frozen=True)
 class SystemTemplate:
     """The part of the system that depends only on the algebra size n.
 
@@ -313,13 +302,11 @@ class SystemTemplate:
     psi(Q_a (x) 1). A reduced matrix Q is the block matrix Q1 (+) Q2, of
     side k = n^2 - 1 + n. G's SVD (target_svd) is computed on first use
     and kept with the template, so it goes when the template does.
+    counts is a read-only mapping, shared by the size's systems.
     """
 
-    n: int
-    T: np.ndarray = field(repr=False)
-    G: np.ndarray = field(repr=False)
-    V: np.ndarray = field(repr=False)
-    counts: Mapping                    # read-only, shared by systems
+    def __init__(self, n, T, G, V, counts):
+        self.n, self.T, self.G, self.V, self.counts = n, T, G, V, counts
 
     @property
     def unknowns(self):
@@ -526,7 +513,6 @@ def _intertwining_residual_sq(X, n):
     return float(total)
 
 
-@dataclass
 class ConstraintSystem:
     """The feasibility system of one problem: a template plus its target values.
 
@@ -536,12 +522,9 @@ class ConstraintSystem:
     shared by every system of size n.
     """
 
-    n: int
-    m: int
-    s: float
-    template: SystemTemplate = field(repr=False)
-    b_target: np.ndarray = field(repr=False)
-    F: np.ndarray = field(repr=False)
+    def __init__(self, n, m, s, template, b_target, F):
+        self.n, self.m, self.s, self.template = n, m, s, template
+        self.b_target, self.F = b_target, F
 
     @property
     def G(self):

@@ -69,7 +69,6 @@ unit vector's coupling to unit directions, which carries no scale.
 import functools
 import types
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -241,7 +240,6 @@ def _diagnostics(template, **own):
          **{k: v for k, v in own.items() if v is not None}})
 
 
-@dataclass(slots=True)
 class FeasibilityVerdict:
     """Outcome of the PSD feasibility decision with its evidence attached.
 
@@ -250,26 +248,28 @@ class FeasibilityVerdict:
     the certified point's Q, and reduced_witness the witness u of Q.
     certificate, spectrum and witness_vector give the same evidence in X's
     space, rebuilt on every read. The tolerances are a read-only mapping
-    shared by every verdict that uses them; the fields after them are the
-    run's own diagnostics, None where a stage did not run, and diagnostics
-    shows the template's size diagnostics and those as one mapping.
+    shared by every verdict that uses them. The slots from
+    least_squares_residual on are the run's own diagnostics, and
+    diagnostics shows the template's size diagnostics and those as one
+    mapping. The evidence (certificate_coords to witness_coupling) and the
+    run's diagnostics are passed by name; each one not passed is None. A
+    verdict has slots and no __dict__, because callers keep many.
     """
 
-    kind: str
-    residual: float
-    nullspace_dim: int
-    template: object = field(repr=False)
-    certificate_coords: np.ndarray = None
-    reduced_witness: np.ndarray = None
-    witness_value: float = None
-    witness_coupling: float = None
-    tolerances: Mapping = field(default_factory=dict)
-    least_squares_residual: float = None
-    consistency_bound: float = None
-    stop: str = None
-    cone_gap: float = None
-    symmetry_residual: float = None
-    certificate_min_eig: float = None
+    __slots__ = ("kind", "residual", "nullspace_dim", "template", "tolerances",
+                 "certificate_coords", "reduced_witness", "witness_value",
+                 "witness_coupling", "least_squares_residual",
+                 "consistency_bound", "stop", "cone_gap", "symmetry_residual",
+                 "certificate_min_eig")
+
+    def __init__(self, kind, residual, nullspace_dim, template, tolerances,
+                 **own):
+        self.kind, self.residual, self.nullspace_dim = kind, residual, nullspace_dim
+        self.template, self.tolerances = template, tolerances
+        for name in self.__slots__[5:]:
+            setattr(self, name, own.pop(name, None))
+        if own:
+            raise TypeError(f"unknown verdict fields {sorted(own)}")
 
     @property
     def diagnostics(self):

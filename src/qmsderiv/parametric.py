@@ -38,7 +38,6 @@ import math
 import numbers
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -59,7 +58,6 @@ _SIX = np.array([0, 1, 2, 4, 5, 8])
 _FROM_SIX = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
-@dataclass(frozen=True)
 class YMatrix:
     """Real symmetric 3x3 weight matrix for the generator family.
 
@@ -70,11 +68,8 @@ class YMatrix:
     this admits is symmetrized away.
     """
 
-    entries: np.ndarray = field(repr=False)
-    allow_negative: bool = False
-
-    def __post_init__(self):
-        Y = np.asarray(self.entries, dtype=float)
+    def __init__(self, entries, allow_negative=False):
+        Y = np.asarray(entries, dtype=float)
         if Y.shape != (3, 3):
             raise DimensionMismatch(f"Y must be 3x3, got {Y.shape}")
         if not np.isfinite(Y).all():
@@ -82,12 +77,12 @@ class YMatrix:
         if np.abs(Y - Y.T).max() > 1e-12 * np.abs(Y).max():
             raise DimensionMismatch("Y must be symmetric")
         Y = 0.5 * (Y + Y.T)
-        if not self.allow_negative and Y.min() < 0:
+        if not allow_negative and Y.min() < 0:
             raise DimensionMismatch(
                 "Y has negative entries; pass allow_negative=True for the "
                 "signed extension")
         Y.flags.writeable = False
-        object.__setattr__(self, "entries", Y)
+        self.entries, self.allow_negative = Y, allow_negative
 
     @classmethod
     def zero(cls):
@@ -104,25 +99,31 @@ class YMatrix:
         return cls(Y, allow_negative=allow_negative)
 
 
-@dataclass(frozen=True)
 class LambdaPoint:
     """State parameters (l2, l3), with l1 fixed to 1.
 
     The state, the Bohr frequencies, their factors e^{-w_ij/2} and the
     predicate coefficients are computed once, on first use, and kept with
     the point. Each l must be positive with a square inside the float range.
+    Points are equal, and hash alike, when their (l2, l3) are.
     """
 
-    lambda2: float
-    lambda3: float
-
-    def __post_init__(self):
-        for name, v in (("lambda2", self.lambda2), ("lambda3", self.lambda3)):
+    def __init__(self, lambda2, lambda3):
+        for name, v in (("lambda2", lambda2), ("lambda3", lambda3)):
             if not (np.isfinite(v) and v > 0):
                 raise DimensionMismatch(f"{name} must be positive, got {v}")
             if not 0.0 < v * v < math.inf:
                 raise DimensionMismatch(
                     f"{name}={v} is out of range: its square is {v * v}")
+        self.lambda2, self.lambda3 = lambda2, lambda3
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lambda2, self.lambda3) == (other.lambda2, other.lambda3)
+
+    def __hash__(self):
+        return hash((self.lambda2, self.lambda3))
 
     def state(self):
         """The density diag(1, l2^2, l3^2) / (1 + l2^2 + l3^2)."""
@@ -258,7 +259,6 @@ def _project(c, Y):
     return (y - (float(c @ y) / cc) * c)[_FROM_SIX]
 
 
-@dataclass
 class SweepRecord:
     """One sweep sample: closed-form prediction vs assembled-system truth.
 
@@ -267,15 +267,13 @@ class SweepRecord:
     read it.
     """
 
-    sample_id: int
-    p: LambdaPoint
-    Y: YMatrix
-    predicate_lhs: float = float("nan")
-    predicate: bool = False
-    consistent: bool = False
-    residual: float = float("nan")
-    agree: bool = False
-    error: str = None
+    error = None
+
+    def __init__(self, sample_id, p, Y, predicate_lhs, predicate, consistent,
+                 residual, agree):
+        self.sample_id, self.p, self.Y = sample_id, p, Y
+        self.predicate_lhs, self.predicate = predicate_lhs, predicate
+        self.consistent, self.residual, self.agree = consistent, residual, agree
 
     def csv_row(self):
         y = self.Y.six()
@@ -331,6 +329,11 @@ def _draws(count, rng, project, point):
 # samples solved by one stacked product: the SVD factors of the target matrix
 # (140 KB at n = 3) are read once per chunk instead of once per sample
 SWEEP_CHUNK = 16
+
+# the most samples one sweep takes: its result keeps 9 bytes a sample, and
+# the command line holds each sample's SweepRecord, 0.5-2.4 KB, until the
+# CSV is written
+MAX_SWEEP_COUNT = 10 ** 6
 
 
 def _sample_rhs(K, E, Y):
@@ -391,11 +394,12 @@ def sweep(count, seed, project=False, pin=None, s=0.0, tol=DEFAULT_FEAS_TOL,
 
     Returns SweepRecords, a sequence ordered by sample index; seed is an
     integer, from which the records re-derive their samples. Every refusal
-    comes before the first draw: a count or seed that is not a nonnegative
-    integer, a tol that is not positive and finite, or an s outside [0, 1]
-    (or NaN) raises a ToolError, and so does an unusable pin, because a
-    pinned sweep builds its one point first; unpinned points are drawn in
-    e^[-2, 2], where every point is usable. Every sample takes one path:
+    comes before the first draw or allocation: a count or seed that is not
+    a nonnegative integer, a count above MAX_SWEEP_COUNT, a tol that is not
+    positive and finite, or an s outside [0, 1] (or NaN) raises a
+    ToolError, and so does an unusable pin, because a pinned sweep builds
+    its one point first; unpinned points are drawn in e^[-2, 2], where
+    every point is usable. Every sample takes one path:
     the factors of its point are built when the point changes (once for a
     pinned sweep), and its target right-hand side is the one
     assemble(build_LY(p, Y), s) gives, against the per-size template. The
@@ -408,6 +412,8 @@ def sweep(count, seed, project=False, pin=None, s=0.0, tol=DEFAULT_FEAS_TOL,
     """
     _check_s(s)
     _check_nonnegative_int(count, "count")
+    if count > MAX_SWEEP_COUNT:
+        raise SchemaError("count", f"must be at most {MAX_SWEEP_COUNT}")
     _check_nonnegative_int(seed, "seed")
     check_tol(tol, "tol")
     samples = _draw_samples(count, seed, project, pin)

@@ -27,7 +27,6 @@ binary64, and the evaluated values are what gets echoed into reports.
 import contextlib
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,15 +124,13 @@ def parse_density(value, n, path):
     return parse_matrix(value, n, path)
 
 
-@dataclass
 class ProblemFile:
-    """Validated problem: the raw JSON echo plus constructed model objects."""
+    """Validated problem: the raw JSON echo plus constructed model objects
+    (spec is a LindbladSpec)."""
 
-    document: dict
-    n: int
-    spec: object          # LindbladSpec
-    s: float
-    options: dict
+    def __init__(self, document, n, spec, s, options):
+        self.document, self.n, self.spec = document, n, spec
+        self.s, self.options = s, options
 
 
 def parse_problem(doc):
@@ -221,6 +218,8 @@ def parse_sweep_config(doc):
     for key, default in (("tol", DEFAULT_FEAS_TOL), ("agree_threshold", 0.99)):
         cfg[key] = _as_number(doc.get(key, default), key)
     _require(cfg["tol"] > 0, "tol", "must be positive")
+    _require(0.0 <= cfg["agree_threshold"] <= 1.0, "agree_threshold",
+             "must lie in [0, 1]")
     if "lambda2" in doc:
         cfg["pin"] = (_as_number(doc["lambda2"], "lambda2"),
                       _as_number(doc["lambda3"], "lambda3"))
@@ -237,11 +236,11 @@ def load_sweep_config(path):
 # Reference presets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Preset:
-    problem: dict
-    expected: str
-    note: str
+    """A reference problem document, its expected verdict kind and a note."""
+
+    def __init__(self, problem, expected, note):
+        self.problem, self.expected, self.note = problem, expected, note
 
 
 def _preset_2x2(s):

@@ -20,8 +20,6 @@ with optional real weights w_j (default 1); signed weights cover sums of
 rank-one diagonal pieces that arise when splitting a diagonal jump operator.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian
@@ -37,29 +35,23 @@ GNS_CHECK_TRIALS = 20
 GNS_CHECK_SEED = 0
 
 
-@dataclass(frozen=True)
 class DensityState:
     """Faithful state on M_n(C): positive trace-one density matrix D.
 
     eigvals and eigvecs, D's eigendecomposition, are computed from D.
     """
 
-    n: int
-    D: np.ndarray = field(repr=False)
-    eigvals: np.ndarray = field(init=False, repr=False)
-    eigvecs: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        D = as_cmatrix(self.D, self.n).copy()
+    def __init__(self, n, D):
+        D = as_cmatrix(D, n).copy()
         w, V = herm_eig(D)
         if w[0] <= 0:
             raise NotHermitian(
                 f"density matrix not strictly positive (min eigenvalue {w[0]:.3e})")
         if abs(w.sum() - 1.0) > 1e-10:
             raise DimensionMismatch(f"density trace {w.sum()} is not 1")
-        for name, val in (("D", D), ("eigvals", w), ("eigvecs", V)):
-            val.flags.writeable = False
-            object.__setattr__(self, name, val)
+        for a in (D, w, V):
+            a.flags.writeable = False
+        self.n, self.D, self.eigvals, self.eigvecs = n, D, w, V
 
     @classmethod
     def from_matrix(cls, D):
@@ -97,35 +89,25 @@ def s_inner(state, s, A, B):
     return complex(np.trace(state.power(1.0 - s) @ B.conj().T @ state.power(s) @ A))
 
 
-@dataclass(frozen=True)
 class Jump:
     """One jump operator with its Bohr frequency and an optional real weight."""
 
-    V: np.ndarray
-    omega: float
-    weight: float = 1.0
-
-    def __post_init__(self):
-        V = as_cmatrix(self.V).copy()
+    def __init__(self, V, omega, weight=1.0):
+        V = as_cmatrix(V).copy()
         V.flags.writeable = False
-        object.__setattr__(self, "V", V)
+        self.V, self.omega, self.weight = V, omega, weight
 
 
-@dataclass(frozen=True)
 class LindbladSpec:
     """State plus adjoint-closed jump operators defining a symmetric generator."""
 
-    state: DensityState
-    jumps: tuple
-
-    def __post_init__(self):
-        jumps = tuple(
-            j if isinstance(j, Jump) else Jump(*j) for j in self.jumps)
+    def __init__(self, state, jumps):
+        jumps = tuple(j if isinstance(j, Jump) else Jump(*j) for j in jumps)
         for j in jumps:
-            if j.V.shape != (self.state.n, self.state.n):
+            if j.V.shape != (state.n, state.n):
                 raise DimensionMismatch(
-                    f"jump shape {j.V.shape} does not match n={self.state.n}")
-        object.__setattr__(self, "jumps", jumps)
+                    f"jump shape {j.V.shape} does not match n={state.n}")
+        self.state, self.jumps = state, jumps
 
     @property
     def n(self):
@@ -206,15 +188,12 @@ def _generator_matrix(c, V):
     return S.reshape(n * n, n * n)
 
 
-@dataclass
 class ValidationReport:
     """Outcome of checking the generator hypotheses on a LindbladSpec."""
 
-    adjoint_closed: bool
-    sigma_residuals: list
-    omegas: list
-    messages: list
-    ok: bool
+    def __init__(self, adjoint_closed, sigma_residuals, omegas, messages, ok):
+        self.adjoint_closed, self.sigma_residuals = adjoint_closed, sigma_residuals
+        self.omegas, self.messages, self.ok = omegas, messages, ok
 
     def as_dict(self):
         return {

@@ -1,14 +1,19 @@
 """Command-line entry points, reports, and the verify subcommand."""
 
+import gc
 import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qmsderiv.cli as cli
+import qmsderiv.parametric as parametric
 from qmsderiv.cli import canonical_json, fingerprint_of, main
 from qmsderiv.constraints import assemble
 from qmsderiv.feasibility import _certify, solve_affine
@@ -16,6 +21,8 @@ from qmsderiv.linalg import herm_eig
 
 
 BAD_TOLS = ["-1", "0", "nan", "inf"]
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 TRACIAL_2X2 = {
     "n": 2,
@@ -234,6 +241,41 @@ def test_sweep_rejects_negative_seed_override(tmp_path, capsys):
     cfg.write_text(json.dumps({"count": 2}))
     assert main(["sweep", str(cfg), "--seed", "-1"]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", [parametric.MAX_SWEEP_COUNT + 1, 10 ** 12,
+                                   10 ** 400])
+def test_sweep_refuses_a_count_it_cannot_hold(tmp_path, capsys, monkeypatch,
+                                              count):
+    # unchecked, 10**12 raised numpy's _ArrayMemoryError and 10**400
+    # "Maximum allowed dimension exceeded", both tracebacks with exit 1
+    def refuse(*args):
+        raise AssertionError("the sweep drew or allocated its samples")
+
+    monkeypatch.setattr(parametric, "SweepRecords", refuse)
+    monkeypatch.setattr(parametric, "_draw_samples", refuse)
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps({"count": count}))
+    assert main(["sweep", str(cfg), "--out", str(tmp_path / "big.csv")]) == 2
+    assert "input error: count: must be at most 1000000" in capsys.readouterr().err
+    assert not (tmp_path / "big.csv").exists()
+
+
+@pytest.mark.parametrize("threshold", [-1, -1e-12, 1.0000001, 5])
+def test_sweep_refuses_a_threshold_outside_the_unit_interval(tmp_path, capsys,
+                                                             threshold):
+    # unchecked, a threshold of 5 failed every sweep and -1 passed it
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"count": 2, "agree_threshold": threshold}))
+    assert main(["sweep", str(cfg)]) == 2
+    assert "agree_threshold: must lie in [0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threshold", [0, 1])
+def test_sweep_accepts_the_threshold_bounds(tmp_path, capsys, threshold):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"count": 3, "agree_threshold": threshold}))
+    assert main(["sweep", str(cfg), "--out", str(tmp_path / "s.csv")]) == 0
 
 
 def test_sweep_flushes_partial_on_interrupt(tmp_path, capsys, monkeypatch):
@@ -685,3 +727,53 @@ def test_check_rejects_a_one_level_algebra(tmp_path, capsys):
     assert main(["check", str(path)]) == 2
     err = capsys.readouterr().err
     assert "input error" in err and "n: must be at least 2" in err
+
+
+def _run_fresh(args, tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_main_leaves_the_collector_alone(tmp_path, capsys):
+    # main() runs in long-lived processes: only the process entry freezes
+    frozen = gc.get_freeze_count()
+    out = str(tmp_path / "r.json")
+    assert main(["repro", "3x3-kms", "--out", out]) == 0
+    assert main(["verify", out]) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_entry_freezes_the_imports_before_the_command(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 7)
+    assert cli.entry() == 7
+    assert calls == ["freeze", "main"]
+
+
+def test_a_fresh_import_makes_no_dataclass_and_freezes_nothing(tmp_path):
+    code = textwrap.dedent("""
+        import gc, sys
+        import qmsderiv.cli
+        assert "dataclasses" not in sys.modules, "dataclasses imported"
+        assert gc.get_freeze_count() == 0, gc.get_freeze_count()
+    """)
+    done = _run_fresh(["-c", code], tmp_path)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("pid", ["2x2-gns", "2x2-kms", "3x3-gns", "3x3-kms"])
+def test_the_module_entry_writes_the_in_process_report(tmp_path, capsys, pid):
+    done = _run_fresh(["-m", "qmsderiv.cli", "repro", pid, "--out",
+                       "fresh.json"], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert main(["repro", pid, "--out", str(tmp_path / "here.json")]) == 0
+
+    def stable(name):
+        report = json.loads((tmp_path / name).read_text())
+        del report["timestamp"], report["timings"]
+        return report
+
+    assert stable("fresh.json") == stable("here.json")

@@ -12,7 +12,7 @@ import pytest
 import qmsderiv.parametric as parametric
 import qmsderiv.qms as qms
 from qmsderiv.constraints import _state_factor, assemble
-from qmsderiv.errors import DimensionMismatch, ToolError
+from qmsderiv.errors import DimensionMismatch, SchemaError, ToolError
 from qmsderiv.feasibility import solve_affine
 from qmsderiv.parametric import (CSV_COLUMNS, LambdaPoint, YMatrix,
                                  _predicate, _sample_rhs,
@@ -456,18 +456,31 @@ def test_sweep_columns_pinned(kw, digest):
 
 def test_pinned_sweep_builds_one_state(monkeypatch):
     built = []
-    post_init = qms.DensityState.__post_init__
+    init = qms.DensityState.__init__
 
-    def counted(self):
+    def counted(self, *args):
         built.append(self)
-        post_init(self)
+        init(self, *args)
 
-    monkeypatch.setattr(qms.DensityState, "__post_init__", counted)
+    monkeypatch.setattr(qms.DensityState, "__init__", counted)
     records = sweep(20, seed=2, pin=(0.3, 2.5), project=True)
     assert len(built) == 1 and agreement_rate(records) == 1.0
     built.clear()
     sweep(5, seed=2)
     assert len(built) == 5
+
+
+@pytest.mark.parametrize("count", [parametric.MAX_SWEEP_COUNT + 1, 10 ** 12,
+                                   10 ** 400])
+def test_sweep_refuses_a_count_above_the_cap_before_any_allocation(
+        monkeypatch, count):
+    def refuse(*args):
+        raise AssertionError("the sweep drew or allocated its samples")
+
+    monkeypatch.setattr(parametric, "SweepRecords", refuse)
+    monkeypatch.setattr(parametric, "_draw_samples", refuse)
+    with pytest.raises(SchemaError, match="count: must be at most"):
+        sweep(count, seed=0)
 
 
 @pytest.mark.parametrize("pin", [(1e200, 1.0), (1.0, 1e-320), (1e150, 1.0)])
