@@ -35,7 +35,7 @@ from .feasibility import (DEFAULT_PSD_TOL, FEASIBLE, INDETERMINATE,
                           solve_affine, verdict_for, witness_check)
 from .linalg import (DEFAULT_FEAS_TOL, DEFAULT_RANK_TOL, check_tol, herm_eig,
                      is_hermitian)
-from .parametric import CSV_COLUMNS, agreement_rate, sweep
+from .parametric import CSV_COLUMNS, sweep
 from .problems import (load_problem, load_sweep_config, parse_matrix,
                        parse_problem, parse_s, parse_vector, presets,
                        read_json)
@@ -184,10 +184,31 @@ def cmd_repro(args):
     return 0
 
 
-def _csv_text(records):
-    rows = [",".join(CSV_COLUMNS)]
-    rows += [",".join(r.csv_row()) for r in records if r is not None]
-    return "\n".join(rows) + "\n"
+class _CsvStream:
+    """The sweep's on_record: writes each record's CSV row as it comes and
+    counts agreements, keeping no record. Opens nothing before a row."""
+
+    def __init__(self, path):
+        self.path, self.fh, self.rows, self.agreed = path, None, 0, 0
+
+    def _file(self):
+        if self.fh is None:
+            self.fh = (open(f"{self.path}.tmp.{os.getpid()}", "w")
+                       if self.path else sys.stdout)
+            self.fh.write(",".join(CSV_COLUMNS) + "\n")
+        return self.fh
+
+    def __call__(self, record):
+        self._file().write(",".join(record.csv_row()) + "\n")
+        self.rows, self.agreed = self.rows + 1, self.agreed + record.agree
+
+    def finish(self):
+        """Complete the CSV (the temporary file becomes path) and return the
+        agreement rate, 1 when empty."""
+        if self._file() is not sys.stdout:
+            self.fh.close()
+            os.replace(self.fh.name, self.path)
+        return self.agreed / self.rows if self.rows else 1.0
 
 
 def cmd_sweep(args):
@@ -204,25 +225,21 @@ def cmd_sweep(args):
     threshold = cfg["agree_threshold"]
     # on_record sees every record, in sample order (samples run in one
     # thread); the returned ones would redraw them
-    records = []
+    csv = _CsvStream(args.out)
     try:
         sweep(count, seed, project=cfg["project"], pin=cfg["pin"], s=cfg["s"],
-              tol=tol, on_record=records.append)
+              tol=tol, on_record=csv)
     except ToolError as exc:
         # an unusable pin or count fails before any sample is drawn
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
+        csv.finish()
         if args.out:
-            atomic_write(args.out, _csv_text(records))
-            print(f"interrupted; {len(records)} records flushed to {args.out}",
+            print(f"interrupted; {csv.rows} records flushed to {args.out}",
                   file=sys.stderr)
         return 130
-    if args.out:
-        atomic_write(args.out, _csv_text(records))
-    else:
-        sys.stdout.write(_csv_text(records))
-    rate = agreement_rate(records)
+    rate = csv.finish()
     # no sample fails once the sweep has started; errors=0 keeps the format
     print(f"samples={count} agreement={rate:.4f} errors=0 "
           f"threshold={threshold} -> {'ok' if rate >= threshold else 'below'}",
@@ -364,17 +381,13 @@ def main(argv=None):
 
 
 def entry():
-    """main() for a process that runs one command and exits: the console
-    script and ``python -m qmsderiv.cli``.
-
-    The imports leave about 21,000 objects that the garbage collector
-    tracks (numpy's and the package's), and a command creates few.
-    Freezing them first (gc.freeze) keeps the command's full collections
-    and the one at exit from walking them: a process that imports the
-    command line takes 115 ms instead of 131 on a 2-vCPU machine (medians
-    of 30). main() and the package's import leave the collector alone,
-    because they also run in long-lived processes.
-    """
+    """main() for a process that runs one command and exits (the console
+    script and ``python -m qmsderiv.cli``). gc.freeze() keeps the command's
+    full collections and the one at exit from walking the ~21,000 tracked
+    objects of the imports (numpy's and the package's): a process that
+    imports the command line takes 115 ms instead of 131 (2-vCPU machine,
+    medians of 30). main() and the package's import leave the collector
+    alone, because they also run in long-lived processes."""
     gc.freeze()
     return main()
 

@@ -7,13 +7,13 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qmsderiv.cli as cli
-import qmsderiv.parametric as parametric
 from qmsderiv.cli import canonical_json, fingerprint_of, main
 from qmsderiv.constraints import assemble
 from qmsderiv.feasibility import _certify, solve_affine
@@ -243,22 +243,34 @@ def test_sweep_rejects_negative_seed_override(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("count", [parametric.MAX_SWEEP_COUNT + 1, 10 ** 12,
-                                   10 ** 400])
-def test_sweep_refuses_a_count_it_cannot_hold(tmp_path, capsys, monkeypatch,
-                                              count):
-    # unchecked, 10**12 raised numpy's _ArrayMemoryError and 10**400
-    # "Maximum allowed dimension exceeded", both tracebacks with exit 1
-    def refuse(*args):
-        raise AssertionError("the sweep drew or allocated its samples")
-
-    monkeypatch.setattr(parametric, "SweepRecords", refuse)
-    monkeypatch.setattr(parametric, "_draw_samples", refuse)
+def test_sweep_refuses_a_count_it_cannot_hold(tmp_path, capsys):
+    # unchecked, this count printed numpy's "Maximum allowed dimension
+    # exceeded" traceback with exit 1, before any memory was taken;
+    # test_parametric checks that the refusal precedes every allocation
     cfg = tmp_path / "big.json"
-    cfg.write_text(json.dumps({"count": count}))
+    cfg.write_text(json.dumps({"count": 10 ** 400}))
     assert main(["sweep", str(cfg), "--out", str(tmp_path / "big.csv")]) == 2
     assert "input error: count: must be at most 1000000" in capsys.readouterr().err
     assert not (tmp_path / "big.csv").exists()
+
+
+def test_sweep_command_holds_no_record(tmp_path, capsys):
+    # each row is written as its record comes: the command kept every
+    # SweepRecord until the end, 2.4 KB an unpinned sample, and peaked
+    # 12.3 MB above its start over these 4000 samples
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"count": 2}))
+    main(["sweep", str(cfg), "--out", str(tmp_path / "warm.csv")])
+    cfg.write_text(json.dumps({"count": 4000, "seed": 3}))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert main(["sweep", str(cfg), "--out", str(tmp_path / "s.csv")]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1e6
+    assert len((tmp_path / "s.csv").read_text().splitlines()) == 4001
 
 
 @pytest.mark.parametrize("threshold", [-1, -1e-12, 1.0000001, 5])

@@ -1,12 +1,12 @@
 """Paired benchmark runs: a parent revision against the working tree.
 
-    python3 tools/bench_pairs.py --parent REV --out BENCH_24.json \\
-        [--pairs 10] [--seeds 1] [--seconds 20] [--workloads cli-cold ...]
+    python3 tools/bench_pairs.py --parent REV --out BENCH_24.json [--seeds 1 5]
 
 Extracts REV with ``git archive`` into a temporary directory and runs
 ``perfbench/run.py`` there and in the working tree, alternately, PAIRS
-times per workload and seed; even pairs run the parent first, odd pairs
-the change. Both sides must hold the same ``perfbench/`` and
+times for every workload of BENCHMARK.json and every seed, each run as
+long as BENCHMARK.json's ``run_seconds``; even pairs run the parent first,
+odd pairs the change. Both sides must hold the same ``perfbench/`` and
 ``BENCHMARK.json``, so they differ only in the program.
 
 The output holds every run and, per workload and seed, each side's failed
@@ -17,9 +17,8 @@ quartiles, the pairs the change won (ties count for neither side), ``gain``
 the parent's by more than the parent's interquartile range) and
 ``within_bound`` (its median is not worse than the parent's by more than
 the metric's bound). Each side's revision and ``src/`` line count are
-recorded with them. An existing output file for the same parent revision
-and run length keeps the workloads and seeds it holds, so runs with other
-seeds or workloads add to it.
+recorded with them. One invocation writes the whole file, rewriting it
+after each workload and seed.
 """
 
 import argparse
@@ -33,6 +32,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def git(*args, cwd=ROOT):
@@ -115,53 +115,44 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="git revision")
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
-    parser.add_argument("--seconds", type=float, default=20)
-    parser.add_argument("--workloads", nargs="+")
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     if git("diff", "--stat", args.parent, "--", "perfbench", "BENCHMARK.json"):
         raise SystemExit("error: perfbench/ or BENCHMARK.json differ from "
                          f"{args.parent}; the sides must run one benchmark")
     dirty = git("status", "--porcelain", "--", "src")
     result = {
-        "seconds": args.seconds,
+        "seconds": seconds,
         "parent": {"revision": git("rev-parse", args.parent)},
         "change": {"revision": git("rev-parse", "HEAD")
                    + ("+working-tree" if dirty else "")},
         "workloads": {},
     }
-    out = Path(args.out)
-    if out.exists():
-        old = json.loads(out.read_text())
-        if (old["parent"]["revision"], old["seconds"]) == (
-                result["parent"]["revision"], args.seconds):
-            result["workloads"] = old["workloads"]
     with tempfile.TemporaryDirectory() as tmp:
         roots = {"parent": Path(tmp), "change": ROOT}
         extract(args.parent, roots["parent"])
         for side in SIDES:
             result[side]["src_lines"] = src_lines(roots[side])
-        for workload in workloads:
-            result["workloads"].setdefault(workload, {})
+        for workload in (w["name"] for w in bench["workloads"]):
+            result["workloads"][workload] = {}
             for seed in args.seeds:
                 pairs = []
-                for k in range(args.pairs):
+                for k in range(PAIRS):
                     order = SIDES if k % 2 == 0 else SIDES[::-1]
                     pair = {"first": order[0]}
                     for side in order:
                         pair[side] = run_once(roots[side], workload, seed,
-                                              args.seconds)
+                                              seconds)
                     pairs.append(pair)
-                    print(f"{workload} seed {seed} pair {k + 1}/{args.pairs}",
+                    print(f"{workload} seed {seed} pair {k + 1}/{PAIRS}",
                           file=sys.stderr)
                 summary = summarize(pairs, bench["end_to_end"])
                 summary["runs"] = pairs
                 result["workloads"][workload][str(seed)] = summary
-                out.write_text(json.dumps(result, indent=1) + "\n")
+                Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
     return 0
 
 
