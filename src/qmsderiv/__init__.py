@@ -12,10 +12,10 @@ import os
 # a second BLAS thread only waits at these sizes (81 x 81 at n = 3)
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .constraints import (ConstraintSystem, TensorElem, assemble, dump_system,
-                          left_act, psi_index, right_act, target_form)
-from .errors import (DimensionMismatch, IndexOutOfRange, NoConvergence,
-                     NotHermitian, SchemaError, SizeCapExceeded, ToolError)
+from .constraints import (ConstraintSystem, assemble, dump_system,
+                          left_action, psi_vector, right_action, target_form)
+from .errors import (DimensionMismatch, NoConvergence, NotHermitian,
+                     SchemaError, SizeCapExceeded, ToolError)
 from .feasibility import (AffineSolutionSet, EXIT_CODES, FEASIBLE,
                           FeasibilityVerdict, INDETERMINATE, NOT_CONSISTENT,
                           NOT_PSD, decide, psd_search, solve_affine,
@@ -41,7 +41,6 @@ __all__ = [
     "FEASIBLE",
     "FeasibilityVerdict",
     "INDETERMINATE",
-    "IndexOutOfRange",
     "Jump",
     "LambdaPoint",
     "LindbladSpec",
@@ -54,7 +53,6 @@ __all__ = [
     "SchemaError",
     "SizeCapExceeded",
     "SweepRecord",
-    "TensorElem",
     "ToolError",
     "ValidationReport",
     "YMatrix",
@@ -68,7 +66,7 @@ __all__ = [
     "gns_symmetry_check",
     "hermitian_decode",
     "hermitian_encode",
-    "left_act",
+    "left_action",
     "lindblad_apply",
     "load_problem",
     "make_spec",
@@ -79,8 +77,8 @@ __all__ = [
     "presets",
     "project_to_hyperplane",
     "psd_search",
-    "psi_index",
-    "right_act",
+    "psi_vector",
+    "right_action",
     "s_inner",
     "solvable_predicate",
     "solve_affine",

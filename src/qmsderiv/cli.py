@@ -111,9 +111,8 @@ def tol_override(args, default):
 
 def run_pipeline(problem, args, preset=None):
     """Validate, assemble, solve, search; returns (report, verdict)."""
-    opts = dict(problem.options)
     s = problem.s if args.s is None else args.s
-    tol = tol_override(args, opts.get("tol", DEFAULT_FEAS_TOL))
+    tol = tol_override(args, DEFAULT_FEAS_TOL if problem.tol is None else problem.tol)
 
     timings = {}
     t = time.perf_counter()

@@ -15,7 +15,7 @@ derivation pairs produces three families of equations, each linear in X:
     family "target" <delta(A), delta(B)> = f(A, B)                (m^2 scalars)
 
 with m = n^2 the algebra dimension and L_a, R_a the n^4 x n^4 matrices of
-left_act and right_act.
+left_action and right_action on the psi-vectors of tensors (psi_vector).
 
 The solutions of the two action families have a concrete form: every
 derivation into a Hilbert bimodule factors through bimodule maps (Cipriani
@@ -59,24 +59,12 @@ import types
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, SizeCapExceeded
+from .errors import DimensionMismatch, SizeCapExceeded
 from .linalg import (CSR, DEFAULT_RANK_TOL, _rank, as_cmatrix,
                      hermitian_coords, hermitian_decode)
-from .qms import generator_matrix
+from .qms import check_s, generator_matrix
 
 DEFAULT_SIZE_CAP = 5
-
-
-def psi_index(n, i, j, k, l):
-    """Position of E_ij (x) E_kl in the fixed vectorization, 1-based.
-
-    Equals n^3 (i-1) + n^2 (k-1) + n (j-1) + l, a bijection from index
-    quadruples onto 1..n^4.
-    """
-    for name, v in (("i", i), ("j", j), ("k", k), ("l", l)):
-        if not 1 <= v <= n:
-            raise IndexOutOfRange(f"{name}={v} outside 1..{n}")
-    return _tidx(n, i - 1, j - 1, k - 1, l - 1) + 1
 
 
 def _tidx(n, i, j, k, l):
@@ -84,104 +72,34 @@ def _tidx(n, i, j, k, l):
     return n ** 3 * i + n ** 2 * k + n * j + l
 
 
-class TensorElem:
-    """Sparse element of M_n (x) M_n: a map (i,j,k,l) -> coefficient.
-
-    Indices are 0-based internally; (i,j) addresses the first tensor factor
-    E_ij and (k,l) the second. Zero coefficients are dropped on construction.
-    """
-
-    def __init__(self, n, terms):
-        cleaned = {}
-        for (i, j, k, l), c in dict(terms).items():
-            for v in (i, j, k, l):
-                if not 0 <= v < n:
-                    raise IndexOutOfRange(f"tensor index {v} outside 0..{n - 1}")
-            c = complex(c)
-            if c != 0:
-                cleaned[(i, j, k, l)] = cleaned.get((i, j, k, l), 0) + c
-        self.n = n
-        self.terms = tuple(sorted((q, c) for q, c in cleaned.items() if c != 0))
-
-    @classmethod
-    def unit(cls, n, i, j, k, l, coeff=1.0):
-        return cls(n, {(i, j, k, l): coeff})
-
-    @classmethod
-    def tensor(cls, A, B):
-        """A (x) B for dense matrices A, B."""
-        A = as_cmatrix(A)
-        B = as_cmatrix(B, A.shape[0])
-        n = A.shape[0]
-        terms = {}
-        for i in range(n):
-            for j in range(n):
-                if A[i, j] == 0:
-                    continue
-                for k in range(n):
-                    for l in range(n):
-                        if B[k, l] != 0:
-                            terms[(i, j, k, l)] = A[i, j] * B[k, l]
-        return cls(n, terms)
-
-    @classmethod
-    def derivation_of(cls, A):
-        """delta(A) = A (x) 1."""
-        A = as_cmatrix(A)
-        return cls.tensor(A, np.eye(A.shape[0], dtype=complex))
-
-    def __add__(self, other):
-        if self.n != other.n:
-            raise DimensionMismatch("tensor elements over different algebra sizes")
-        terms = dict(self.terms)
-        for q, c in other.terms:
-            terms[q] = terms.get(q, 0) + c
-        return TensorElem(self.n, terms)
-
-    def scale(self, c):
-        return TensorElem(self.n, {q: c * v for q, v in self.terms})
-
-    def vector(self):
-        """psi applied to the element: a dense vector of length n^4."""
-        v = np.zeros(self.n ** 4, dtype=complex)
-        for (i, j, k, l), c in self.terms:
-            v[_tidx(self.n, i, j, k, l)] += c
-        return v
+def _square(A):
+    A = as_cmatrix(A)
+    return as_cmatrix(A, A.shape[0])
 
 
-def left_act(A, t):
-    """Left bimodule action A (B (x) C) = AB (x) C - A (x) BC, extended bilinearly."""
-    A = as_cmatrix(A, t.n)
-    n = t.n
-    terms = {}
-
-    def put(q, c):
-        if c != 0:
-            terms[q] = terms.get(q, 0) + c
-
-    for (i, j, k, l), c in t.terms:
-        for a in range(n):
-            if A[a, i] != 0:
-                put((a, j, k, l), c * A[a, i])
-        if j == k:
-            for a in range(n):
-                for b in range(n):
-                    if A[a, b] != 0:
-                        put((a, b, i, l), -c * A[a, b])
-    return TensorElem(n, terms)
+def psi_vector(A, B):
+    """psi(A (x) B): entry n^3 i + n^2 k + n j + l is A[i, j] B[k, l]."""
+    A = _square(A)
+    return np.einsum("ij,kl->ikjl", A, as_cmatrix(B, A.shape[0])).reshape(-1)
 
 
-def right_act(t, A):
-    """Right bimodule action (B (x) C) A = B (x) CA, extended bilinearly."""
-    A = as_cmatrix(A, t.n)
-    n = t.n
-    terms = {}
-    for (i, j, k, l), c in t.terms:
-        for b in range(n):
-            if A[l, b] != 0:
-                q = (i, j, k, b)
-                terms[q] = terms.get(q, 0) + c * A[l, b]
-    return TensorElem(n, terms)
+def left_action(A):
+    """The n^4 x n^4 matrix of t -> A t on psi-vectors, rows (a, c, b, d)
+    and columns (i, k, j, l) in psi's axis order, from
+    A (E_ij (x) E_kl) = A E_ij (x) E_kl - [j = k] A (x) E_il."""
+    A = _square(A)
+    n, eye = A.shape[0], np.eye(A.shape[0])
+    L = (np.einsum("ai,bj,ck,dl->acbdikjl", A, eye, eye, eye)
+         - np.einsum("ab,ci,jk,dl->acbdikjl", A, eye, eye, eye))
+    return L.reshape(n ** 4, n ** 4)
+
+
+def right_action(A):
+    """The n^4 x n^4 matrix of t -> t A on psi-vectors, from
+    (E_ij (x) E_kl) A = E_ij (x) E_kl A, in left_action's axis order."""
+    A = _square(A)
+    n, eye = A.shape[0], np.eye(A.shape[0])
+    return np.einsum("ai,bj,ck,ld->acbdikjl", eye, eye, eye, A).reshape(n ** 4, n ** 4)
 
 
 class TargetForm:
@@ -209,15 +127,10 @@ def target_form(spec, s):
                                         generator_matrix(spec)))
 
 
-def _check_s(s):
-    if not 0.0 <= s <= 1.0:     # False for NaN too
-        raise DimensionMismatch(f"inner-product parameter s={s} outside [0, 1]")
-
-
 def _state_factor(state, s):
     """D^s kron (D^{1-s})^T, the m x m matrix that target_form applies to
     the generator matrix; it depends only on the state and s."""
-    _check_s(s)
+    check_s(s)
     m = state.n * state.n
     # row-major vec, as in qms.generator_matrix
     K = np.einsum("ik,lj->ijkl", state.power(s), state.power(1.0 - s))
@@ -300,9 +213,10 @@ class SystemTemplate:
     T is the frame of the bimodule coordinates (module docstring) and G the
     target rows in q, rows (a, b, re/im); V holds the derivation vectors
     psi(Q_a (x) 1). A reduced matrix Q is the block matrix Q1 (+) Q2, of
-    side k = n^2 - 1 + n. G's SVD (target_svd) is computed on first use
-    and kept with the template, so it goes when the template does.
-    counts is a read-only mapping, shared by the size's systems.
+    side k = n^2 - 1 + n. G's SVD (target_svd) and its nonzero entries
+    (G_csr) are computed on first use and kept with the template, so they
+    go when the template does. counts is a read-only mapping, shared by
+    the size's systems.
     """
 
     def __init__(self, n, T, G, V, counts):
@@ -332,6 +246,15 @@ class SystemTemplate:
             "system_counts": self.counts,
         })
         return TargetSVD(U, sv, Vt, rank, basis, diagnostics)
+
+    @functools.cached_property
+    def G_csr(self):
+        """G's nonzero entries as a read-only linalg.CSR, for dump_system
+        and callers that count them."""
+        csr = CSR.from_dense(self.G)
+        for a in (csr.indptr, csr.indices, csr.data):
+            a.flags.writeable = False
+        return csr
 
     def matrix(self, q):
         """The reduced matrix Q1 (+) Q2 with coordinates q."""
@@ -443,7 +366,7 @@ def system_template(n):
 
 
 def clear_caches():
-    """Drop every size's template, and G's SVD with it."""
+    """Drop every size's template, and G's SVD and G_csr with it."""
     _TEMPLATE_CACHE.clear()
 
 
@@ -531,10 +454,10 @@ class ConstraintSystem:
         """The template's target rows."""
         return self.template.G
 
-    @functools.cached_property
+    @property
     def A(self):
-        """The reduced system's matrix, G."""
-        return CSR.from_dense(self.G)
+        """The reduced system's matrix, G, as the template's G_csr."""
+        return self.template.G_csr
 
     @property
     def unknowns(self):

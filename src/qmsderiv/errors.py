@@ -17,10 +17,6 @@ class NoConvergence(ToolError):
     """An iterative or factorization routine failed to converge."""
 
 
-class IndexOutOfRange(ToolError):
-    """A basis or tensor index lies outside its admissible range."""
-
-
 class SizeCapExceeded(ToolError):
     """Requested algebra size exceeds the configured assembly cap."""
 

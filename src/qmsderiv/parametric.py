@@ -42,13 +42,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .constraints import (_check_s, _residual_bound, _state_factor,
-                          _target_rhs, _target_values, system_template)
+from .constraints import (_residual_bound, _state_factor, _target_rhs,
+                          _target_values, system_template)
 from .errors import DimensionMismatch, SchemaError
 from .feasibility import _solve_stacked
 from .linalg import DEFAULT_FEAS_TOL, check_tol
 from .qms import (DensityState, Jump, LindbladSpec, _generator_matrix,
-                  generator_matrix, make_spec)
+                  check_s, generator_matrix, make_spec)
 
 # the predicate holds when |c.y| <= DEFAULT_PREDICATE_TOL * sum |c_i y_i|
 DEFAULT_PREDICATE_TOL = 1e-10
@@ -410,7 +410,7 @@ def sweep(count, seed, project=False, pin=None, s=0.0, tol=DEFAULT_FEAS_TOL,
     threads is accepted for compatibility and ignored: samples run in one
     thread.
     """
-    _check_s(s)
+    check_s(s)
     _check_nonnegative_int(count, "count")
     if count > MAX_SWEEP_COUNT:
         raise SchemaError("count", f"must be at most {MAX_SWEEP_COUNT}")

@@ -34,10 +34,7 @@ from .errors import SchemaError
 from .linalg import DEFAULT_FEAS_TOL
 from .qms import DensityState, make_spec
 
-# the optional tolerance, a positive number; rank cut and PSD slack are fixed
-OPTION_KEYS = ("tol",)
-
-TOP_KEYS = {"n", "density", "jumps", "s"} | set(OPTION_KEYS)
+TOP_KEYS = {"n", "density", "jumps", "s", "tol"}
 
 
 def _require(cond, path, message):
@@ -126,11 +123,11 @@ def parse_density(value, n, path):
 
 class ProblemFile:
     """Validated problem: the raw JSON echo plus constructed model objects
-    (spec is a LindbladSpec)."""
+    (spec is a LindbladSpec); tol is the file's tolerance, None when absent."""
 
-    def __init__(self, document, n, spec, s, options):
+    def __init__(self, document, n, spec, s, tol):
         self.document, self.n, self.spec = document, n, spec
-        self.s, self.options = s, options
+        self.s, self.tol = s, tol
 
 
 def parse_problem(doc):
@@ -170,13 +167,12 @@ def parse_problem(doc):
         jumps.append((V, omega, weight))
     spec = make_spec(state, jumps)
 
-    options = {}
-    for key in OPTION_KEYS:
-        if key in doc:
-            val = _as_number(doc[key], key)
-            _require(val > 0, key, "must be positive")
-            options[key] = val
-    return ProblemFile(doc, n, spec, s, options)
+    # the one optional setting; the rank cut and the PSD slack are fixed
+    tol = None
+    if "tol" in doc:
+        tol = _as_number(doc["tol"], "tol")
+        _require(tol > 0, "tol", "must be positive")
+    return ProblemFile(doc, n, spec, s, tol)
 
 
 def read_json(path):

@@ -80,10 +80,15 @@ def modular_conjugate(state, A, p):
     return state.power(p) @ A @ state.power(-p)
 
 
+def check_s(s):
+    """DimensionMismatch unless the inner-product parameter lies in [0, 1]."""
+    if not 0.0 <= s <= 1.0:     # False for NaN too
+        raise DimensionMismatch(f"inner-product parameter s={s} outside [0, 1]")
+
+
 def s_inner(state, s, A, B):
     """<A, B>_s = tr(D^{1-s} B* D^s A) with D the trace-one density matrix."""
-    if not 0.0 <= s <= 1.0:
-        raise DimensionMismatch(f"inner-product parameter s={s} outside [0, 1]")
+    check_s(s)
     A = as_cmatrix(A, state.n)
     B = as_cmatrix(B, state.n)
     return complex(np.trace(state.power(1.0 - s) @ B.conj().T @ state.power(s) @ A))

@@ -13,8 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from qmsderiv.constraints import (TensorElem, assemble, clear_caches,
-                                  left_act, right_act, target_form)
+from qmsderiv.constraints import (_tidx, assemble, clear_caches, left_action,
+                                  psi_vector, right_action, target_form)
 from qmsderiv.feasibility import (FEASIBLE, NOT_CONSISTENT, NOT_PSD, decide,
                                   solve_affine, witness_check)
 from qmsderiv.linalg import hermitian_encode
@@ -153,12 +153,13 @@ def test_criterion_6_structural_suite(preset_problems):
         n = 3
         A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        t = TensorElem(n, {tuple(rng.integers(0, n, 4)): complex(c)
-                           for c in rng.standard_normal(4)})
-        lr = left_act(A, right_act(t, B))
-        rl = right_act(left_act(A, t), B)
-        assert np.linalg.norm(lr.vector() - rl.vector()) <= 1e-12
-        assoc = left_act(A @ B, t).vector() - left_act(A, left_act(B, t)).vector()
+        # psi-vector of random multiples of random matrix-unit tensors
+        t = np.zeros(n ** 4, dtype=complex)
+        for c in rng.standard_normal(4):
+            t[_tidx(n, *rng.integers(0, n, 4))] = c
+        LA, RB = left_action(A), right_action(B)
+        assert np.linalg.norm(LA @ (RB @ t) - RB @ (LA @ t)) <= 1e-12
+        assoc = left_action(A @ B) @ t - LA @ (left_action(B) @ t)
         assert np.linalg.norm(assoc) <= 1e-12
 
     for spec in specs:
@@ -212,7 +213,7 @@ def test_criterion_6_structural_suite(preset_problems):
             Qa[a // n, a % n] = 1.0
             Qb = np.zeros((n, n), dtype=complex)
             Qb[b // n, b % n] = 1.0
-            va = TensorElem.derivation_of(Qa).vector()
-            vb = TensorElem.derivation_of(Qb.conj().T).vector()
+            va = psi_vector(Qa, np.eye(n))
+            vb = psi_vector(Qb.conj().T, np.eye(n))
             got = np.vdot(vb, X @ va)
             assert abs(got - F[a, b]) <= 1e-8, (pid, a, b)

@@ -18,6 +18,7 @@ from qmsderiv.cli import canonical_json, fingerprint_of, main
 from qmsderiv.constraints import assemble
 from qmsderiv.feasibility import _certify, solve_affine
 from qmsderiv.linalg import herm_eig
+from qmsderiv.problems import parse_problem
 
 
 BAD_TOLS = ["-1", "0", "nan", "inf"]
@@ -314,6 +315,23 @@ def test_check_rejects_the_retired_tolerance_keys(tmp_path, capsys, key):
     assert main(["check", str(path)]) == 2
     err = capsys.readouterr().err
     assert "input error" in err and key in err
+
+
+def test_problem_tol_reaches_the_solve(tmp_path, capsys):
+    # ProblemFile.tol is None without the key; with it the solve runs at
+    # that tolerance unless --tol overrides it
+    assert parse_problem(TRACIAL_2X2).tol is None
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({**TRACIAL_2X2, "tol": 1e-6}))
+    out = tmp_path / "rep.json"
+    assert main(["check", str(path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["command"]["tol"] == 1e-6
+    assert main(["check", str(path), "--out", str(out), "--tol", "1e-7"]) == 0
+    assert json.loads(out.read_text())["command"]["tol"] == 1e-7
+    path.write_text(json.dumps({**TRACIAL_2X2, "tol": 0}))
+    capsys.readouterr()
+    assert main(["check", str(path)]) == 2
+    assert "tol: must be positive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("pin", [1e200, 1e-320])

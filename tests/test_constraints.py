@@ -10,12 +10,11 @@ import pytest
 import scipy.sparse as sp
 
 import xspace
-from qmsderiv.constraints import (ConstraintSystem, TensorElem,
-                                  _intertwining_residual_sq, assemble,
-                                  dump_system, left_act, left_residual,
-                                  psi_index, right_act, system_template,
-                                  target_form)
-from qmsderiv.errors import IndexOutOfRange, SizeCapExceeded
+from qmsderiv.constraints import (SystemTemplate, _intertwining_residual_sq,
+                                  _tidx, assemble, clear_caches, dump_system,
+                                  left_action, left_residual, psi_vector,
+                                  right_action, system_template, target_form)
+from qmsderiv.errors import SizeCapExceeded
 from qmsderiv.feasibility import decide, solve_affine
 from qmsderiv.linalg import hermitian_decode, hermitian_encode
 from qmsderiv.problems import parse_problem
@@ -47,8 +46,17 @@ def kms_3x3(preset_problems):
 
 @pytest.fixture(scope="module")
 def hom_kernels():
-    # the reference kernel: intertwining rows built from left_act/right_act
+    # the reference kernel: intertwining rows built from left_action/right_action
     return {n: nullspace(xspace.system_template(n).hom) for n in (2, 3)}
+
+
+def random_tensor(rng, n, count):
+    """psi-vector of count random multiples of random matrix-unit tensors,
+    a later draw replacing an earlier one at the same position."""
+    t = np.zeros(n ** 4, dtype=complex)
+    for c in rng.standard_normal(count):
+        t[_tidx(n, *rng.integers(0, n, size=4))] = c
+    return t
 
 
 def lifted(system, q):
@@ -57,90 +65,88 @@ def lifted(system, q):
 
 
 def test_psi_index_matches_reference_formulas():
-    for i, j, k, l in itertools.product(range(1, 3), repeat=4):
-        assert psi_index(2, i, j, k, l) == 8 * i + 4 * k + 2 * j + l - 14
-    for i, j, k, l in itertools.product(range(1, 4), repeat=4):
-        assert psi_index(3, i, j, k, l) == 27 * i + 9 * k + 3 * j + l - 39
+    # psi(E_ij (x) E_kl) is the unit vector at n^3 i + n^2 k + n j + l
+    for i, j, k, l in itertools.product(range(2), repeat=4):
+        v = psi_vector(unit(2, i, j), unit(2, k, l))
+        assert v[8 * i + 4 * k + 2 * j + l] == 1.0
+    for i, j, k, l in itertools.product(range(3), repeat=4):
+        v = psi_vector(unit(3, i, j), unit(3, k, l))
+        assert v[27 * i + 9 * k + 3 * j + l] == 1.0
 
 
 def test_psi_index_is_bijection():
     for n in (2, 3):
-        seen = {psi_index(n, i, j, k, l)
-                for i, j, k, l in itertools.product(range(1, n + 1), repeat=4)}
-        assert seen == set(range(1, n ** 4 + 1))
-
-
-def test_psi_index_range_errors():
-    with pytest.raises(IndexOutOfRange):
-        psi_index(2, 0, 1, 1, 1)
-    with pytest.raises(IndexOutOfRange):
-        psi_index(3, 1, 1, 4, 1)
+        seen = {int(np.flatnonzero(psi_vector(unit(n, i, j), unit(n, k, l)))[0])
+                for i, j, k, l in itertools.product(range(n), repeat=4)}
+        assert seen == set(range(n ** 4))
 
 
 def test_tensor_elem_vector_positions():
+    rng = np.random.default_rng(3)
     for n in (2, 3):
-        for i, j, k, l in itertools.product(range(1, n + 1), repeat=4):
-            t = TensorElem.unit(n, i - 1, j - 1, k - 1, l - 1)
-            v = t.vector()
-            assert v[psi_index(n, i, j, k, l) - 1] == 1.0
+        for i, j, k, l in itertools.product(range(n), repeat=4):
+            v = psi_vector(unit(n, i, j), unit(n, k, l))
             assert np.count_nonzero(v) == 1
-
-
-def test_tensor_elem_cancellation():
-    t = TensorElem.unit(2, 0, 0, 0, 0) + TensorElem.unit(2, 0, 0, 0, 0).scale(-1)
-    assert t.terms == ()
-    assert np.count_nonzero(t.vector()) == 0
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        v = psi_vector(A, B)
+        for i, j, k, l in itertools.product(range(n), repeat=4):
+            assert v[n ** 3 * i + n ** 2 * k + n * j + l] == A[i, j] * B[k, l]
 
 
 def test_left_act_matrix_unit_oracle():
     # E11 (E12 (x) E21) = E12 (x) E21 - E11 (x) E11
-    t = TensorElem.tensor(unit(2, 0, 1), unit(2, 1, 0))
-    got = left_act(unit(2, 0, 0), t)
-    expect = (TensorElem.tensor(unit(2, 0, 1), unit(2, 1, 0))
-              + TensorElem.tensor(unit(2, 0, 0), unit(2, 0, 0)).scale(-1))
-    assert got.terms == expect.terms
+    got = left_action(unit(2, 0, 0)) @ psi_vector(unit(2, 0, 1), unit(2, 1, 0))
+    expect = (psi_vector(unit(2, 0, 1), unit(2, 1, 0))
+              - psi_vector(unit(2, 0, 0), unit(2, 0, 0)))
+    np.testing.assert_array_equal(got, expect)
 
 
 def test_left_act_kills_one_tensor_one():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     one = np.eye(2, dtype=complex)
-    got = left_act(A, TensorElem.tensor(one, one))
-    assert got.terms == ()
+    got = left_action(A) @ psi_vector(one, one)
+    np.testing.assert_array_equal(got, 0)
 
 
 def test_right_act_unital():
-    t = TensorElem.tensor(unit(2, 0, 1), unit(2, 1, 0))
-    assert right_act(t, np.eye(2, dtype=complex)).terms == t.terms
+    np.testing.assert_array_equal(right_action(np.eye(2)), np.eye(16))
+    np.testing.assert_array_equal(right_action(np.eye(3)), np.eye(81))
 
 
 def test_right_act_matrix_unit_oracle():
     # (E12 (x) E21) E12 = E12 (x) E22
-    t = TensorElem.tensor(unit(2, 0, 1), unit(2, 1, 0))
-    got = right_act(t, unit(2, 0, 1))
-    assert got.terms == TensorElem.tensor(unit(2, 0, 1), unit(2, 1, 1)).terms
+    got = right_action(unit(2, 0, 1)) @ psi_vector(unit(2, 0, 1), unit(2, 1, 0))
+    np.testing.assert_array_equal(got, psi_vector(unit(2, 0, 1), unit(2, 1, 1)))
+
+
+def random_pair(rng, n):
+    return [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            for _ in range(2)]
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_action_associativity_and_commutation(seed):
-    rng = np.random.default_rng(10 + seed)
-    n = 3
-    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    t = TensorElem(n, {tuple(rng.integers(0, n, size=4)): complex(c)
-                       for c in rng.standard_normal(5)})
-    # (AB) t = A (B t)
-    lhs = left_act(A @ B, t)
-    rhs = left_act(A, left_act(B, t))
-    np.testing.assert_allclose(lhs.vector(), rhs.vector(), atol=1e-12)
-    # t (AB) = (t A) B
-    lhs = right_act(t, A @ B)
-    rhs = right_act(right_act(t, A), B)
-    np.testing.assert_allclose(lhs.vector(), rhs.vector(), atol=1e-12)
+    A, B = random_pair(np.random.default_rng(10 + seed), 3)
+    # (AB) t = A (B t) and t (AB) = (t A) B
+    np.testing.assert_allclose(left_action(A @ B), left_action(A) @ left_action(B),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(right_action(A @ B), right_action(B) @ right_action(A),
+                               rtol=0, atol=1e-12)
     # left and right actions commute
-    lhs = left_act(A, right_act(t, B))
-    rhs = right_act(left_act(A, t), B)
-    np.testing.assert_allclose(lhs.vector(), rhs.vector(), atol=1e-12)
+    np.testing.assert_allclose(left_action(A) @ right_action(B),
+                               right_action(B) @ left_action(A), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_derivation_rule(n):
+    # delta(A) = A (x) 1 satisfies delta(AB) = A delta(B) + delta(A) B
+    A, B = random_pair(np.random.default_rng(20 + n), n)
+    one = np.eye(n)
+    rule = (left_action(A) @ psi_vector(B, one)
+            + right_action(B) @ psi_vector(A, one))
+    np.testing.assert_allclose(psi_vector(A @ B, one), rule, rtol=0, atol=1e-12)
 
 
 def test_target_form_zero_spec():
@@ -341,25 +347,18 @@ def test_frame_is_invertible(n):
     assert s[-1] > 0.1 and s[0] / s[-1] < 10
 
 
-def dense(A):
-    out = np.zeros(A.shape, dtype=complex)
-    np.add.at(out, (A.entry_rows, A.indices), A.data)
-    return out
-
-
 @pytest.mark.parametrize("n", [2, 3])
 def test_closed_form_actions_match_left_act_and_right_act(n):
     # the left residual in closed form, R_{E_pq} = I_{n^3} (x) E_qp, and the
-    # summed residual, against the action matrices built term by term
+    # summed residual, against the action matrices of the defining formulas
     rng = np.random.default_rng(40 + n)
     Z = rng.standard_normal((n ** 4,) * 2) + 1j * rng.standard_normal((n ** 4,) * 2)
     X = Z + Z.conj().T
     total = 0.0
     for p, q in itertools.product(range(n), repeat=2):
         a, a_star = unit(n, p, q), unit(n, q, p)
-        L, L_star, R, R_star = (dense(xspace._action_matrix(n, act)) for act in (
-            lambda t: left_act(a, t), lambda t: left_act(a_star, t),
-            lambda t: right_act(t, a), lambda t: right_act(t, a_star)))
+        L, L_star = left_action(a), left_action(a_star)
+        R, R_star = right_action(a), right_action(a_star)
         EL = X @ L - L_star.T @ X
         np.testing.assert_allclose(left_residual(X, n, p, q), EL, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(R, np.kron(np.eye(n ** 3), a_star))
@@ -429,18 +428,15 @@ def test_adjointability_roundtrip(preset_problems, hom_kernels):
         Xs += [hermitian_decode(x, side) for x in hom_kernels[n]]
         for _ in range(8):
             A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            t = TensorElem(n, {tuple(rng.integers(0, n, size=4)): complex(c)
-                               for c in rng.standard_normal(3)})
-            u = TensorElem(n, {tuple(rng.integers(0, n, size=4)): complex(c)
-                               for c in rng.standard_normal(3)})
+            t, u = random_tensor(rng, n, 3), random_tensor(rng, n, 3)
             As = A.conj().T
-            moved = [(left_act(A, t), left_act(As, u)),
-                     (right_act(t, A), right_act(u, As))]
+            moved = [(left_action(A) @ t, left_action(As) @ u),
+                     (right_action(A) @ t, right_action(As) @ u)]
             for X in Xs:
                 scale = max(1.0, np.linalg.norm(X))
                 for at, asu in moved:
-                    lhs = np.vdot(u.vector(), X @ at.vector())
-                    rhs = np.vdot(asu.vector(), X @ t.vector())
+                    lhs = np.vdot(u, X @ at)
+                    rhs = np.vdot(asu, X @ t)
                     assert abs(lhs - rhs) <= 1e-8 * scale
 
 
@@ -485,10 +481,20 @@ def test_systems_share_the_template_and_differ_only_in_b(gns_2x2, monkeypatch):
     assert other.G is system.G is system_template(2).G
     assert not np.allclose(other.b_target, system.b_target)
     assert other.hom_row_count == 0
-    # deciding never stacks the full matrix
-    monkeypatch.setattr(ConstraintSystem, "A", property(
-        lambda self: pytest.fail("ConstraintSystem.A was built")))
+    # deciding never stacks the full matrix, through ConstraintSystem.A or
+    # the template
+    monkeypatch.setattr(SystemTemplate, "G_csr", property(
+        lambda self: pytest.fail("SystemTemplate.G_csr was built")))
     assert decide(gns_2x2, 0.0).kind == "FEASIBLE"
+
+
+def test_the_template_holds_the_stacked_matrix(gns_2x2):
+    system, other = assemble(gns_2x2, 0.0), assemble(gns_2x2, 0.5)
+    assert system.A is other.A is system_template(2).G_csr
+    assert system.A.nnz == np.count_nonzero(system.G)
+    assert not system.A.data.flags.writeable
+    clear_caches()
+    assert assemble(gns_2x2, 0.0).A is not system.A
 
 
 def test_residual_of_equals_the_stacked_residual(preset_problems):

@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from qmsderiv.constraints import target_form
+from qmsderiv.errors import DimensionMismatch
+from qmsderiv.parametric import sweep
 from qmsderiv.qms import (DensityState, derive_omega, generator_matrix,
                           gns_symmetry_check, lindblad_apply, make_spec,
                           modular_conjugate, s_inner, validate_spec)
@@ -51,6 +54,20 @@ def test_modular_conjugate_matrix_units():
                                ((PI + 1) / (PI - 1)) * E12, atol=1e-13)
     np.testing.assert_allclose(modular_conjugate(state, E21, 1.0),
                                ((PI - 1) / (PI + 1)) * E21, atol=1e-13)
+
+
+@pytest.mark.parametrize("s", [-0.1, 1.5, math.nan])
+def test_one_s_range_rule(s):
+    # s_inner, target_form (through the state factor) and sweep refuse an s
+    # outside [0, 1] with the same error
+    state = DensityState.tracial(2)
+    one = np.eye(2)
+    for call in (lambda: s_inner(state, s, one, one),
+                 lambda: target_form(make_spec(state, []), s),
+                 lambda: sweep(1, 0, s=s)):
+        with pytest.raises(DimensionMismatch,
+                           match=rf"^inner-product parameter s={s} outside \[0, 1\]$"):
+            call()
 
 
 def test_s_inner_normalization():

@@ -2,8 +2,8 @@
 
 This is the assembly the solver used before it moved to the bimodule
 coordinates (Q1, Q2): the intertwining equations X L_a = L_{a*}^H X and
-X R_a = R_{a*}^H X, with L_a and R_a built term by term from left_act and
-right_act, written as real rows over the Hermitian coordinates of the
+X R_a = R_{a*}^H X, with L_a and R_a the matrices of left_action and
+right_action, written as real rows over the Hermitian coordinates of the
 n^4 x n^4 matrix X, scaled to unit norm and deduplicated, together with the
 target rows and the isometry E from the coordinates of Y to those of
 X = Y (x) I_n. Its sparse layer (CSR, products in scipy's summation order)
@@ -13,14 +13,13 @@ of the forms X(q) must equal the nullspace of ``system_template(n).hom``,
 and the blocks are pinned by digest so that the reference cannot drift.
 """
 import functools
-import itertools
 import types
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from qmsderiv.constraints import TensorElem, _tidx, left_act, right_act
+from qmsderiv.constraints import _tidx, left_action, psi_vector, right_action
 from qmsderiv.errors import DimensionMismatch, NoConvergence
 from qmsderiv.linalg import DEFAULT_RANK_TOL, _rank, _strict_upper
 
@@ -352,18 +351,6 @@ def kron_eye_map(k, n):
                              (M * M, k * k))
 
 
-def _action_matrix(n, act):
-    """n^4 x n^4 matrix of a linear map on M_n (x) M_n in the psi vectorization."""
-    rows, cols, vals = [], [], []
-    for q in itertools.product(range(n), repeat=4):
-        for p, c in act(TensorElem.unit(n, *q)).terms:
-            rows.append(_tidx(n, *p))
-            cols.append(_tidx(n, *q))
-            vals.append(c)
-    return CSR.from_triplets(rows, cols, np.asarray(vals, dtype=complex),
-                             (n ** 4, n ** 4))
-
-
 def _intertwiner(PT, QH, order, M):
     """Triplets of the rows `order` of I (x) PT - QH (x) I.
 
@@ -494,11 +481,9 @@ def _build_template(n):
         "raw_complex_right": m ** 5,
         "raw_complex_target": m * m,
     }
-    families = (("left", lambda A: lambda t: left_act(A, t)),
-                ("right", lambda A: lambda t: right_act(t, A)))
     blocks = []
-    for family, action in families:
-        P = [_action_matrix(n, action(A)) for A in units]
+    for family, action in (("left", left_action), ("right", right_action)):
+        P = [CSR.from_dense(action(A)) for A in units]
         R = vstack([_real_rows(_intertwiner(P[a].T, P[star[a]].conj().T, order, M),
                                order.size, herm, M) for a in range(m)])
         R = R[np.diff(R.indptr) > 0]
@@ -509,8 +494,7 @@ def _build_template(n):
 
     # target family: psi(Q_b* (x) 1)* X psi(Q_a (x) 1) = f(Q_a, Q_b*), rows
     # (a, b); kron(D^T, D^T) lists the same rows by (b*, a)
-    D = CSR.from_dense(np.column_stack(
-        [TensorElem.derivation_of(A).vector() for A in units]))
+    D = CSR.from_dense(np.column_stack([psi_vector(A, np.eye(n)) for A in units]))
     pairs = (np.array(star).reshape(1, -1) * m + np.arange(m).reshape(-1, 1))
     T = kron(D.T, D.T)[pairs.reshape(-1)]
     target = _real_rows((T.entry_rows, T.indices, T.data), T.shape[0], herm, M)
